@@ -606,21 +606,12 @@ fn cmd_inspect(a: &Args) {
         100.0 * cc.slots_saved() as f64 / c.n_wires() as f64
     );
     if a.profile {
-        #[cfg(feature = "profile")]
         print_tape_profile(&cc);
-        #[cfg(not(feature = "profile"))]
-        {
-            eprintln!(
-                "error: this binary was built without the `profile` feature; rebuild with `--features profile` to use --profile"
-            );
-            exit(2);
-        }
     }
 }
 
 /// Human `ns` rendering for the profile table (the telemetry crate's
 /// formatter is private, and `--profile` works without telemetry).
-#[cfg(feature = "profile")]
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3} s", ns as f64 / 1e9)
@@ -633,10 +624,9 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Replays deterministic 64-lane workloads through the profiled dispatch
-/// loop — sampling one pass in four, the other passes run the production
-/// loop — and prints the hot-op table plus the hottest depth levels.
-#[cfg(feature = "profile")]
+/// Replays deterministic 64-lane workloads through the compiled tape —
+/// profiling one pass in four, the other passes run unprofiled — and
+/// prints the hot-op table plus the hottest depth levels.
 fn print_tape_profile(cc: &absort::circuit::CompiledCircuit) {
     use absort::circuit::TapeProfile;
     const TOTAL_PASSES: usize = 128;

@@ -217,13 +217,55 @@ pub fn fish_k(n: usize) -> usize {
     k
 }
 
-/// The network's valid-input space at width `n`: every vector the
-/// network's contract covers. Sorters accept anything; the fish merger
-/// requires its `k` blocks individually sorted (Definition 4).
-fn valid_inputs(sel: NetworkSel, n: usize) -> Vec<Vec<bool>> {
+/// Largest index into the network's valid-input space, in closed form:
+/// sorters accept all `2^n` vectors, the fish merger the `(n/k + 1)^k`
+/// with each of its `k` blocks sorted (Definition 4). `None` past `u64`.
+fn max_input_index(sel: NetworkSel, n: usize) -> Option<u64> {
     match sel {
-        NetworkSel::Fish => lang::all_k_sorted(n, fish_k(n)),
-        _ => lang::all_sequences(n).collect(),
+        NetworkSel::Fish => {
+            let k = fish_k(n);
+            ((n / k + 1) as u64).checked_pow(k as u32).map(|c| c - 1)
+        }
+        _ => (n <= 64).then(|| u64::MAX >> (64 - n)),
+    }
+}
+
+/// Sorted `block`-wide blocks, one per count in `ones` (block 0 first),
+/// each holding that many ones.
+fn k_sorted(block: usize, ones: impl Iterator<Item = usize>) -> Vec<bool> {
+    ones.flat_map(|o| (0..block).map(move |i| i + o >= block))
+        .collect()
+}
+
+/// Vector `idx` of the valid-input space, in `lang::all_sequences` /
+/// `lang::all_k_sorted` order: bit `i` of `idx` is input `i` of a
+/// sorter; for the fish merger `idx` is a base-`(n/k + 1)` number whose
+/// most significant digit is block 0's count of ones.
+fn nth_input(sel: NetworkSel, n: usize, idx: u64) -> Vec<bool> {
+    match sel {
+        NetworkSel::Fish => {
+            let k = fish_k(n);
+            let radix = (n / k + 1) as u64;
+            let digits = (0..k as u32)
+                .rev()
+                .map(|j| (idx / radix.pow(j) % radix) as usize);
+            k_sorted(n / k, digits)
+        }
+        _ => (0..n).map(|i| idx >> i & 1 == 1).collect(),
+    }
+}
+
+/// One uniform draw from the valid-input space: one index where `u64`
+/// holds them (a seed picks the vectors sampling the enumerated space
+/// did), else each bit or block count independently.
+fn sample_input(sel: NetworkSel, n: usize, rng: &mut StdRng) -> Vec<bool> {
+    match (max_input_index(sel, n), sel) {
+        (Some(max), _) => nth_input(sel, n, rng.gen_range(0..=max)),
+        (None, NetworkSel::Fish) => {
+            let block = n / fish_k(n);
+            k_sorted(block, (0..fish_k(n)).map(|_| rng.gen_range(0..=block)))
+        }
+        (None, _) => (0..n).map(|_| rng.gen()).collect(),
     }
 }
 
@@ -249,17 +291,16 @@ struct Workload {
 }
 
 fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
-    let mut vectors = valid_inputs(sel, cfg.n);
-    let tier = if vectors.len() <= cfg.max_exhaustive {
-        "exhaustive"
-    } else {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut sampled = Vec::with_capacity(cfg.max_exhaustive);
-        for _ in 0..cfg.max_exhaustive {
-            sampled.push(vectors[rng.gen_range(0..vectors.len())].clone());
+    let (vectors, tier): (Vec<Vec<bool>>, _) = match max_input_index(sel, cfg.n) {
+        Some(max) if max < cfg.max_exhaustive as u64 => (
+            (0..=max).map(|i| nth_input(sel, cfg.n, i)).collect(),
+            "exhaustive",
+        ),
+        _ => {
+            let mut rng = StdRng::seed_from_u64(cfg.seed);
+            let draw = |_| sample_input(sel, cfg.n, &mut rng);
+            ((0..cfg.max_exhaustive).map(draw).collect(), "sampled")
         }
-        vectors = sampled;
-        "sampled"
     };
     let oracle: Vec<Vec<bool>> = vectors.iter().map(|v| lang::sorted_oracle(v)).collect();
     let ones = vectors
@@ -1118,6 +1159,47 @@ mod tests {
         }
         assert_eq!(NetworkSel::parse("mux-merger"), Some(NetworkSel::MuxMerger));
         assert_eq!(NetworkSel::parse("nope"), None);
+    }
+
+    /// The closed-form count and index decode reproduce the enumerated
+    /// input space exactly, so both tiers keep their vectors.
+    #[test]
+    fn index_decode_matches_enumeration() {
+        for n in [4, 8, 16] {
+            let fish = lang::all_k_sorted(n, fish_k(n));
+            let all: Vec<Vec<bool>> = lang::all_sequences(n).collect();
+            for (sel, space) in [(NetworkSel::Prefix, all), (NetworkSel::Fish, fish)] {
+                assert_eq!(max_input_index(sel, n), Some(space.len() as u64 - 1));
+                for (i, v) in space.iter().enumerate() {
+                    assert_eq!(&nth_input(sel, n, i as u64), v, "{} n={n} #{i}", sel.name());
+                }
+            }
+        }
+    }
+
+    /// At n = 32 the 2^32-vector space is sampled, never materialised
+    /// (on the interpreter: debug builds re-verify every compile).
+    #[test]
+    fn prefix_campaign_at_n32_is_sampled() {
+        let cfg = CampaignConfig {
+            n: 32,
+            max_exhaustive: 64,
+            transient_samples: 4,
+            engine: Engine::Interp,
+            ..Default::default()
+        };
+        assert_eq!(run_network(NetworkSel::Prefix, &cfg).tier, "sampled");
+    }
+
+    /// Spaces past `u64` indices draw bit by bit or block by block.
+    #[test]
+    fn spaces_past_u64_sample_valid_vectors() {
+        let mut rng = StdRng::seed_from_u64(7);
+        assert_eq!(max_input_index(NetworkSel::Prefix, 128), None);
+        assert_eq!(sample_input(NetworkSel::Prefix, 128, &mut rng).len(), 128);
+        assert_eq!(max_input_index(NetworkSel::Fish, 256), None);
+        let v = sample_input(NetworkSel::Fish, 256, &mut rng);
+        assert!(v.len() == 256 && v.chunks(256 / fish_k(256)).all(lang::is_sorted));
     }
 
     #[test]

@@ -82,10 +82,6 @@ fn bench_eval_engines(c: &mut Criterion) {
             g.bench_function(BenchmarkId::new(format!("interp_par{threads}t"), n), |b| {
                 b.iter(|| circuit.eval_batch_parallel(&vectors, threads))
             });
-            g.bench_function(
-                BenchmarkId::new(format!("compiled_par{threads}t"), n),
-                |b| b.iter(|| compiled.eval_batch_parallel(&vectors, threads)),
-            );
         }
     }
     g.finish();

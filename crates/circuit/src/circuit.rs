@@ -306,9 +306,11 @@ impl Circuit {
     /// private wire buffer — no shared mutable state.
     ///
     /// `vectors[v][i]` is input `i` of vector `v`; the result has the same
-    /// shape with outputs.
+    /// shape with outputs. Panics where
+    /// [`Circuit::try_eval_batch_parallel`] returns an error.
     pub fn eval_batch_parallel(&self, vectors: &[Vec<bool>], threads: usize) -> Vec<Vec<bool>> {
-        crate::eval::eval_batch_parallel(self, vectors, threads)
+        self.try_eval_batch_parallel(vectors, threads)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Checked [`Circuit::eval`]: rejects a wrong-arity input slice with a

@@ -31,15 +31,15 @@
 //!   This is the real win at `n = 256+`: the hot buffer drops back into
 //!   L1/L2 and stays there for the whole sweep;
 //! * **levelization** — ops are emitted grouped by bit-level depth stage
-//!   ([`CompiledCircuit::level_ranges`]), the substrate for future
-//!   intra-vector parallelism and for depth-staged batch sharding.
+//!   ([`CompiledCircuit::level_ranges`]); the fuse pass never fuses
+//!   across a level and the tape profiler attributes time per level.
 //!
 //! [`CompiledEvaluator`] then replays the tape with the same `run` /
 //! `run_into` / `try_*` surface as [`crate::Evaluator`], over any
-//! [`Lane`] type, and [`CompiledCircuit::eval_batch_parallel`] shards
-//! packed 64-lane groups across threads exactly like the interpreter's
-//! batch path. Equivalence with the interpreter is enforced by the
-//! differential suites (`crates/circuit/tests/differential.rs`, the
+//! [`Lane`] type, through the threaded program of [`crate::dispatch`];
+//! [`CompiledEvaluator::run_into_profiled`] walks that same program with
+//! per-op attribution. Equivalence with the interpreter is enforced by
+//! the differential suites (`crates/circuit/tests/differential.rs`, the
 //! workspace-level `tests/compiled_differential.rs` and
 //! `tests/pass_pipeline.rs`) plus the pass manager's own per-pass
 //! differential check.
@@ -550,7 +550,7 @@ impl CompiledCircuit {
 
         let mut ir = crate::ir::lower(c);
         let stats = PassManager::new(*opts).run(c, &mut ir);
-        let mut cc = crate::regalloc::allocate_with(&ir, opts.par_safe);
+        let mut cc = crate::regalloc::allocate(&ir);
         cc.pass_stats = stats;
         if opts.fuse {
             crate::fuse::fuse(&mut cc);
@@ -894,57 +894,6 @@ impl CompiledCircuit {
     pub fn eval_lanes(&self, inputs: &[u64]) -> Vec<u64> {
         CompiledEvaluator::new(self).run(inputs)
     }
-
-    /// Multi-threaded batch evaluation over the compiled tape: packs
-    /// vectors into lane groups and deals groups to `threads` workers in
-    /// interleaved strides (see [`Circuit::eval_batch_parallel`] for the
-    /// interpreter twin). Large batches walk the tape with `[u64; 4]`
-    /// wide lanes — 256 vectors per pass — which the register-allocated
-    /// slot buffer keeps cache-resident; small or highly-threaded
-    /// batches fall back to 64-lane groups so every worker stays fed.
-    pub fn eval_batch_parallel(&self, vectors: &[Vec<bool>], threads: usize) -> Vec<Vec<bool>> {
-        match self.try_eval_batch_parallel(vectors, threads) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Checked [`CompiledCircuit::eval_batch_parallel`] with the same
-    /// worker-panic isolation contract as
-    /// [`Circuit::try_eval_batch_parallel`].
-    pub fn try_eval_batch_parallel(
-        &self,
-        vectors: &[Vec<bool>],
-        threads: usize,
-    ) -> Result<Vec<Vec<bool>>, EvalError> {
-        #[cfg(feature = "telemetry")]
-        let _span = absort_telemetry::span("eval/batch_compiled");
-        let n_inputs = self.n_inputs();
-        // Wide walks only when every worker still gets at least two
-        // 256-vector groups' worth of work; otherwise 64-lane groups
-        // give finer sharding.
-        if vectors.len() >= 128 * threads.max(1) {
-            crate::eval::try_batch_parallel_with(n_inputs, vectors, 256, threads, &|| {
-                let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(self);
-                let mut out = vec![[0u64; 4]; self.n_outputs()];
-                move |g: &[Vec<bool>]| {
-                    let packed = crate::eval::pack_lanes_wide::<4>(g, n_inputs);
-                    ev.run_into(&packed, &mut out);
-                    crate::eval::unpack_lanes_wide(&out, g.len())
-                }
-            })
-        } else {
-            crate::eval::try_batch_parallel_with(n_inputs, vectors, 64, threads, &|| {
-                let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(self);
-                let mut out = vec![0u64; self.n_outputs()];
-                move |g: &[Vec<bool>]| {
-                    let packed = crate::eval::pack_lanes(g, n_inputs);
-                    ev.run_into(&packed, &mut out);
-                    crate::eval::unpack_lanes(&out, g.len())
-                }
-            })
-        }
-    }
 }
 
 /// A reusable evaluation context for one compiled circuit and one lane
@@ -1042,35 +991,16 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
     /// Replays the tape into a caller-provided output slice (no
     /// allocation).
     pub fn run_into(&mut self, inputs: &[V], out: &mut [V]) {
-        let cc = self.cc;
-        assert_eq!(
-            inputs.len(),
-            cc.n_inputs(),
-            "expected {} inputs, got {}",
-            cc.n_inputs(),
-            inputs.len()
-        );
-        assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
-
         // One bool test when telemetry is off; when on, the pass is
         // timed and folded into the per-vector latency histogram below.
         #[cfg(feature = "telemetry")]
         let t0 = self.tel.is_active().then(std::time::Instant::now);
 
-        let w = &mut self.slots;
-        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
-            w[s as usize] = v;
-        }
-
         // Threaded-code dispatch: the tape was decoded once at evaluator
         // construction (operands resolved, reuse flags folded into the
         // function choice, superinstructions expanded); each instruction
         // is now a single indirect call. See `crate::dispatch`.
-        self.prog.exec(w);
-
-        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
-            *o = w[s as usize];
-        }
+        self.pass(inputs, out, |prog, w| prog.exec(w));
 
         // The histogram sample is the pass wall-clock divided by lane
         // width: per-*vector* latency, comparable across lane types.
@@ -1084,18 +1014,15 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
             }
         }
     }
-}
 
-#[cfg(feature = "profile")]
-impl<V: Lane> CompiledEvaluator<'_, V> {
     /// Replays the tape like [`CompiledEvaluator::run_into`] while
     /// attributing executions and wall-clock per micro-op kind and per
     /// depth level into `prof` (level 0 = constant prologue).
     ///
-    /// This is a deliberately *separate* dispatch loop: the production
-    /// `run_into` carries no profiling branches, and callers sample
-    /// (profile a subset of passes) rather than pay the per-op clock
-    /// reads everywhere. Output values are identical to `run_into`.
+    /// Walks the same decoded program as `run_into`, reading the clock
+    /// after each instruction (instruction `i` is tape op `i`). Callers
+    /// sample (profile a subset of passes) rather than pay the per-op
+    /// clock reads everywhere. Outputs are identical to `run_into`.
     pub fn run_into_profiled(
         &mut self,
         inputs: &[V],
@@ -1103,6 +1030,48 @@ impl<V: Lane> CompiledEvaluator<'_, V> {
         prof: &mut crate::profile::TapeProfile,
     ) {
         use std::time::Instant;
+        let cc = self.cc;
+        prof.ensure_levels(cc.level_ranges.len() + 1);
+
+        // Level segment tracking: ops `0..prologue_len` are segment 0;
+        // each level range is the following segment.
+        let mut seg = 0usize;
+        let mut seg_end = cc.prologue_len as usize;
+        let mut prev_kind: Option<usize> = None;
+        self.pass(inputs, out, |prog, w| {
+            let mut last = Instant::now();
+            prog.exec_profiled(w, |i| {
+                let now = Instant::now();
+                let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
+                last = now;
+                while i >= seg_end && seg < cc.level_ranges.len() {
+                    seg_end = cc.level_ranges[seg].1 as usize;
+                    seg += 1;
+                    prev_kind = None;
+                }
+                let k = cc.tape[i].kind_index();
+                prof.kinds[k].executions += 1;
+                prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
+                prof.levels[seg].executions += 1;
+                prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
+                if let Some(p) = prev_kind {
+                    prof.record_pair(p, k);
+                }
+                prev_kind = Some(k);
+            });
+        });
+        prof.passes += 1;
+    }
+
+    /// One pass: loads `inputs` into their slots, lets `walk` run the
+    /// decoded program over the slot buffer, and copies out the outputs.
+    #[inline(always)]
+    fn pass(
+        &mut self,
+        inputs: &[V],
+        out: &mut [V],
+        walk: impl FnOnce(&crate::dispatch::Program<V>, &mut [V]),
+    ) {
         let cc = self.cc;
         assert_eq!(
             inputs.len(),
@@ -1112,191 +1081,14 @@ impl<V: Lane> CompiledEvaluator<'_, V> {
             inputs.len()
         );
         assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
-        prof.ensure_levels(cc.level_ranges.len() + 1);
-
         let w = &mut self.slots;
         for (&s, &v) in cc.input_slots.iter().zip(inputs) {
             w[s as usize] = v;
         }
-
-        let mut m = [V::ZERO; 4];
-        // Level segment tracking: ops `0..prologue_len` are segment 0;
-        // each level range is the following segment.
-        let mut seg = 0usize;
-        let mut seg_end = cc.prologue_len as usize;
-        let mut prev_kind: Option<usize> = None;
-        let mut last = Instant::now();
-        for (i, op) in cc.tape.iter().enumerate() {
-            while i >= seg_end && seg < cc.level_ranges.len() {
-                seg_end = cc.level_ranges[seg].1 as usize;
-                seg += 1;
-                prev_kind = None;
-            }
-            match *op {
-                MicroOp::Const { d, v } => w[d as usize] = V::splat(v),
-                MicroOp::Not { d, a } => {
-                    let x = w[a as usize];
-                    w[d as usize] = x.not();
-                }
-                MicroOp::And { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.and(y);
-                }
-                MicroOp::Or { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.or(y);
-                }
-                MicroOp::Xor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.xor(y);
-                }
-                MicroOp::Nand { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.and(y).not();
-                }
-                MicroOp::Nor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.or(y).not();
-                }
-                MicroOp::Xnor { d, a, b } => {
-                    let (x, y) = (w[a as usize], w[b as usize]);
-                    w[d as usize] = x.xor(y).not();
-                }
-                MicroOp::Mux { d, s, a1, a0 } => {
-                    let (sv, x1, x0) = (w[s as usize], w[a1 as usize], w[a0 as usize]);
-                    w[d as usize] = V::select(sv, x1, x0);
-                }
-                MicroOp::Demux { d0, d1, s, x } => {
-                    let (sv, xv) = (w[s as usize], w[x as usize]);
-                    w[d0 as usize] = sv.not().and(xv);
-                    w[d1 as usize] = sv.and(xv);
-                }
-                MicroOp::Switch2 { d0, d1, s, a, b } => {
-                    let (sv, av, bv) = (w[s as usize], w[a as usize], w[b as usize]);
-                    w[d0 as usize] = V::select(sv, bv, av);
-                    w[d1 as usize] = V::select(sv, av, bv);
-                }
-                MicroOp::Route2 { d0, d1, a, b } => {
-                    let (av, bv) = (w[a as usize], w[b as usize]);
-                    w[d0 as usize] = av;
-                    w[d1 as usize] = bv;
-                }
-                MicroOp::BitCompare { d0, d1, a, b } => {
-                    let (av, bv) = (w[a as usize], w[b as usize]);
-                    w[d0 as usize] = av.and(bv);
-                    w[d1 as usize] = av.or(bv);
-                }
-                MicroOp::Switch4 {
-                    d,
-                    ins,
-                    s1,
-                    s0,
-                    pidx,
-                } => {
-                    if pidx & REUSE_MASKS == 0 {
-                        let (v1, v0) = (w[s1 as usize], w[s0 as usize]);
-                        m = [
-                            v1.not().and(v0.not()),
-                            v1.not().and(v0),
-                            v1.and(v0.not()),
-                            v1.and(v0),
-                        ];
-                    }
-                    let pm = &cc.perm_sets[(pidx & !REUSE_MASKS) as usize];
-                    let iv = [
-                        w[ins[0] as usize],
-                        w[ins[1] as usize],
-                        w[ins[2] as usize],
-                        w[ins[3] as usize],
-                    ];
-                    for j in 0..4 {
-                        w[d[j] as usize] = m[0]
-                            .and(iv[pm[0][j] as usize])
-                            .or(m[1].and(iv[pm[1][j] as usize]))
-                            .or(m[2].and(iv[pm[2][j] as usize]))
-                            .or(m[3].and(iv[pm[3][j] as usize]));
-                    }
-                }
-                MicroOp::Pair2 { idx } => {
-                    for sub in &cc.fused_pairs[idx as usize] {
-                        exec_pairable(w, sub);
-                    }
-                }
-                MicroOp::S4Chain { idx } => {
-                    let ch = cc.s4_chains[idx as usize];
-                    let (v1, v0) = (w[ch.s1 as usize], w[ch.s0 as usize]);
-                    m = [
-                        v1.not().and(v0.not()),
-                        v1.not().and(v0),
-                        v1.and(v0.not()),
-                        v1.and(v0),
-                    ];
-                    let items = &cc.s4_items[ch.start as usize..(ch.start + ch.len) as usize];
-                    for it in items {
-                        let pm = &cc.perm_sets[it.pidx as usize];
-                        let iv = [
-                            w[it.ins[0] as usize],
-                            w[it.ins[1] as usize],
-                            w[it.ins[2] as usize],
-                            w[it.ins[3] as usize],
-                        ];
-                        for j in 0..4 {
-                            w[it.d[j] as usize] = m[0]
-                                .and(iv[pm[0][j] as usize])
-                                .or(m[1].and(iv[pm[1][j] as usize]))
-                                .or(m[2].and(iv[pm[2][j] as usize]))
-                                .or(m[3].and(iv[pm[3][j] as usize]));
-                        }
-                    }
-                }
-            }
-            let now = Instant::now();
-            let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
-            last = now;
-            let k = op.kind_index();
-            prof.kinds[k].executions += 1;
-            prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
-            prof.levels[seg].executions += 1;
-            prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
-            if let Some(p) = prev_kind {
-                prof.record_pair(p, k);
-            }
-            prev_kind = Some(k);
-        }
-
+        walk(&self.prog, w);
         for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
             *o = w[s as usize];
         }
-        prof.passes += 1;
-    }
-}
-
-/// Executes one half of a [`MicroOp::Pair2`] superinstruction. Only the
-/// pair-fusible kinds (see `crate::dispatch::pair_code`) can appear here;
-/// the fuse pass never emits anything else into `fused_pairs`.
-#[cfg(feature = "profile")]
-fn exec_pairable<V: Lane>(w: &mut [V], op: &MicroOp) {
-    match *op {
-        MicroOp::And { d, a, b } => w[d as usize] = w[a as usize].and(w[b as usize]),
-        MicroOp::Or { d, a, b } => w[d as usize] = w[a as usize].or(w[b as usize]),
-        MicroOp::Xor { d, a, b } => w[d as usize] = w[a as usize].xor(w[b as usize]),
-        MicroOp::Nand { d, a, b } => w[d as usize] = w[a as usize].and(w[b as usize]).not(),
-        MicroOp::Nor { d, a, b } => w[d as usize] = w[a as usize].or(w[b as usize]).not(),
-        MicroOp::Xnor { d, a, b } => w[d as usize] = w[a as usize].xor(w[b as usize]).not(),
-        MicroOp::Mux { d, s, a1, a0 } => {
-            w[d as usize] = V::select(w[s as usize], w[a1 as usize], w[a0 as usize]);
-        }
-        MicroOp::BitCompare { d0, d1, a, b } => {
-            let (av, bv) = (w[a as usize], w[b as usize]);
-            w[d0 as usize] = av.and(bv);
-            w[d1 as usize] = av.or(bv);
-        }
-        MicroOp::Switch2 { d0, d1, s, a, b } => {
-            let (sv, av, bv) = (w[s as usize], w[a as usize], w[b as usize]);
-            w[d0 as usize] = V::select(sv, bv, av);
-            w[d1 as usize] = V::select(sv, av, bv);
-        }
-        ref other => unreachable!("non-fusible op {other:?} inside a fused pair"),
     }
 }
 
@@ -1344,34 +1136,75 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "profile")]
-    #[test]
-    fn profiled_run_matches_and_attributes_every_op() {
-        let c = kitchen_sink();
-        let cc = c.compile();
+    /// Two 4×4 switches on one control pair side by side in one level
+    /// (a mask-reuse run) plus gates and a comparator: fused, the tape
+    /// carries both an `S4Chain` and a `Pair2`.
+    fn fusible() -> Circuit {
+        let mut b = Builder::new();
+        let s1 = b.input();
+        let s0 = b.input();
+        let ins = b.input_bus(8);
+        let perms = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]];
+        let a = b.switch4(s1, s0, [ins[0], ins[1], ins[2], ins[3]], perms);
+        let c = b.switch4(s1, s0, [ins[4], ins[5], ins[6], ins[7]], perms);
+        let g1 = b.and(ins[0], ins[5]);
+        let g2 = b.or(ins[2], ins[7]);
+        let (lo, hi) = b.bit_compare(a[0], c[3]);
+        b.outputs(&[a[1], a[2], c[0], c[1], lo, hi, g1, g2]);
+        b.finish()
+    }
+
+    /// Profiles `passes` through `cc`: outputs equal `run_into`, each
+    /// kind executes its tape count once per pass, and every op lands
+    /// in exactly one level segment.
+    fn check_profile<V: Lane + PartialEq + std::fmt::Debug>(
+        cc: &CompiledCircuit,
+        passes: &[Vec<V>],
+    ) {
         let mut prof = crate::profile::TapeProfile::new();
-        let mut ev: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&cc);
-        let mut prof_ev: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&cc);
-        let mut passes = 0u64;
-        for input in all_inputs(c.n_inputs()) {
-            let want = ev.run(&input);
-            let mut got = vec![false; cc.n_outputs()];
-            prof_ev.run_into_profiled(&input, &mut got, &mut prof);
+        let mut ev: CompiledEvaluator<'_, V> = CompiledEvaluator::new(cc);
+        let mut prof_ev: CompiledEvaluator<'_, V> = CompiledEvaluator::new(cc);
+        for input in passes {
+            let want = ev.run(input);
+            let mut got = vec![V::ZERO; cc.n_outputs()];
+            prof_ev.run_into_profiled(input, &mut got, &mut prof);
             assert_eq!(got, want, "input {input:?}");
-            passes += 1;
         }
-        assert_eq!(prof.passes, passes);
-        assert_eq!(prof.total_executions(), passes * cc.tape_len() as u64);
-        // Every op lands in exactly one level segment, prologue included.
+        let n = passes.len() as u64;
+        assert_eq!(prof.passes, n);
+        let mut hist = [0u64; MicroOp::NUM_KINDS];
+        for op in cc.tape() {
+            hist[op.kind_index()] += 1;
+        }
+        for (k, stat) in prof.kinds.iter().enumerate() {
+            assert_eq!(stat.executions, hist[k] * n, "{}", MicroOp::kind_name(k));
+        }
         let level_execs: u64 = prof.levels.iter().map(|l| l.executions).sum();
         assert_eq!(level_execs, prof.total_executions());
         assert_eq!(prof.levels.len(), cc.n_levels() + 1);
         assert_eq!(
             prof.levels[0].executions,
-            passes * cc.prologue_len() as u64,
+            n * cc.prologue_len() as u64,
             "prologue segment holds exactly the prologue ops"
         );
-        assert!(!prof.hot_kinds().is_empty());
+    }
+
+    #[test]
+    fn profiled_run_matches_and_attributes_every_op() {
+        let c = kitchen_sink();
+        let inputs: Vec<Vec<bool>> = all_inputs(c.n_inputs()).collect();
+        check_profile(&c.compile(), &inputs);
+
+        let c = fusible();
+        let cc = c.compile_with(&CompileOptions::default().with_fuse());
+        assert!(!cc.fused_pairs().is_empty() && !cc.s4_chains().is_empty());
+        let inputs: Vec<Vec<bool>> = all_inputs(c.n_inputs()).collect();
+        check_profile(&cc, &inputs);
+        let wide: Vec<Vec<[u64; 4]>> = inputs
+            .chunks(256)
+            .map(|g| crate::eval::pack_lanes_wide::<4>(g, c.n_inputs()))
+            .collect();
+        check_profile(&cc, &wide);
     }
 
     #[test]
@@ -1586,18 +1419,6 @@ mod tests {
             ev.try_run_into(&[false; 4], &mut short),
             Err(EvalError::OutputLen { .. })
         ));
-    }
-
-    #[test]
-    fn compiled_batch_parallel_matches_interp_batch() {
-        let c = kitchen_sink();
-        let cc = c.compile();
-        let vectors: Vec<Vec<bool>> = all_inputs(4).cycle().take(300).collect();
-        for threads in [1, 2, 4] {
-            let got = cc.eval_batch_parallel(&vectors, threads);
-            let want = c.eval_batch_parallel(&vectors, threads);
-            assert_eq!(got, want, "threads={threads}");
-        }
     }
 
     #[test]

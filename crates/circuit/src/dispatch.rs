@@ -23,9 +23,10 @@
 //!   only when every lane shares one control value, i.e. exactly when
 //!   `LANES == 1`.
 //!
-//! The profiled twin ([`CompiledEvaluator::run_into_profiled`]) keeps
-//! the classic match loop: profiling wants per-`MicroOp` attribution,
-//! not per-decoded-function.
+//! Decode emits exactly one instruction per tape op, so the profiler
+//! (`CompiledEvaluator::run_into_profiled`) walks this same program
+//! through [`Program::exec_profiled`] and attributes instruction `i` to
+//! tape op `i`.
 
 use crate::compile::{CompiledCircuit, MicroOp, REUSE_MASKS};
 use crate::lane::Lane;
@@ -397,6 +398,16 @@ impl<V: Lane> Program<V> {
         let mut m = [V::ZERO; 4];
         for i in &self.instrs {
             (i.f)(w, &mut m, &self.items, i);
+        }
+    }
+
+    /// [`Program::exec`] that calls `after` with each instruction's
+    /// index (= its tape position) once the instruction has run.
+    pub(crate) fn exec_profiled(&self, w: &mut [V], mut after: impl FnMut(usize)) {
+        let mut m = [V::ZERO; 4];
+        for (idx, i) in self.instrs.iter().enumerate() {
+            (i.f)(w, &mut m, &self.items, i);
+            after(idx);
         }
     }
 }

@@ -431,46 +431,6 @@ pub fn unpack_lanes_wide<const N: usize>(packed: &[[u64; N]], count: usize) -> V
         .collect()
 }
 
-/// Multi-threaded batch evaluation: packs vectors into 64-lane groups and
-/// shards groups across `threads` scoped threads. Panics only if a stride
-/// fails twice (see [`try_eval_batch_parallel`]).
-pub(crate) fn eval_batch_parallel(
-    circuit: &Circuit,
-    vectors: &[Vec<bool>],
-    threads: usize,
-) -> Vec<Vec<bool>> {
-    match try_eval_batch_parallel(circuit, vectors, threads) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Multi-threaded batch evaluation with worker-panic isolation: a panic
-/// inside one worker (a malformed netlist hitting an index, typically)
-/// poisons only that worker's stride of groups. The stride is retried
-/// once on a fresh worker; if it panics again, the *whole call* returns
-/// [`EvalError::WorkerPanicked`] for that stride instead of propagating
-/// the panic into the caller's sweep. Vector widths are validated up
-/// front.
-pub(crate) fn try_eval_batch_parallel(
-    circuit: &Circuit,
-    vectors: &[Vec<bool>],
-    threads: usize,
-) -> Result<Vec<Vec<bool>>, EvalError> {
-    #[cfg(feature = "telemetry")]
-    let _span = absort_telemetry::span("eval/batch");
-    let n_inputs = circuit.n_inputs();
-    try_batch_parallel_with(n_inputs, vectors, 64, threads, &|| {
-        let mut ev: Evaluator<'_, u64> = Evaluator::new(circuit);
-        let mut out = vec![0u64; circuit.n_outputs()];
-        move |g: &[Vec<bool>]| {
-            let packed = pack_lanes(g, n_inputs);
-            ev.run_into(&packed, &mut out);
-            unpack_lanes(&out, g.len())
-        }
-    })
-}
-
 /// Writes one worker's stride of group results back into the shared
 /// result table: worker `t` owns groups `t`, `t + step`, `t + 2·step`, …
 fn scatter_stride(
@@ -484,33 +444,22 @@ fn scatter_stride(
     }
 }
 
-/// Engine-agnostic batch machinery shared by the interpreter and the
-/// compiled tape ([`crate::CompiledCircuit::try_eval_batch_parallel`]).
-///
-/// `make_runner` builds one evaluation pass per worker thread (each
-/// worker owns a private evaluator and buffers — no shared mutable
-/// state); the runner maps one group of up to `group_size` vectors to
-/// their outputs, packing however its engine prefers (the interpreter
-/// packs 64-lane `u64` groups, the compiled tape walks `group_size =
-/// 256` with `[u64; 4]` wide lanes). Groups are dealt to workers in
-/// **interleaved strides** (worker `t` takes groups `t`, `t + threads`,
-/// …) rather than contiguous chunks: with `groups % threads ≠ 0`
-/// contiguous `div_ceil` chunking leaves the last worker a short
-/// (possibly empty) tail while earlier workers carry a full extra chunk;
-/// striding bounds the imbalance at one group regardless of batch size.
-/// Worker panics stay isolated per stride with one retry, exactly as
-/// documented on [`Circuit::try_eval_batch_parallel`].
-pub(crate) fn try_batch_parallel_with<F, G>(
-    n_inputs: usize,
+/// Backs [`Circuit::try_eval_batch_parallel`]: every worker packs its
+/// 64-vector groups into `u64` lanes on a private evaluator. Groups are
+/// dealt in **interleaved strides** (worker `t` takes groups `t`,
+/// `t + threads`, …), bounding the imbalance at one group whatever the
+/// batch size; contiguous chunks would leave the last worker a short or
+/// empty tail. A stride whose worker panics (a malformed netlist,
+/// typically) is retried once on a fresh worker; a second panic returns
+/// [`EvalError::WorkerPanicked`].
+pub(crate) fn try_eval_batch_parallel(
+    circuit: &Circuit,
     vectors: &[Vec<bool>],
-    group_size: usize,
     threads: usize,
-    make_runner: &F,
-) -> Result<Vec<Vec<bool>>, EvalError>
-where
-    F: Fn() -> G + Sync,
-    G: FnMut(&[Vec<bool>]) -> Vec<Vec<bool>>,
-{
+) -> Result<Vec<Vec<bool>>, EvalError> {
+    #[cfg(feature = "telemetry")]
+    let _span = absort_telemetry::span("eval/batch");
+    let n_inputs = circuit.n_inputs();
     for (v, vec) in vectors.iter().enumerate() {
         if vec.len() != n_inputs {
             return Err(EvalError::VectorLen {
@@ -521,19 +470,23 @@ where
         }
     }
     let threads = threads.max(1);
-    let groups: Vec<&[Vec<bool>]> = vectors.chunks(group_size).collect();
+    let groups: Vec<&[Vec<bool>]> = vectors.chunks(64).collect();
     let mut results: Vec<Vec<Vec<bool>>> = vec![Vec::new(); groups.len()];
 
     // One worker's share: every `threads`-th group starting at `t`,
-    // evaluated in stride order on a private runner and returned (the
+    // evaluated in stride order on a private evaluator and returned (the
     // main thread scatters — workers never touch shared output).
     let run_stride = |t: usize| -> Vec<Vec<Vec<bool>>> {
-        let mut run = make_runner();
+        let mut ev: Evaluator<'_, u64> = Evaluator::new(circuit);
+        let mut out = vec![0u64; circuit.n_outputs()];
         groups
             .iter()
             .skip(t)
             .step_by(threads)
-            .map(|g| run(g))
+            .map(|g| {
+                ev.run_into(&pack_lanes(g, n_inputs), &mut out);
+                unpack_lanes(&out, g.len())
+            })
             .collect()
     };
 

@@ -118,37 +118,6 @@ impl Lane for u64 {
     }
 }
 
-impl Lane for u128 {
-    const ZERO: Self = 0;
-    const ONES: Self = u128::MAX;
-    const LANES: u32 = 128;
-
-    #[inline]
-    fn not(self) -> Self {
-        !self
-    }
-    #[inline]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    #[inline]
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-    #[inline]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-    #[inline]
-    fn lane_mask(lane: u32) -> Self {
-        1u128 << lane
-    }
-    #[inline]
-    fn first_lane(self) -> bool {
-        self & 1 == 1
-    }
-}
-
 /// Wide lanes: `N` packed 64-lane words evaluated per pass (`[u64; 4]`
 /// carries 256 test vectors). Word `k` holds lanes `64k .. 64k+64`.
 ///
@@ -234,7 +203,6 @@ mod tests {
         assert_eq!(u64::splat(true), u64::MAX);
         assert_eq!(u64::splat(false), 0);
         assert!(bool::splat(true));
-        assert_eq!(u128::splat(true), u128::MAX);
     }
 
     #[test]
@@ -306,19 +274,5 @@ mod tests {
                 prop_assert_eq!(a.xor(a.not()), <[u64; 8]>::ONES);
             }
         }
-    }
-
-    #[test]
-    fn u128_lanes_match_u64_lanes() {
-        // 128-lane evaluation halves the pass count of exhaustive sweeps;
-        // semantics must match the 64-lane path bit for bit.
-        let sel = 0b1010u128;
-        let a1 = 0b1100u128;
-        let a0 = 0b0011u128;
-        assert_eq!(u128::select(sel, a1, a0), 0b1001);
-        assert_eq!(
-            u64::select(0b1010, 0b1100, 0b0011) as u128,
-            u128::select(0b1010, 0b1100, 0b0011)
-        );
     }
 }

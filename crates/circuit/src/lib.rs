@@ -52,7 +52,6 @@ pub mod mutate;
 pub mod passes;
 pub mod pattern;
 pub mod pipeline;
-#[cfg(feature = "profile")]
 pub mod profile;
 pub mod regalloc;
 pub mod scope;
@@ -70,7 +69,6 @@ pub use eval::{EvalError, Evaluator};
 pub use faulty::{FaultyEvaluator, WireFault};
 pub use lane::Lane;
 pub use passes::{CompileOptions, OptLevel, PassManager, PassName, PassSet, PassStats};
-#[cfg(feature = "profile")]
 pub use profile::TapeProfile;
 pub use scope::{ScopeId, ScopeTree};
 pub use stats::Stats;

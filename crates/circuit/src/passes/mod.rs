@@ -267,12 +267,6 @@ pub struct CompileOptions {
     /// default — fused sites lose in-place mutant patching (they fall
     /// back to recompile), so sweep drivers opt in explicitly.
     pub fuse: bool,
-    /// Allocate slots so that ops within one depth level never reuse a
-    /// slot freed earlier in the *same* level (frees are parked until
-    /// the level boundary). Costs a few extra slots; makes every op in
-    /// a level independent, the precondition for level-parallel
-    /// execution (`absort-parwalk`).
-    pub par_safe: bool,
 }
 
 impl Default for CompileOptions {
@@ -281,7 +275,6 @@ impl Default for CompileOptions {
             passes: OptLevel::default().passes(),
             verify: false,
             fuse: false,
-            par_safe: false,
         }
     }
 }
@@ -299,13 +292,6 @@ impl CompileOptions {
     #[must_use]
     pub fn with_fuse(mut self) -> CompileOptions {
         self.fuse = true;
-        self
-    }
-
-    /// This option set with parallel-safe slot allocation enabled.
-    #[must_use]
-    pub fn with_par_safe(mut self) -> CompileOptions {
-        self.par_safe = true;
         self
     }
 }

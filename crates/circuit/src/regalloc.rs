@@ -46,20 +46,6 @@ pub(crate) fn intern_perms(perm_sets: &mut Vec<[Perm4; 4]>, set: [Perm4; 4]) -> 
 
 /// Allocates slots for a scheduled IR and emits the micro-op tape.
 pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
-    allocate_with(ir, false)
-}
-
-/// [`allocate`] with an explicit slot-reuse policy.
-///
-/// With `par_safe` set, slots dying inside a depth level are returned to
-/// the free list only at the level boundary (and definitions nothing
-/// reads get private slots instead of one shared scratch). The tape then
-/// carries no intra-level write-after-read or write-after-write hazards:
-/// every op of a level reads only slots written by earlier levels and
-/// writes slots no other op of the level touches, so a level's ops can
-/// execute in any order — or concurrently (see the `absort-parwalk`
-/// level-parallel walker). Costs a slightly larger working buffer.
-pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
     let n_vals = ir.n_vals as usize;
 
     // ---- last-use liveness over scheduled op positions ----------------
@@ -97,9 +83,6 @@ pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
     let mut cur_level = 0u32;
     let mut prologue_len = 0u32;
     let mut dying: Vec<u32> = Vec::new();
-    // par_safe: slots that died inside the current level, parked until
-    // the level boundary.
-    let mut parked: Vec<u32> = Vec::new();
     let mut comp_pos: Vec<u32> = ir
         .comp_fate
         .iter()
@@ -131,35 +114,13 @@ pub fn allocate_with(ir: &CompileIr, par_safe: bool) -> CompiledCircuit {
             let at = tape.len() as u32;
             level_ranges.push((at, at));
             cur_level = op.level;
-            alloc.free.append(&mut parked);
         }
-
-        if par_safe && !is_const {
-            // Defer the frees to the level boundary: a slot read anywhere
-            // in this level must not be handed to a later op of the same
-            // level as a destination.
-            for &s in &dying {
-                if !parked.contains(&s) {
-                    parked.push(s);
-                }
-            }
-        } else {
-            alloc.free.extend_from_slice(&dying);
-        }
+        alloc.free.extend_from_slice(&dying);
 
         let mut ds = [0u32; 4];
         for (k, &def) in op.defs().iter().enumerate() {
             ds[k] = if last_use[def as usize] == DEAD {
-                if par_safe && !is_const {
-                    // A shared scratch would be a same-level write-after-
-                    // write hazard; burn a private slot instead and park
-                    // it for reuse from the next level on.
-                    let s = alloc.get();
-                    parked.push(s);
-                    s
-                } else {
-                    *scratch.get_or_insert_with(|| alloc.get())
-                }
+                *scratch.get_or_insert_with(|| alloc.get())
             } else {
                 let s = alloc.get();
                 slot_of[def as usize] = s;

@@ -1,10 +1,11 @@
 //! Differential testing of the evaluation engines: random circuits
 //! evaluated with the scalar path, the 64-lane packed path, the
-//! multi-threaded batch path, and the compiled micro-op tape must agree
-//! bit-for-bit, and depth/cost analyses must be invariant across
-//! evaluations.
+//! multi-threaded batch path, and the compiled micro-op tape (scalar and
+//! `[u64; 4]` lanes) must agree bit-for-bit, and depth/cost analyses
+//! must be invariant across evaluations.
 
-use absort_circuit::{Builder, Circuit, GateOp, Wire};
+use absort_circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
+use absort_circuit::{Builder, Circuit, CompiledEvaluator, GateOp, Wire};
 use proptest::prelude::*;
 use rand::prelude::*;
 
@@ -116,7 +117,7 @@ proptest! {
     }
 
     /// The compiled micro-op tape agrees with the interpreter on random
-    /// circuits — scalar path, compiled batch path, and the regalloc
+    /// circuits — scalar path, a `[u64; 4]` lane walk, and the regalloc
     /// invariant (the slot buffer never exceeds the wire buffer).
     #[test]
     fn compiled_tape_agrees(seed in any::<u64>(), n_inputs in 1usize..10, n_comps in 1usize..120) {
@@ -130,8 +131,10 @@ proptest! {
         let scalar: Vec<Vec<bool>> = vectors.iter().map(|v| circuit.eval(v)).collect();
         let comp_scalar: Vec<Vec<bool>> = vectors.iter().map(|v| compiled.eval(v)).collect();
         prop_assert_eq!(&scalar, &comp_scalar);
-        let comp_batch = compiled.eval_batch_parallel(&vectors, 3);
-        prop_assert_eq!(&scalar, &comp_batch);
+        let mut wide: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&compiled);
+        let packed = pack_lanes_wide::<4>(&vectors, n_inputs);
+        let comp_wide = unpack_lanes_wide(&wide.run(&packed), vectors.len());
+        prop_assert_eq!(&scalar, &comp_wide);
     }
 
     /// Analyses are pure: repeated cost/depth calls agree, and depth

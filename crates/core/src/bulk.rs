@@ -9,12 +9,12 @@
 //! `eval_engines` bench).
 
 use crate::muxmerge;
-use absort_circuit::{assert_pow2, CompiledCircuit, CompiledEvaluator};
+use absort_circuit::{assert_pow2, Circuit, CompiledCircuit, CompiledEvaluator};
 
-/// A reusable bulk sorter: one built n-input mux-merger circuit, lowered
-/// once to its compiled micro-op tape, plus the thread count for batch
-/// evaluation.
+/// A reusable bulk sorter: one built n-input mux-merger circuit, its
+/// compiled micro-op tape, plus the thread count for batch evaluation.
 pub struct BulkSorter {
+    circuit: Circuit,
     compiled: CompiledCircuit,
     n: usize,
     threads: usize,
@@ -23,11 +23,13 @@ pub struct BulkSorter {
 impl BulkSorter {
     /// Builds the bulk sorter for `n = 2^k`-bit sequences, evaluating
     /// batches on `threads` threads. The netlist is compiled here, so
-    /// every later batch runs on the register-allocated tape.
+    /// every later word-packed sort runs on the register-allocated tape.
     pub fn new(n: usize, threads: usize) -> Self {
         assert_pow2(n, "bulk sorter");
+        let circuit = muxmerge::build(n);
         BulkSorter {
-            compiled: muxmerge::build(n).compile(),
+            compiled: circuit.compile(),
+            circuit,
             n,
             threads: threads.max(1),
         }
@@ -38,9 +40,10 @@ impl BulkSorter {
         self.n
     }
 
-    /// Sorts every sequence in `batch` (each of length `n`).
+    /// Sorts every sequence in `batch` (each of length `n`) with
+    /// [`Circuit::eval_batch_parallel`].
     pub fn sort_batch(&self, batch: &[Vec<bool>]) -> Vec<Vec<bool>> {
-        self.compiled.eval_batch_parallel(batch, self.threads)
+        self.circuit.eval_batch_parallel(batch, self.threads)
     }
 
     /// Sorts sequences packed as `u64` words (little-endian bit `i` =

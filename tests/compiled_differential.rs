@@ -8,7 +8,8 @@
 //!   merger (combinational form), and the nonadaptive (Batcher-equal)
 //!   sorter, swept in packed 64-lane passes;
 //! * proptest — random vector batches across the same catalog at larger
-//!   sizes, through scalar, packed, and batch-parallel compiled paths.
+//!   sizes, through scalar, packed, and wide (`[u64; 4]` and `[u64; 8]`)
+//!   compiled walks.
 
 use absort::analysis::faults::fish_k;
 use absort::circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
@@ -93,7 +94,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random 64-lane batches agree across the catalog at larger sizes,
-    /// including the compiled batch-parallel path.
+    /// and a ragged batch walked in `[u64; 4]` lanes agrees with the
+    /// interpreter's batch path.
     #[test]
     fn catalog_random_vectors_agree(seed in any::<u64>(), size_idx in 0usize..3) {
         let n = [4usize, 8, 16][size_idx];
@@ -108,14 +110,16 @@ proptest! {
                 let got = comp.run(&packed);
                 prop_assert_eq!(got, want, "{} n={} pass {}", name, n, pass);
             }
-            // Batch-parallel compiled path on a ragged batch (three
-            // partial 64-lane groups).
+            // A ragged batch (150 of 256 lanes, the last word partial)
+            // through one wide compiled walk.
             let vectors: Vec<Vec<bool>> = (0..150)
                 .map(|_| (0..n).map(|_| rng.gen()).collect())
                 .collect();
             let want = circuit.eval_batch_parallel(&vectors, 2);
-            let got = compiled.eval_batch_parallel(&vectors, 2);
-            prop_assert_eq!(got, want, "{} n={} batch", name, n);
+            let mut wide: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&compiled);
+            let packed = pack_lanes_wide::<4>(&vectors, n);
+            let got = unpack_lanes_wide(&wide.run(&packed), vectors.len());
+            prop_assert_eq!(got, want, "{} n={} wide batch", name, n);
         }
     }
 

@@ -2,10 +2,9 @@
 //! provenance contract.
 //!
 //! * exhaustive fused-vs-unfused tape equivalence at `n ≤ 8` for every
-//!   catalog network × opt level (with and without parallel-safe slot
-//!   allocation);
-//! * fused tapes carry no standalone mask-reuse ops (the `absort-parwalk`
-//!   precondition) and actually shrink the hot tapes;
+//!   catalog network × opt level;
+//! * fused tapes carry no standalone mask-reuse ops and actually shrink
+//!   the hot tapes;
 //! * fault-campaign reports are bit-identical between fused and unfused
 //!   sweeps (fused sites recompile instead of mispatching);
 //! * CSE merge-site provenance: the Dead / patched / recompiled split,
@@ -47,45 +46,39 @@ fn pack_range(n: usize, base: u64, count: usize) -> Vec<u64> {
     packed
 }
 
-/// Exhaustive equivalence: fused (and fused + par-safe) tapes agree with
-/// the interpreter on every input vector, for every catalog network at
-/// every opt level, on both the wide and the scalar dispatch flavours.
+/// Exhaustive equivalence: fused tapes agree with the interpreter on
+/// every input vector, for every catalog network at every opt level, on
+/// both the wide and the scalar dispatch flavours.
 #[test]
 fn fused_tapes_match_interpreter_exhaustively() {
     for n in [2usize, 4, 8] {
         for (name, circuit) in catalog(n) {
             let mut interp: Evaluator<'_, u64> = Evaluator::new(&circuit);
             for level in OptLevel::ALL {
-                for par_safe in [false, true] {
-                    let mut opts = CompileOptions::for_level(level).with_fuse();
-                    opts.par_safe = par_safe;
-                    opts.verify = true;
-                    let compiled = circuit.compile_with(&opts);
-                    let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&compiled);
-                    let mut scalar: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&compiled);
-                    let total = 1u64 << n;
-                    let mut v = 0u64;
-                    while v < total {
-                        let lanes = (total - v).min(64) as usize;
-                        let packed = pack_range(n, v, lanes);
-                        let want = interp.run(&packed);
-                        let got = comp.run(&packed);
-                        assert_eq!(
-                            got, want,
-                            "{name} n={n} O{level} par_safe={par_safe} vectors at {v}"
-                        );
-                        v += lanes as u64;
-                    }
-                    // Scalar dispatch decodes 4×4 switches to indexed
-                    // moves — sweep it too.
-                    for x in 0..total.min(64) {
-                        let bits: Vec<bool> = (0..n).map(|i| x >> i & 1 == 1).collect();
-                        assert_eq!(
-                            scalar.run(&bits),
-                            circuit.eval(&bits),
-                            "{name} n={n} O{level} scalar input {x:b}"
-                        );
-                    }
+                let mut opts = CompileOptions::for_level(level).with_fuse();
+                opts.verify = true;
+                let compiled = circuit.compile_with(&opts);
+                let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&compiled);
+                let mut scalar: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&compiled);
+                let total = 1u64 << n;
+                let mut v = 0u64;
+                while v < total {
+                    let lanes = (total - v).min(64) as usize;
+                    let packed = pack_range(n, v, lanes);
+                    let want = interp.run(&packed);
+                    let got = comp.run(&packed);
+                    assert_eq!(got, want, "{name} n={n} O{level} vectors at {v}");
+                    v += lanes as u64;
+                }
+                // Scalar dispatch decodes 4×4 switches to indexed
+                // moves — sweep it too.
+                for x in 0..total.min(64) {
+                    let bits: Vec<bool> = (0..n).map(|i| x >> i & 1 == 1).collect();
+                    assert_eq!(
+                        scalar.run(&bits),
+                        circuit.eval(&bits),
+                        "{name} n={n} O{level} scalar input {x:b}"
+                    );
                 }
             }
         }
@@ -143,8 +136,8 @@ fn fusion_compresses_and_normalizes_the_tape() {
 }
 
 /// The acceptance pin: fault-campaign reports are bit-identical between
-/// unfused and fused (and fused + par-safe) sweeps. Fused sites lose
-/// in-place patching and must transparently recompile.
+/// unfused and fused sweeps. Fused sites lose in-place patching and must
+/// transparently recompile.
 #[test]
 fn campaign_reports_identical_fused_vs_unfused() {
     let nets = [NetworkSel::Prefix, NetworkSel::MuxMerger, NetworkSel::Fish];
@@ -162,11 +155,6 @@ fn campaign_reports_identical_fused_vs_unfused() {
         base,
         report_with(CompileOptions::default().with_fuse()),
         "fused campaign report diverged"
-    );
-    assert_eq!(
-        base,
-        report_with(CompileOptions::default().with_fuse().with_par_safe()),
-        "fused + par-safe campaign report diverged"
     );
 }
 
