@@ -47,11 +47,6 @@ fn usage() -> ! {
                        emit the built circuit as a text netlist\n\
            eval        <netlist-file> <bits>\n\
                        load a saved netlist and evaluate it\n\
-           rules       synth [--out <path>] | check [--ruleset <path>]\n\
-                       synth: regenerate the rewrite-pass ruleset (ruler-\n\
-                       style enumeration + cvec matching + exhaustive\n\
-                       verification); check: validate and re-verify a\n\
-                       ruleset file (default: the compiled-in set)\n\
            serve       [--addr <host:port>] [--workers <w>] [--queue <q>]\n\
                        [--batch-max <b>] [--max-n <n>] [--chaos]\n\
                        run the fault-tolerant sorting daemon: length-\n\
@@ -197,8 +192,6 @@ struct Args {
     batch_max: Option<usize>,
     max_n: Option<usize>,
     chaos: bool,
-    out: Option<String>,
-    ruleset: Option<String>,
     positional: Vec<String>,
 }
 
@@ -232,8 +225,6 @@ fn parse_args(argv: &[String]) -> Args {
         batch_max: None,
         max_n: None,
         chaos: false,
-        out: None,
-        ruleset: None,
         positional: Vec::new(),
     };
     let mut it = argv.iter();
@@ -367,20 +358,6 @@ fn parse_args(argv: &[String]) -> Args {
                 a.max_n = Some(n);
             }
             "--chaos" => a.chaos = true,
-            "--out" => {
-                a.out = Some(
-                    it.next()
-                        .unwrap_or_else(|| flag_error("--out", None))
-                        .clone(),
-                );
-            }
-            "--ruleset" => {
-                a.ruleset = Some(
-                    it.next()
-                        .unwrap_or_else(|| flag_error("--ruleset", None))
-                        .clone(),
-                );
-            }
             other if other.starts_with("--") => {
                 eprintln!("error: unknown flag {other}\n");
                 usage()
@@ -1224,17 +1201,6 @@ fn run_command(cmd: &str, rest: &Args) {
             usage();
         }
     }
-    // And the ruleset flags: they shape the rules subcommands.
-    let rules_only = [
-        (rest.out.is_some(), "--out"),
-        (rest.ruleset.is_some(), "--ruleset"),
-    ];
-    for (set, flag) in rules_only {
-        if set && cmd != "rules" {
-            eprintln!("error: {flag} applies to the rules command only\n");
-            usage();
-        }
-    }
     match cmd {
         "sort" => cmd_sort(rest),
         "route" => cmd_route(rest),
@@ -1246,71 +1212,7 @@ fn run_command(cmd: &str, rest: &Args) {
         "save" => cmd_save(rest),
         "eval" => cmd_eval(rest),
         "serve" => cmd_serve(rest),
-        "rules" => cmd_rules(rest),
         _ => usage(),
-    }
-}
-
-/// `absort rules synth | check`: regenerate or audit the rewrite
-/// pass's ruleset. `synth` prints (or `--out`-writes) the
-/// deterministic synthesized set; `check` validates and exhaustively
-/// re-verifies a ruleset file (`--ruleset <path>`, default: the
-/// compiled-in committed set).
-fn cmd_rules(a: &Args) {
-    use absort::circuit::passes::rewrite;
-    use absort::circuit::pattern::RuleSet;
-    match a.positional.first().map(String::as_str) {
-        Some("synth") => {
-            let set = absort::rules::synthesize();
-            let text = set.print();
-            match &a.out {
-                Some(path) => {
-                    if let Err(e) = std::fs::write(path, &text) {
-                        eprintln!("error: cannot write {path}: {e}");
-                        exit(1);
-                    }
-                    eprintln!(
-                        "wrote {} rules + {} builtins to {path}",
-                        set.rules.len(),
-                        set.builtins.len()
-                    );
-                }
-                None => print!("{text}"),
-            }
-        }
-        Some("check") => {
-            let set = match &a.ruleset {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("error: cannot read {path}: {e}");
-                        exit(1);
-                    });
-                    RuleSet::parse(&text).unwrap_or_else(|e| {
-                        eprintln!("error: {path}: {e}");
-                        exit(1);
-                    })
-                }
-                None => rewrite::default_ruleset().clone(),
-            };
-            if let Err(e) = absort::rules::check(&set) {
-                eprintln!("ruleset check FAILED: {e}");
-                exit(1);
-            }
-            println!(
-                "ruleset ok: {} rules, {} builtins, all verified exhaustively",
-                set.rules.len(),
-                set.builtins.len()
-            );
-        }
-        other => {
-            match other {
-                Some(sub) => eprintln!(
-                    "error: invalid value {sub:?} for rules subcommand (valid: synth, check)\n"
-                ),
-                None => eprintln!("error: rules requires a subcommand (valid: synth, check)\n"),
-            }
-            usage();
-        }
     }
 }
 

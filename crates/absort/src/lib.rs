@@ -22,8 +22,6 @@
 //!   figure (see EXPERIMENTS.md);
 //! * [`faults`] — the fault taxonomy, degradation metrics, and campaign
 //!   report types behind `absort --faults` (resilience analysis);
-//! * [`rules`] — ruler-style rule synthesis and ruleset auditing for
-//!   the compile pipeline's declarative `rewrite` pass (`absort rules`);
 //! * [`serve`] — the fault-tolerant TCP sorting service behind
 //!   `absort serve`: length-prefixed protocol, wide-lane request
 //!   batching, backpressure with typed load shedding, deadlines, and
@@ -55,5 +53,4 @@ pub use absort_cmpnet as cmpnet;
 pub use absort_core as core;
 pub use absort_faults as faults;
 pub use absort_networks as networks;
-pub use absort_rules as rules;
 pub use absort_serve as serve;

@@ -15,7 +15,7 @@
 //!   Missing size rows alone can be waived with `--allow-missing-sizes`
 //!   (for `--quick` CI runs diffed against a full baseline). A v4 row
 //!   whose `rules_on_tape_len` exceeds its `rules_off_tape_len` also
-//!   fails hard: the declarative rewrite pass must never grow the tape.
+//!   fails hard: the rewrite pass must never grow the tape.
 //! - **WARN** (exit 0, or exit 3 with `--strict`): `lanes_speedup`
 //!   dropping more than 10% below the baseline on any common size, the
 //!   fault-campaign `speedup` doing the same, or a serve report's
@@ -46,7 +46,7 @@ const REQUIRED_SIZE_METRICS: &[&str] = &[
 const V3_REQUIRED_SIZE_METRICS: &[&str] = &["compile.pass.fuse.fused"];
 
 /// Metrics the v4 schema added: the rules-on/off column pair isolating
-/// the declarative rewrite pass. Required on every fresh size row once
+/// the rewrite pass. Required on every fresh size row once
 /// the fresh document declares v4 or newer; additionally, rules-on
 /// must never carry a longer tape than rules-off (hard failure).
 const V4_REQUIRED_SIZE_METRICS: &[&str] = &[
@@ -684,7 +684,7 @@ mod tests {
             "{:?}",
             out.failures
         );
-        // Equality is fine: a network the ruleset cannot improve.
+        // Equality is fine: a network the rewrite pass cannot improve.
         let equal = doc_v4(&[(64, 800, 800, 1.0)]);
         let out = compare_docs(&equal, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);

@@ -250,8 +250,8 @@ fn size_row(n: usize, reps: usize) -> String {
     };
 
     // Rules on/off column pair (schema v4): the default tape above
-    // already runs the declarative rewrite pass at O2; the off tape
-    // keeps every other pass so the delta isolates the ruleset.
+    // already runs the rewrite pass at O2; the off tape keeps every
+    // other pass so the delta isolates the rewrite pass.
     let rules_off = {
         let mut opts = CompileOptions::default();
         opts.passes = opts.passes.without(PassName::Rewrite);

@@ -50,7 +50,6 @@ pub mod ir;
 pub mod lane;
 pub mod mutate;
 pub mod passes;
-pub mod pattern;
 pub mod pipeline;
 pub mod profile;
 pub mod regalloc;

@@ -8,10 +8,9 @@
 //!    [`PassName::ConstProp`] (constant propagation through gates and
 //!    switches — a switch with a known select lowers to wires),
 //!    [`PassName::Cse`] (structural hashing / common-subexpression
-//!    elimination), [`PassName::Rewrite`] (declarative fixpoint term
-//!    rewriting driven by the committed ruleset — see
-//!    [`crate::pattern`] and `rewrite`), [`PassName::Dce`] (dead-code
-//!    elimination);
+//!    elimination), [`PassName::Rewrite`] (half-adder fusion and the
+//!    idempotence rewrites — see `rewrite`), [`PassName::Dce`]
+//!    (dead-code elimination);
 //! 2. the **schedule** stage (always on): levelize and stable-sort ops
 //!    so constants form the prologue and component ops are grouped by
 //!    depth level;
@@ -59,9 +58,9 @@ pub enum PassName {
     /// Structural hashing: merge ops computing the same function of
     /// the same values.
     Cse,
-    /// Declarative fixpoint term rewriting over the committed ruleset
-    /// (profit-gated: a rule only fires when it strictly shrinks the
-    /// op list).
+    /// Fuse each and/xor pair over the same operands into one 4×4
+    /// half-adder switch, and fold `a & a`, `a | a`, `a ^ a` (every
+    /// applied round shrinks the op list).
     Rewrite,
     /// Drop ops no output observes.
     Dce,

@@ -1,63 +1,66 @@
-//! The declarative fixpoint `rewrite` pass.
+//! The `rewrite` pass: the four local rewrites the paper's networks
+//! trigger once const-prop and CSE have run.
 //!
-//! Matches the committed ruleset (see [`crate::pattern`] and
-//! `crates/circuit/rules/absort.rules`) against the IR and applies
-//! profitable rewrites until a fixpoint. The pass subsumes the compile
-//! pipeline's remaining ad-hoc peepholes: constant-select switch
-//! collapses are declarative rules (inert at O2 where const-prop runs
-//! first — behavior there is pinned), the parametric Switch4 rewrites
-//! (constant-select collapse and same-control composition, whose
-//! permutations are op attributes no fixed term can spell) are named
-//! `builtin` rules, and the synthesized section carries the
-//! op-count wins — chiefly gate-pair fusion into Switch4-as-dual-LUT
-//! ops (`(and x y), (xor x y)` → one 4×4 switch, see
-//! [`crate::pattern::lut2_switch4`]).
+//! | rule           | before               | after                               |
+//! |----------------|----------------------|-------------------------------------|
+//! | `pair-and-xor` | `and a b`, `xor a b` | legs 0, 1 of one `HALF_ADDER` switch |
+//! | `and-idem`     | `and a a`            | `a`                                 |
+//! | `or-idem`      | `or a a`             | `a`                                 |
+//! | `syn-xor-x-x`  | `xor a a`            | `false`                             |
 //!
-//! **Profit gating.** A match is applied only when it strictly shrinks
-//! the op list: ops freed (deleted roots plus interior ops whose every
-//! use dies with them) must exceed ops created. This both guarantees
-//! termination of the fixpoint (each applied batch strictly decreases a
-//! bounded measure) and keeps the tape monotone across opt levels.
+//! The pair is the generate/propagate half adder of each adder bit: the
+//! population-count prefix adder (Network 1, Fig. 5) and the counters
+//! in the fish merger and the self-checking wrappers. One 4×4 switch
+//! with selects `(s1, s0) = (a, b)` over `ins = [F, T, F, T]` (the
+//! canonical constants) computes both bits:
 //!
-//! **Provenance contract.** *Every* op an applied match touched — the
-//! deleted roots *and* every interior/companion op whose structure
-//! justified the rewrite — gets its source component marked
-//! [`CompFate::Folded`] with [`FoldHint::Rewritten`]. Interiors must be
-//! folded too: a fault on an interior component breaks the premise the
-//! rewrite was justified by, so patching it in place on the rewritten
-//! tape (or letting DCE score an orphaned interior as `Dead`, i.e.
-//! output-equivalent) would be unsound. `Rewritten` always takes the
-//! per-mutant recompile fallback, which is ground truth — fault
-//! campaigns therefore stay bit-identical across opt levels.
+//! ```text
+//!  a b | row = HALF_ADDER[2a + b] | leg 0 = ins[row[0]] | leg 1 = ins[row[1]]
+//!  0 0 | [0, 2, 1, 3]             | F = 0 ∧ 0           | F = 0 ⊕ 0
+//!  0 1 | [0, 1, 3, 2]             | F = 0 ∧ 1           | T = 0 ⊕ 1
+//!  1 0 | [0, 1, 3, 2]             | F = 1 ∧ 0           | T = 1 ⊕ 0
+//!  1 1 | [1, 0, 3, 2]             | T = 1 ∧ 1           | F = 1 ⊕ 1
+//! ```
+//!
+//! Legs 2 and 3 take the remaining inputs, so every row is a
+//! permutation. The other three rules are `x ∧ x = x`, `x ∨ x = x` and
+//! `x ⊕ x = 0`. They fire on duplicate-hardened wrappers once CSE has
+//! merged the two copies, and on fish with const-prop off. Constant and
+//! duplicate folding belong to const-prop and CSE.
+//!
+//! **Rounds.** Each round scans the live ops in order. An `and` fuses
+//! with the earliest `xor` over the same unordered operand pair if that
+//! xor is live and not yet claimed this round; the switch goes in at the
+//! earlier of the two ops, or an identical live switch defined earlier
+//! is reused (only possible with CSE off). Otherwise the idempotence
+//! rules apply. A new switch reads both canonical constants and so
+//! revives any that DCE would otherwise drop: when a round's gain does
+//! not exceed that cost, its new-switch matches are dropped. Every
+//! applied round removes ops, so the loop ends.
+//!
+//! **Provenance.** Every op a rewrite deletes has its component marked
+//! [`crate::ir::CompFate::Folded`] with [`FoldHint::Rewritten`], so fault
+//! campaigns recompile mutants there and reports stay byte-identical
+//! across opt levels.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::OnceLock;
+use std::collections::HashMap;
 
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompileIr, FoldHint, IrKind, IrOp, ValId, NO_COMP};
-use crate::pattern::{lut2_switch4, PatNode, PatRef, Pattern, Rule, RuleSet};
 
 use super::Pass;
 
-/// Builtin (programmatic) rule names the pass implements; the ruleset
-/// file enables them by name and `absort rules check` validates against
-/// this list.
-pub const BUILTINS: [&str; 2] = ["sw4-const-select", "sw4-compose"];
+/// Permutation rows of the half-adder switch (see the module table).
+pub(crate) const HALF_ADDER: [Perm4; 4] = [[0, 2, 1, 3], [0, 1, 3, 2], [0, 1, 3, 2], [1, 0, 3, 2]];
 
-/// Safety cap on fixpoint rounds (each applied round strictly shrinks
-/// the op list, so this is never reached in practice).
-const MAX_ROUNDS: usize = 64;
+/// Rule names, sorted: the order [`CompileIr::rewrite_hits`] lists them.
+const RULES: [&str; 4] = ["and-idem", "or-idem", "pair-and-xor", "syn-xor-x-x"];
+const AND_IDEM: usize = 0;
+const OR_IDEM: usize = 1;
+const PAIR_AND_XOR: usize = 2;
+const XOR_SELF: usize = 3;
 
-/// The default (committed, embedded) ruleset the pass runs with.
-pub fn default_ruleset() -> &'static RuleSet {
-    static SET: OnceLock<RuleSet> = OnceLock::new();
-    SET.get_or_init(|| {
-        RuleSet::parse(include_str!("../../rules/absort.rules"))
-            .expect("embedded ruleset rules/absort.rules is invalid")
-    })
-}
-
-/// The `rewrite` pass (default ruleset). See the module docs.
+/// The `rewrite` pass. See the module docs.
 pub struct Rewrite;
 
 impl Pass for Rewrite {
@@ -66,911 +69,254 @@ impl Pass for Rewrite {
     }
 
     fn run(&self, ir: &mut CompileIr) {
-        let hits = rewrite_ir(ir, default_ruleset());
+        let mut counts = [0u32; 4];
+        while round(ir, &mut counts) {}
+        ir.rewrite_hits = RULES
+            .iter()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(name, n)| ((*name).to_owned(), n))
+            .collect();
         #[cfg(feature = "telemetry")]
         {
-            let mut total = 0u64;
-            for (name, n) in &hits {
+            for (name, n) in &ir.rewrite_hits {
                 absort_telemetry::counter_add(
                     &format!("compile.pass.rewrite.rule.{name}"),
                     u64::from(*n),
                 );
-                total += u64::from(*n);
             }
+            let total = counts.iter().map(|&n| u64::from(n)).sum();
             absort_telemetry::counter_add("compile.pass.rewrite.applied", total);
         }
-        let _ = &hits;
     }
 }
 
-/// Runs the fixpoint rewrite with an explicit ruleset; returns the
-/// per-rule application counts (also merged into
-/// [`CompileIr::rewrite_hits`]).
-pub fn rewrite_ir(ir: &mut CompileIr, set: &RuleSet) -> Vec<(String, u32)> {
-    let mut totals: BTreeMap<String, u32> = BTreeMap::new();
-    for _ in 0..MAX_ROUNDS {
-        let (apps, next_val) = scan_round(ir, set);
-        if apps.is_empty() {
-            break;
-        }
-        for a in &apps {
-            *totals.entry(a.rule.clone()).or_insert(0) += 1;
-        }
-        apply_round(ir, apps, next_val);
+/// One rewrite found by a scan, against the round's input IR.
+struct Hit {
+    rule: usize,
+    /// `(deleted op, value replacing its def)`: the anchor, then a
+    /// pair's `xor`.
+    repl: Vec<(u32, ValId)>,
+    /// A new half-adder switch, inserted before the earliest deleted op.
+    switch: Option<IrOp>,
+}
+
+/// Scans and applies one round; returns whether anything changed.
+fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
+    let (cf, ct) = (ir.const_false, ir.const_true);
+    let mut needed = vec![false; ir.n_vals as usize];
+    let mut const_used = [false; 2];
+    for &o in &ir.outputs {
+        needed[o as usize] = true;
+        const_used[0] |= o == cf;
+        const_used[1] |= o == ct;
     }
-    let hits: Vec<(String, u32)> = totals.into_iter().collect();
-    for (name, n) in &hits {
-        match ir.rewrite_hits.iter_mut().find(|(r, _)| r == name) {
-            Some((_, c)) => *c += n,
-            None => ir.rewrite_hits.push((name.clone(), *n)),
-        }
+    let mut live = vec![false; ir.ops.len()];
+    for (i, op) in ir.ops.iter().enumerate().rev() {
+        live[i] = op.defs().iter().any(|&d| needed[d as usize]);
+        op.kind.for_each_use(|v| {
+            needed[v as usize] |= live[i];
+            const_used[0] |= v == cf;
+            const_used[1] |= v == ct;
+        });
     }
-    hits
-}
-
-// --- per-round IR index -------------------------------------------------
-
-/// Structural key of one op, operands sorted for commutative kinds —
-/// the same canonicalization CSE uses, reused here for ground-term
-/// (companion) lookup and RHS hash-consing against existing ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum OpKey {
-    Not(ValId),
-    Gate(GateOp, ValId, ValId),
-    Mux(ValId, ValId, ValId),
-    Demux(ValId, ValId),
-    Switch2(ValId, ValId, ValId),
-    BitCompare(ValId, ValId),
-    Switch4(ValId, ValId, [ValId; 4], [Perm4; 4]),
-}
-
-fn op_key(kind: &IrKind) -> Option<OpKey> {
-    let sorted = |a: ValId, b: ValId| if a <= b { (a, b) } else { (b, a) };
-    Some(match *kind {
-        IrKind::Const { .. } => return None,
-        IrKind::Not { a } => OpKey::Not(a),
-        IrKind::Gate { op, a, b } => {
-            let (a, b) = sorted(a, b);
-            OpKey::Gate(op, a, b)
-        }
-        IrKind::Mux { s, a1, a0 } => OpKey::Mux(s, a1, a0),
-        IrKind::Demux { s, x } => OpKey::Demux(s, x),
-        IrKind::Switch2 { s, a, b } => OpKey::Switch2(s, a, b),
-        IrKind::BitCompare { a, b } => {
-            let (a, b) = sorted(a, b);
-            OpKey::BitCompare(a, b)
-        }
-        IrKind::Switch4 { s1, s0, ins, perms } => OpKey::Switch4(s1, s0, ins, perms),
-    })
-}
-
-struct Index {
-    /// val → (op index, output leg).
-    def_site: Vec<Option<(u32, u8)>>,
-    /// val → known constant value.
-    const_of: Vec<Option<bool>>,
-    /// val → number of uses (op operands plus designated outputs).
-    use_count: Vec<u32>,
-    /// op index → observed by some output (backward reachability).
-    /// Rewrites anchor only on live ops: consuming a dead op is never
-    /// profitable (DCE removes it for free on every pipeline), and
-    /// crediting dead interiors would overstate a match's net gain.
-    live_op: Vec<bool>,
-    /// Structural key → earliest op index computing it.
-    keys: HashMap<OpKey, u32>,
-}
-
-impl Index {
-    fn build(ir: &CompileIr) -> Index {
-        let n = ir.n_vals as usize;
-        let mut idx = Index {
-            def_site: vec![None; n],
-            const_of: vec![None; n],
-            use_count: vec![0; n],
-            live_op: vec![false; ir.ops.len()],
-            keys: HashMap::with_capacity(ir.ops.len()),
-        };
-        for (i, op) in ir.ops.iter().enumerate() {
-            for (leg, &d) in op.defs().iter().enumerate() {
-                idx.def_site[d as usize] = Some((i as u32, leg as u8));
+    // Earliest xor per unordered operand pair; earliest half-adder
+    // switch per select pair.
+    let mut xor_at: HashMap<(ValId, ValId), u32> = HashMap::new();
+    let mut adder_at: HashMap<(ValId, ValId), u32> = HashMap::new();
+    for (i, op) in ir.ops.iter().enumerate() {
+        match op.kind {
+            IrKind::Gate {
+                op: GateOp::Xor,
+                a,
+                b,
+            } => {
+                xor_at.entry((a.min(b), a.max(b))).or_insert(i as u32);
             }
-            if let IrKind::Const { v } = op.kind {
-                idx.const_of[op.defs[0] as usize] = Some(v);
+            IrKind::Switch4 { s1, s0, ins, perms }
+                if ins == [cf, ct, cf, ct] && perms == HALF_ADDER =>
+            {
+                adder_at.entry((s1, s0)).or_insert(i as u32);
             }
-            op.kind.for_each_use(|v| idx.use_count[v as usize] += 1);
-            if let Some(k) = op_key(&op.kind) {
-                idx.keys.entry(k).or_insert(i as u32);
-            }
+            _ => {}
         }
-        for &o in &ir.outputs {
-            idx.use_count[o as usize] += 1;
-        }
-        let mut needed = vec![false; n];
-        for &o in &ir.outputs {
-            needed[o as usize] = true;
-        }
-        for (i, op) in ir.ops.iter().enumerate().rev() {
-            let live = op.defs().iter().any(|&d| needed[d as usize]);
-            idx.live_op[i] = live;
-            if live {
-                op.kind.for_each_use(|v| needed[v as usize] = true);
-            }
-        }
-        idx
     }
 
-    /// Whether `v`'s definition is strictly before op index `pos`
-    /// (inputs count as always-before).
-    fn defined_before(&self, v: ValId, pos: u32, n_inputs: u32) -> bool {
-        if v < n_inputs {
-            return true;
-        }
-        match self.def_site.get(v as usize).copied().flatten() {
-            Some((i, _)) => i < pos,
-            // Fresh vals pending in this batch are inserted before
-            // their consumers at the same insert point.
-            None => true,
-        }
-    }
-}
-
-// --- one application ----------------------------------------------------
-
-/// One applied match, recorded against the *pre-batch* IR; batched per
-/// round and applied in one rebuild.
-struct App {
-    rule: String,
-    /// Every op the match touched (roots, companions, interiors):
-    /// their components all get `Folded`/`Rewritten` provenance.
-    matched: Vec<u32>,
-    /// Root ops to delete (all their defs are substituted or unused).
-    deleted: Vec<u32>,
-    /// Old root-leg value → replacement value.
-    subst: Vec<(ValId, ValId)>,
-    /// Ops to insert (fresh defs already allocated), defs-before-uses
-    /// among themselves.
-    new_ops: Vec<IrOp>,
-    /// Op index to insert `new_ops` before (the earliest deleted root).
-    insert_at: u32,
-    /// Net ops this match frees (freed − created, ≥ 1 by the profit
-    /// gate) — summed per round against constant-revival cost.
-    net: usize,
-}
-
-fn scan_round(ir: &CompileIr, set: &RuleSet) -> (Vec<App>, u32) {
-    let idx = Index::build(ir);
-    let mut apps: Vec<App> = Vec::new();
-    // Root ops already claimed for deletion/substitution this round: a
-    // later match may reuse them as interiors (sound — both rewrites
-    // preserve each substituted value's function) but not as roots
-    // (that would substitute the same value twice).
-    let mut consumed: HashSet<u32> = HashSet::new();
+    let mut claimed = vec![false; ir.ops.len()];
     let mut next_val = ir.n_vals;
-    let ctx = Ctx { ir, idx: &idx };
-    for i in 0..ir.ops.len() as u32 {
-        if consumed.contains(&i) {
+    let mut hits: Vec<Hit> = Vec::new();
+    for (i, op) in ir.ops.iter().enumerate() {
+        let IrKind::Gate { op: g, a, b } = op.kind else {
+            continue;
+        };
+        if claimed[i] || !live[i] {
             continue;
         }
-        for rule in &set.rules {
-            if let Some(app) = ctx.try_rule(i, rule, &consumed, &mut next_val) {
-                consumed.extend(app.deleted.iter().copied());
-                apps.push(app);
-                break;
-            }
-        }
-    }
-    for b in &set.builtins {
-        match b.as_str() {
-            "sw4-const-select" => ctx.builtin_const_select(&mut apps, &mut consumed),
-            "sw4-compose" => ctx.builtin_compose(&mut apps, &mut consumed, &mut next_val),
-            other => panic!("unknown builtin rule `{other}` (known: {BUILTINS:?})"),
-        }
-    }
-    // Round-level net check: new ops referencing a currently-*unused*
-    // canonical constant revive its prologue slot (DCE can no longer
-    // drop it), a cost no single match sees. If the round would not
-    // strictly shrink the tape, drop the constant-reviving matches —
-    // keeps the tape monotone across opt levels even when only one
-    // LUT-pair match exists in the whole circuit.
-    let revived = |apps: &[App]| {
-        let mut set: HashSet<ValId> = HashSet::new();
-        for a in apps {
-            for op in &a.new_ops {
-                op.kind.for_each_use(|v| {
-                    if (v == ir.const_false || v == ir.const_true) && idx.use_count[v as usize] == 0
-                    {
-                        set.insert(v);
-                    }
-                });
-            }
-        }
-        set
-    };
-    let cost = revived(&apps).len();
-    let gain: usize = apps.iter().map(|a| a.net).sum();
-    if gain <= cost {
-        apps.retain(|a| {
-            a.new_ops.iter().all(|op| {
-                let mut ok = true;
-                op.kind.for_each_use(|v| {
-                    ok &= !((v == ir.const_false || v == ir.const_true)
-                        && idx.use_count[v as usize] == 0)
-                });
-                ok
-            })
-        });
-        debug_assert!(revived(&apps).is_empty());
-    }
-    (apps, next_val)
-}
-
-struct Ctx<'a> {
-    ir: &'a CompileIr,
-    idx: &'a Index,
-}
-
-impl Ctx<'_> {
-    /// Output leg a leg-term denotes (single-def kinds are leg 0).
-    fn root_leg(node: &PatNode) -> u8 {
-        match *node {
-            PatNode::DemuxLeg(l, ..)
-            | PatNode::Switch2Leg(l, ..)
-            | PatNode::BitCompareLeg(l, ..)
-            | PatNode::Lut2Leg(l, ..) => l,
-            _ => 0,
-        }
-    }
-
-    /// Matches `pat[r]` against the producer of `val`, extending the
-    /// bindings and recording every op index visited.
-    fn match_term(
-        &self,
-        pat: &Pattern,
-        r: PatRef,
-        val: ValId,
-        b: &mut Vec<Option<ValId>>,
-        matched: &mut Vec<u32>,
-    ) -> bool {
-        match pat.nodes[r as usize] {
-            PatNode::Var(i) => match b[i as usize] {
-                Some(v) => v == val,
-                None => {
-                    b[i as usize] = Some(val);
-                    true
-                }
-            },
-            PatNode::Const(v) => self.idx.const_of[val as usize] == Some(v),
-            node => {
-                let Some((i, leg)) = self.idx.def_site[val as usize] else {
-                    return false; // primary input: no structure to match
-                };
-                if leg != Self::root_leg(&node) {
-                    return false;
-                }
-                let op = &self.ir.ops[i as usize];
-                let two = |this: &Self,
-                           pa: PatRef,
-                           pb: PatRef,
-                           a: ValId,
-                           bb: ValId,
-                           b: &mut Vec<Option<ValId>>,
-                           matched: &mut Vec<u32>| {
-                    this.match_term(pat, pa, a, b, matched)
-                        && this.match_term(pat, pb, bb, b, matched)
-                };
-                let ok = match (node, op.kind) {
-                    (PatNode::Not(pa), IrKind::Not { a }) => {
-                        self.match_term(pat, pa, a, b, matched)
-                    }
-                    (PatNode::Gate(pg, pa, pb), IrKind::Gate { op: g, a, b: bb }) if pg == g => {
-                        // Every GateOp is commutative: try both operand
-                        // orders, backtracking the bindings in between.
-                        let save_b = b.clone();
-                        let save_m = matched.len();
-                        if two(self, pa, pb, a, bb, b, matched) {
-                            true
-                        } else {
-                            *b = save_b;
-                            matched.truncate(save_m);
-                            two(self, pa, pb, bb, a, b, matched)
-                        }
-                    }
-                    (PatNode::Mux(ps, pa1, pa0), IrKind::Mux { s, a1, a0 }) => {
-                        self.match_term(pat, ps, s, b, matched)
-                            && self.match_term(pat, pa1, a1, b, matched)
-                            && self.match_term(pat, pa0, a0, b, matched)
-                    }
-                    (PatNode::DemuxLeg(_, ps, px), IrKind::Demux { s, x }) => {
-                        two(self, ps, px, s, x, b, matched)
-                    }
-                    (PatNode::Switch2Leg(_, ps, pa, pb), IrKind::Switch2 { s, a, b: bb }) => {
-                        self.match_term(pat, ps, s, b, matched)
-                            && self.match_term(pat, pa, a, b, matched)
-                            && self.match_term(pat, pb, bb, b, matched)
-                    }
-                    (PatNode::BitCompareLeg(_, pa, pb), IrKind::BitCompare { a, b: bb }) => {
-                        let save_b = b.clone();
-                        let save_m = matched.len();
-                        if two(self, pa, pb, a, bb, b, matched) {
-                            true
-                        } else {
-                            *b = save_b;
-                            matched.truncate(save_m);
-                            two(self, pa, pb, bb, a, b, matched)
-                        }
-                    }
-                    _ => false,
-                };
-                if ok {
-                    matched.push(i);
-                }
-                ok
-            }
-        }
-    }
-
-    /// Resolves a *ground* term (all variables bound) to an existing IR
-    /// value via the structural key map, recording the ops it rests on.
-    fn resolve_ground(
-        &self,
-        pat: &Pattern,
-        r: PatRef,
-        b: &[Option<ValId>],
-        matched: &mut Vec<u32>,
-    ) -> Option<ValId> {
-        let node = pat.nodes[r as usize];
-        match node {
-            PatNode::Var(i) => b[i as usize],
-            PatNode::Const(v) => Some(if v {
-                self.ir.const_true
-            } else {
-                self.ir.const_false
-            }),
-            PatNode::Lut2Leg(..) => None, // lhs-only path; luts are rhs-only
-            _ => {
-                let kids = node.children();
-                let mut vals = [0 as ValId; 3];
-                for (k, &c) in kids.iter().enumerate() {
-                    vals[k] = self.resolve_ground(pat, c, b, matched)?;
-                }
-                let kind = match node {
-                    PatNode::Not(_) => IrKind::Not { a: vals[0] },
-                    PatNode::Gate(g, ..) => IrKind::Gate {
-                        op: g,
-                        a: vals[0],
-                        b: vals[1],
-                    },
-                    PatNode::Mux(..) => IrKind::Mux {
-                        s: vals[0],
-                        a1: vals[1],
-                        a0: vals[2],
-                    },
-                    PatNode::DemuxLeg(..) => IrKind::Demux {
-                        s: vals[0],
-                        x: vals[1],
-                    },
-                    PatNode::Switch2Leg(..) => IrKind::Switch2 {
-                        s: vals[0],
-                        a: vals[1],
-                        b: vals[2],
-                    },
-                    PatNode::BitCompareLeg(..) => IrKind::BitCompare {
-                        a: vals[0],
-                        b: vals[1],
-                    },
-                    _ => unreachable!(),
-                };
-                let i = *self.idx.keys.get(&op_key(&kind)?)?;
-                matched.push(i);
-                let leg = Self::root_leg(&node) as usize;
-                let op = &self.ir.ops[i as usize];
-                (leg < op.kind.n_defs()).then(|| op.defs[leg])
-            }
-        }
-    }
-
-    /// Attempts `rule` with its first LHS root anchored at op `i`.
-    fn try_rule(
-        &self,
-        i: u32,
-        rule: &Rule,
-        consumed: &HashSet<u32>,
-        next_val: &mut u32,
-    ) -> Option<App> {
-        let ir = self.ir;
-        let r0 = rule.lhs.roots[0];
-        let node0 = rule.lhs.nodes[r0 as usize];
-        let leg0 = Self::root_leg(&node0) as usize;
-        let op0 = &ir.ops[i as usize];
-        if leg0 >= op0.kind.n_defs() {
-            return None;
-        }
-        // Cheap anchor-kind gate before allocating any match state.
-        let kind_ok = match (node0, op0.kind) {
-            (PatNode::Not(_), IrKind::Not { .. })
-            | (PatNode::Mux(..), IrKind::Mux { .. })
-            | (PatNode::DemuxLeg(..), IrKind::Demux { .. })
-            | (PatNode::Switch2Leg(..), IrKind::Switch2 { .. })
-            | (PatNode::BitCompareLeg(..), IrKind::BitCompare { .. }) => true,
-            (PatNode::Gate(pg, ..), IrKind::Gate { op: g, .. }) => pg == g,
-            _ => false,
+        let i = i as u32;
+        let alias = |rule, v| Hit {
+            rule,
+            repl: vec![(i, v)],
+            switch: None,
         };
-        if !kind_ok {
-            return None;
-        }
-        let anchor = op0.defs[leg0];
-        let mut b: Vec<Option<ValId>> = vec![None; rule.lhs.n_vars() as usize];
-        let mut matched: Vec<u32> = Vec::new();
-        if !self.match_term(&rule.lhs, r0, anchor, &mut b, &mut matched) {
-            return None;
-        }
-        // Companion roots resolve as ground terms (every variable
-        // appears in root 0 by rule validation).
-        let mut root_vals = vec![anchor];
-        for &r in &rule.lhs.roots[1..] {
-            root_vals.push(self.resolve_ground(&rule.lhs, r, &b, &mut matched)?);
-        }
-        // Root ops (producers of the substituted values) with their
-        // covered legs; none may already be claimed by another match.
-        let mut root_ops: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        for &v in &root_vals {
-            let (oi, leg) = self.idx.def_site[v as usize]?;
-            if consumed.contains(&oi) || !self.idx.live_op[oi as usize] {
-                return None;
-            }
-            root_ops.entry(oi).or_default().push(leg);
-        }
-        let insert_at = *root_ops.keys().next().unwrap();
-        // Build the RHS: hash-cons against existing ops (when defined
-        // early enough) and within the match; allocate fresh defs.
-        let mut builder = RhsBuilder {
-            ctx: self,
-            consumed,
-            local: HashMap::new(),
-            new_ops: Vec::new(),
-            insert_at,
-            next_val: *next_val,
-        };
-        let mut rhs_vals = Vec::with_capacity(rule.rhs.roots.len());
-        for &r in &rule.rhs.roots {
-            rhs_vals.push(builder.build(&rule.rhs, r, &b)?);
-        }
-        // Deletion: a root op goes away iff every leg is substituted or
-        // already unused.
-        let mut deleted = Vec::new();
-        for (&oi, covered) in &root_ops {
-            let op = &ir.ops[oi as usize];
-            let all =
-                op.defs().iter().enumerate().all(|(l, &d)| {
-                    covered.contains(&(l as u8)) || self.idx.use_count[d as usize] == 0
-                });
-            if all {
-                deleted.push(oi);
-            }
-        }
-        let subst: Vec<(ValId, ValId)> = root_vals
-            .iter()
-            .copied()
-            .zip(rhs_vals.iter().copied())
-            .filter(|(o, n)| o != n)
-            .collect();
-        if subst.is_empty() {
-            return None;
-        }
-        // Values that stay externally referenced after the rewrite
-        // (substitution targets and new-op operands): interiors whose
-        // defs land here are *not* dying, even if all their old uses do.
-        let mut ext: HashSet<ValId> = rhs_vals.iter().copied().collect();
-        for op in &builder.new_ops {
-            op.kind.for_each_use(|v| {
-                ext.insert(v);
-            });
-        }
-        let freed = deleted.len() + self.dying_interiors(&matched, &deleted, &ext);
-        if freed < builder.new_ops.len() + 1 {
-            return None; // not profitable: would not shrink the op list
-        }
-        let net = freed - builder.new_ops.len();
-        *next_val = builder.next_val;
-        matched.sort_unstable();
-        matched.dedup();
-        Some(App {
-            rule: rule.name.clone(),
-            matched,
-            deleted,
-            subst,
-            new_ops: builder.new_ops,
-            insert_at,
-            net,
-        })
-    }
-
-    /// Counts matched interior ops whose every use dies with the
-    /// deleted set (cascading), i.e. ops DCE will remove after this
-    /// match lands. Outputs count as external uses, so output-feeding
-    /// interiors never qualify; neither do ops the rewrite itself keeps
-    /// referenced (`ext`: substitution targets and new-op operands).
-    fn dying_interiors(&self, matched: &[u32], deleted: &[u32], ext: &HashSet<ValId>) -> usize {
-        let mut dead: HashSet<u32> = deleted.iter().copied().collect();
-        loop {
-            let mut uses_in_dead: HashMap<ValId, u32> = HashMap::new();
-            for &oi in &dead {
-                self.ir.ops[oi as usize]
-                    .kind
-                    .for_each_use(|v| *uses_in_dead.entry(v).or_insert(0) += 1);
-            }
-            let mut changed = false;
-            for &oi in matched {
-                if dead.contains(&oi) || !self.idx.live_op[oi as usize] {
-                    continue; // dead interiors are DCE's win, not ours
-                }
-                let op = &self.ir.ops[oi as usize];
-                let gone = op.defs().iter().all(|&d| {
-                    !ext.contains(&d)
-                        && self.idx.use_count[d as usize]
-                            == uses_in_dead.get(&d).copied().unwrap_or(0)
-                });
-                if gone {
-                    dead.insert(oi);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return dead.len() - deleted.len();
-            }
-        }
-    }
-
-    /// Builtin: a 4×4 switch whose both selects are known constants
-    /// collapses to wires through the selected permutation. (At O2
-    /// const-prop runs first and owns these sites, so this fires only
-    /// in pipelines without const-prop — output there stays correct,
-    /// with conservative `Rewritten` provenance.)
-    fn builtin_const_select(&self, apps: &mut Vec<App>, consumed: &mut HashSet<u32>) {
-        for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] {
-                continue;
-            }
-            let i = i as u32;
-            if consumed.contains(&i) {
-                continue;
-            }
-            let IrKind::Switch4 { s1, s0, ins, perms } = op.kind else {
-                continue;
-            };
-            let (Some(b1), Some(b0)) = (
-                self.idx.const_of[s1 as usize],
-                self.idx.const_of[s0 as usize],
-            ) else {
-                continue;
-            };
-            let combo = (usize::from(b1) << 1) | usize::from(b0);
-            let subst: Vec<(ValId, ValId)> = op
-                .defs()
-                .iter()
-                .enumerate()
-                .map(|(j, &d)| (d, ins[perms[combo][j] as usize]))
-                .filter(|(o, n)| o != n)
-                .collect();
-            if subst.is_empty() {
-                continue;
-            }
-            consumed.insert(i);
-            apps.push(App {
-                rule: "sw4-const-select".to_owned(),
-                matched: vec![i],
-                deleted: vec![i],
-                subst,
-                new_ops: Vec::new(),
-                insert_at: i,
-                net: 1,
-            });
-        }
-    }
-
-    /// Builtin: two 4×4 switches in series under the *same* control
-    /// pair compose into one switch with multiplied permutation rows —
-    /// applied only when the inner switch dies with the outer one, so
-    /// the batch strictly shrinks.
-    fn builtin_compose(
-        &self,
-        apps: &mut Vec<App>,
-        consumed: &mut HashSet<u32>,
-        next_val: &mut u32,
-    ) {
-        'outer: for (i, op) in self.ir.ops.iter().enumerate() {
-            if !self.idx.live_op[i] {
-                continue;
-            }
-            let i = i as u32;
-            if consumed.contains(&i) {
-                continue;
-            }
-            let IrKind::Switch4 { s1, s0, ins, perms } = op.kind else {
-                continue;
-            };
-            // All four inputs must be the four distinct legs of one
-            // inner switch with the same controls.
-            let mut src = [0u8; 4];
-            let mut inner = None;
-            for (j, &v) in ins.iter().enumerate() {
-                let Some((ai, leg)) = self.idx.def_site[v as usize] else {
-                    continue 'outer;
-                };
-                if *inner.get_or_insert(ai) != ai {
-                    continue 'outer;
-                }
-                src[j] = leg;
-            }
-            let ai = inner.unwrap();
-            if ai == i || consumed.contains(&ai) {
-                continue;
-            }
-            let IrKind::Switch4 {
-                s1: t1,
-                s0: t0,
-                ins: a_ins,
-                perms: a_perms,
-            } = self.ir.ops[ai as usize].kind
-            else {
-                continue;
-            };
-            if t1 != s1 || t0 != s0 {
-                continue;
-            }
-            let mut seen = [false; 4];
-            for &l in &src {
-                if std::mem::replace(&mut seen[l as usize], true) {
-                    continue 'outer; // legs reused: composition not a permutation
-                }
-            }
-            // The inner switch must die: each of its legs is used only
-            // by this op's inputs (outputs count as uses).
-            let a_op = &self.ir.ops[ai as usize];
-            for &d in a_op.defs() {
-                let feeds = ins.iter().filter(|&&v| v == d).count() as u32;
-                if self.idx.use_count[d as usize] != feeds {
-                    continue 'outer;
-                }
-            }
-            // The inner op's operands all precede it (and hence the
-            // insert point at the outer op's index), so the composed
-            // op can slot in where the outer op was.
-            let mut composed = [[0u8; 4]; 4];
-            for k in 0..4 {
-                for j in 0..4 {
-                    composed[k][j] = a_perms[k][src[perms[k][j] as usize] as usize];
-                }
-            }
-            let mut defs = [0 as ValId; 4];
-            for d in defs.iter_mut() {
-                *d = *next_val;
-                *next_val += 1;
-            }
-            let subst = op
-                .defs()
-                .iter()
-                .enumerate()
-                .map(|(j, &d)| (d, defs[j]))
-                .collect();
-            apps.push(App {
-                rule: "sw4-compose".to_owned(),
-                matched: vec![ai, i],
-                deleted: vec![i],
-                subst,
-                new_ops: vec![IrOp {
-                    kind: IrKind::Switch4 {
-                        s1,
-                        s0,
-                        ins: a_ins,
-                        perms: composed,
-                    },
-                    defs,
-                    comp: NO_COMP,
-                    shared: false,
-                    reuse_masks: false,
-                    level: 0,
-                }],
-                insert_at: i,
-                // Outer deleted now, inner dies in DCE, one created.
-                net: 1,
-            });
-            consumed.insert(i);
-            consumed.insert(ai);
-        }
-    }
-}
-
-/// RHS construction for one match: resolves terms bottom-up, reusing
-/// existing ops (hash-consing against the IR when their definition
-/// precedes the insert point) and nodes already built for this match
-/// (so the two legs of a LUT pair become one Switch4 op).
-struct RhsBuilder<'a, 'b> {
-    ctx: &'a Ctx<'a>,
-    consumed: &'b HashSet<u32>,
-    local: HashMap<OpKey, [ValId; 4]>,
-    new_ops: Vec<IrOp>,
-    insert_at: u32,
-    next_val: u32,
-}
-
-impl RhsBuilder<'_, '_> {
-    fn build(&mut self, pat: &Pattern, r: PatRef, b: &[Option<ValId>]) -> Option<ValId> {
-        let ir = self.ctx.ir;
-        let node = pat.nodes[r as usize];
-        match node {
-            PatNode::Var(i) => b[i as usize],
-            PatNode::Const(v) => Some(if v { ir.const_true } else { ir.const_false }),
-            _ => {
-                let kids = node.children();
-                let mut vals = [0 as ValId; 3];
-                for (k, &c) in kids.iter().enumerate() {
-                    vals[k] = self.build(pat, c, b)?;
-                }
-                let (kind, leg) = match node {
-                    PatNode::Not(_) => (IrKind::Not { a: vals[0] }, 0u8),
-                    PatNode::Gate(g, ..) => (
-                        IrKind::Gate {
-                            op: g,
-                            a: vals[0],
-                            b: vals[1],
-                        },
-                        0,
-                    ),
-                    PatNode::Mux(..) => (
-                        IrKind::Mux {
-                            s: vals[0],
-                            a1: vals[1],
-                            a0: vals[2],
-                        },
-                        0,
-                    ),
-                    PatNode::DemuxLeg(l, ..) => (
-                        IrKind::Demux {
-                            s: vals[0],
-                            x: vals[1],
-                        },
-                        l,
-                    ),
-                    PatNode::Switch2Leg(l, ..) => (
-                        IrKind::Switch2 {
-                            s: vals[0],
-                            a: vals[1],
-                            b: vals[2],
-                        },
-                        l,
-                    ),
-                    PatNode::BitCompareLeg(l, ..) => (
-                        IrKind::BitCompare {
-                            a: vals[0],
-                            b: vals[1],
-                        },
-                        l,
-                    ),
-                    PatNode::Lut2Leg(l, tts, ..) => {
-                        let perms = lut2_switch4(&tts).ok()?;
-                        let (cf, ct) = (ir.const_false, ir.const_true);
-                        (
-                            IrKind::Switch4 {
-                                s1: vals[0],
-                                s0: vals[1],
+        let hit = match g {
+            GateOp::And => xor_at
+                .get(&(a.min(b), a.max(b)))
+                .filter(|&&j| !claimed[j as usize] && live[j as usize])
+                .map(|&j| {
+                    let (defs, switch) = match adder_at.get(&(a, b)) {
+                        Some(&k) if k < i.min(j) && live[k as usize] => {
+                            (ir.ops[k as usize].defs, None)
+                        }
+                        _ => {
+                            let defs = [next_val, next_val + 1, next_val + 2, next_val + 3];
+                            next_val += 4;
+                            let kind = IrKind::Switch4 {
+                                s1: a,
+                                s0: b,
                                 ins: [cf, ct, cf, ct],
-                                perms,
-                            },
-                            l,
-                        )
-                    }
-                    PatNode::Var(_) | PatNode::Const(_) => unreachable!(),
-                };
-                let key = op_key(&kind)?;
-                // Reuse an identical existing op when it is live,
-                // defined before the insert point, and not being
-                // deleted (reviving a dead op would hand DCE's win to
-                // the rewrite's cost column unaccounted).
-                if let Some(&j) = self.ctx.idx.keys.get(&key) {
-                    if j < self.insert_at
-                        && !self.consumed.contains(&j)
-                        && self.ctx.idx.live_op[j as usize]
-                    {
-                        let op = &ir.ops[j as usize];
-                        if (leg as usize) < op.kind.n_defs() {
-                            return Some(op.defs[leg as usize]);
+                                perms: HALF_ADDER,
+                            };
+                            let op = IrOp {
+                                kind,
+                                defs,
+                                comp: NO_COMP,
+                                shared: false,
+                                reuse_masks: false,
+                                level: 0,
+                            };
+                            (defs, Some(op))
                         }
+                    };
+                    Hit {
+                        rule: PAIR_AND_XOR,
+                        repl: vec![(i, defs[0]), (j, defs[1])],
+                        switch,
                     }
-                }
-                // Reuse a node already built for this match.
-                if let Some(defs) = self.local.get(&key) {
-                    return Some(defs[leg as usize]);
-                }
-                // Create: every original-val operand must be defined
-                // before the insert point (fresh operands are inserted
-                // just ahead of us in `new_ops` order).
-                let mut ok = true;
-                kind.for_each_use(|v| {
-                    ok &= self.ctx.idx.defined_before(v, self.insert_at, ir.n_inputs);
-                });
-                if !ok {
-                    return None;
-                }
-                let n_defs = kind.n_defs();
-                let mut defs = [0 as ValId; 4];
-                for d in defs.iter_mut().take(n_defs) {
-                    *d = self.next_val;
-                    self.next_val += 1;
-                }
-                self.local.insert(key, defs);
-                self.new_ops.push(IrOp {
-                    kind,
-                    defs,
-                    comp: NO_COMP,
-                    shared: false,
-                    reuse_masks: false,
-                    level: 0,
-                });
-                Some(defs[leg as usize])
+                })
+                .or_else(|| (a == b).then(|| alias(AND_IDEM, a))),
+            GateOp::Or if a == b => Some(alias(OR_IDEM, a)),
+            GateOp::Xor if a == b => Some(alias(XOR_SELF, cf)),
+            _ => None,
+        };
+        if let Some(h) = hit {
+            for &(o, _) in &h.repl {
+                claimed[o as usize] = true;
             }
-        }
-    }
-}
-
-// --- batch application --------------------------------------------------
-
-fn apply_round(ir: &mut CompileIr, apps: Vec<App>, next_val: u32) {
-    debug_assert!(next_val >= ir.n_vals);
-    ir.n_vals = next_val;
-
-    // Provenance first: every matched op's component is now Rewritten.
-    for a in &apps {
-        for &oi in &a.matched {
-            let comp = ir.ops[oi as usize].comp;
-            ir.fold_comp_hinted(comp, FoldHint::Rewritten);
+            hits.push(h);
         }
     }
 
-    let deleted: HashSet<u32> = apps
+    let revived = if hits.iter().any(|h| h.switch.is_some()) {
+        const_used.iter().filter(|&&u| !u).count()
+    } else {
+        0
+    };
+    let gain: usize = hits
         .iter()
-        .flat_map(|a| a.deleted.iter().copied())
-        .collect();
-    let mut subst: HashMap<ValId, ValId> = HashMap::new();
-    for a in &apps {
-        for &(o, n) in &a.subst {
-            let prev = subst.insert(o, n);
-            debug_assert!(prev.is_none(), "value {o} substituted twice in one round");
-        }
+        .map(|h| h.repl.len() - usize::from(h.switch.is_some()))
+        .sum();
+    if revived > 0 && gain <= revived {
+        hits.retain(|h| h.switch.is_none());
     }
-    let mut pending: HashMap<u32, Vec<IrOp>> = HashMap::new();
-    for a in apps {
-        pending.entry(a.insert_at).or_default().extend(a.new_ops);
+    if hits.is_empty() {
+        return false;
     }
 
-    let old_ops = std::mem::take(&mut ir.ops);
-    let mut out = Vec::with_capacity(old_ops.len());
-    for (i, op) in old_ops.into_iter().enumerate() {
-        if let Some(list) = pending.remove(&(i as u32)) {
-            out.extend(list);
+    ir.n_vals = next_val;
+    let mut subst: Vec<ValId> = (0..next_val).collect();
+    let mut deleted = vec![false; ir.ops.len()];
+    let mut inserts: HashMap<u32, IrOp> = HashMap::new();
+    for h in hits {
+        counts[h.rule] += 1;
+        for &(o, v) in &h.repl {
+            let op = ir.ops[o as usize];
+            subst[op.defs[0] as usize] = v;
+            deleted[o as usize] = true;
+            ir.fold_comp_hinted(op.comp, FoldHint::Rewritten);
         }
-        if !deleted.contains(&(i as u32)) {
-            out.push(op);
+        if let Some(sw) = h.switch {
+            let at = h.repl.iter().map(|&(o, _)| o).min();
+            inserts.insert(at.expect("a hit deletes at least one op"), sw);
         }
     }
-    debug_assert!(pending.is_empty(), "insert point past end of op list");
-
-    // Substitute uses and outputs, resolving chains (a match may bind a
-    // variable to a value another match substitutes).
+    // A replacement is defined before the def it replaces, so chains
+    // (a value replaced by one that is itself replaced) are acyclic.
     let resolve = |mut v: ValId| {
-        let mut steps = 0usize;
-        while let Some(&n) = subst.get(&v) {
-            v = n;
-            steps += 1;
-            assert!(steps <= subst.len(), "substitution cycle at value {v}");
+        while subst[v as usize] != v {
+            v = subst[v as usize];
         }
         v
     };
-    for op in &mut out {
+    let old = std::mem::replace(&mut ir.ops, Vec::with_capacity(deleted.len()));
+    for (i, op) in old.into_iter().enumerate() {
+        ir.ops.extend(inserts.remove(&(i as u32)));
+        if !deleted[i] {
+            ir.ops.push(op);
+        }
+    }
+    for op in &mut ir.ops {
         op.kind.map_uses(resolve);
     }
     for o in &mut ir.outputs {
         *o = resolve(*o);
     }
-    ir.ops = out;
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::Builder;
+    use crate::ir::lower;
+
+    #[test]
+    fn half_adder_rows_are_permutations() {
+        for row in HALF_ADDER {
+            let mut sorted = row;
+            sorted.sort_unstable();
+            assert_eq!(sorted, [0, 1, 2, 3], "row {row:?} is not a permutation");
+        }
+    }
+
+    #[test]
+    fn half_adder_legs_are_and_and_xor() {
+        let ins = [false, true, false, true];
+        for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+            let row = HALF_ADDER[usize::from(a) * 2 + usize::from(b)];
+            assert_eq!(ins[row[0] as usize], a & b, "and leg at a={a} b={b}");
+            assert_eq!(ins[row[1] as usize], a ^ b, "xor leg at a={a} b={b}");
+        }
+    }
+
+    /// `pairs` and/xor pairs over distinct inputs, rewritten.
+    fn rewritten_pairs(pairs: usize) -> CompileIr {
+        let mut b = Builder::new();
+        let ins = b.input_bus(2 * pairs);
+        let mut outs = Vec::new();
+        for p in ins.chunks(2) {
+            outs.push(b.and(p[0], p[1]));
+            outs.push(b.xor(p[0], p[1]));
+        }
+        b.outputs(&outs);
+        let c = b.finish();
+        let mut ir = lower(&c);
+        Rewrite.run(&mut ir);
+        let lanes: Vec<u64> = (0..c.n_inputs() as u64)
+            .map(|i| 0x9E37_79B9_7F4A_7C15u64.rotate_left(7 * i as u32))
+            .collect();
+        assert_eq!(ir.eval_lanes(&lanes), c.eval_lanes(&lanes));
+        ir
+    }
+
+    #[test]
+    fn fuses_pairs_only_when_the_round_outweighs_the_revived_constants() {
+        // One pair: fusing saves one op but revives both constants.
+        let ir = rewritten_pairs(1);
+        assert_eq!(ir.ops.len(), 4, "2 constants + and + xor stay");
+        assert!(ir.rewrite_hits.is_empty());
+        // Three pairs save three ops against the same two constants.
+        let ir = rewritten_pairs(3);
+        assert_eq!(ir.ops.len(), 5, "2 constants + 3 switches");
+        assert_eq!(ir.rewrite_hits, vec![("pair-and-xor".to_owned(), 3)]);
+    }
 }

@@ -199,9 +199,25 @@ fn inspect_reports_pass_stats() {
     assert!(out.status.success());
     let s = stdout(&out);
     assert!(s.contains("compiled tape"), "{s}");
-    for pass in ["const-prologue", "const-prop", "cse", "dce", "mask-reuse"] {
-        assert!(s.contains(pass), "missing {pass} row: {s}");
+    for pass in [
+        "const-prologue",
+        "const-prop",
+        "cse",
+        "rewrite",
+        "dce",
+        "mask-reuse",
+    ] {
+        assert!(
+            s.lines().any(|l| l.trim_start().starts_with(pass)),
+            "missing {pass} row: {s}"
+        );
     }
+    // One half-adder fusion per adder bit of the popcount prefix adder.
+    assert!(
+        s.lines()
+            .any(|l| l.split_whitespace().eq(["pair-and-xor", "35"])),
+        "missing pair-and-xor hit line: {s}"
+    );
     assert!(s.contains("slots"), "{s}");
 
     // O0 compiles without any optional pass rows.
@@ -376,6 +392,9 @@ fn dot_emits_graphviz() {
 fn usage_on_nonsense() {
     assert!(!run(&[]).status.success());
     assert!(!run(&["frobnicate"]).status.success());
+    let rules = run(&["rules", "check"]);
+    assert!(!rules.status.success());
+    assert!(!String::from_utf8_lossy(&rules.stderr).contains("rules"));
     assert!(!run(&["sort", "--network", "quantum", "0101"])
         .status
         .success());

@@ -180,9 +180,9 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
     let c = b.finish();
 
     // O2 minus the rewrite pass: after CSE merges g1/g2 into one value
-    // v, the ruleset would fold comp 3 (v ^ v -> false) and obscure the
-    // CSE split this test pins; the rewrite interaction is asserted
-    // separately below.
+    // v, its `syn-xor-x-x` rewrite would fold comp 3 (v ^ v -> false)
+    // and obscure the CSE split this test pins; the rewrite interaction
+    // is asserted separately below.
     let mut opts = CompileOptions::default();
     opts.passes = opts.passes.without(PassName::Rewrite);
     let mut cc = c.compile_with(&opts);
@@ -209,7 +209,7 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
         );
     }
 
-    // With the rewrite pass back on (full default O2), the ruleset
+    // With the rewrite pass back on (full default O2), `syn-xor-x-x`
     // folds comp 3's v ^ v to a constant; its provenance marks the
     // site Rewritten, so mutants fall back to the recompile path
     // rather than patching a tape that no longer holds the gate.

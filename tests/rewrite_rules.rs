@@ -1,25 +1,22 @@
-//! Integration pins for the declarative rewrite pass and its ruleset.
+//! Integration pins for the `rewrite` pass.
 //!
-//! * **semantic preservation** — interpreter vs compiled tape across the
-//!   network catalog × every opt level × ruleset on/off: exhaustively at
-//!   n ≤ 8, and on proptest-generated lane batches;
-//! * **tape reduction** — the committed ruleset must keep buying ≥ 5%
-//!   of the post-pipeline tape on at least two catalog networks at
-//!   n = 64, and must never grow any network at any size;
+//! * **pinned output** — O2 tape length, slot count and per-rule hits on
+//!   the bare catalog at n = 64, the duplicate-hardened catalog at n = 8
+//!   and fish at n = 64 with const-prop off (the only `and-idem` site);
+//! * **tape reduction** — the pass must keep buying ≥ 5% of the
+//!   post-pipeline tape on at least two catalog networks at n = 64, and
+//!   must never grow any network at any size;
 //! * **fault-campaign byte-identity** — the `--network all` campaign
-//!   report is bit-for-bit identical between O0 and O2-with-rules (the
-//!   provenance contract: rewrites change the tape, never the report);
-//! * **golden ruleset** — `crates/circuit/rules/absort.rules` is exactly
-//!   what `absort::rules::synthesize()` prints and passes the exhaustive
-//!   checker. Regenerate with `BLESS=1 cargo test --test rewrite_rules`
-//!   after an intentional synthesis change.
+//!   report is bit-for-bit identical between O0 and O2 (the provenance
+//!   contract: rewrites change the tape, never the report).
+//!
+//! Semantic preservation is `pass_pipeline`'s exhaustive sweep, which
+//! covers every opt level with and without this pass.
 
 use absort::analysis::faults::{fish_k, run_campaign, CampaignConfig, NetworkSel};
-use absort::circuit::{
-    Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassName,
-};
+use absort::circuit::{Circuit, CompileOptions, Engine, OptLevel, PassName};
 use absort::core::{fish, muxmerge, nonadaptive, prefix};
-use proptest::prelude::*;
+use absort::networks::hardened::{harden, HardenOptions};
 
 /// The network catalog at width `n` (fish needs `k ≤ n/k`, so it joins
 /// from `n = 4` up).
@@ -38,90 +35,8 @@ fn catalog(n: usize) -> Vec<(&'static str, Circuit)> {
     v
 }
 
-/// Every opt level, each with the ruleset both on (as the level ships
-/// it) and explicitly off.
-fn variants() -> Vec<(String, CompileOptions)> {
-    let mut v = Vec::new();
-    for level in OptLevel::ALL {
-        let opts = CompileOptions::for_level(level);
-        v.push((format!("O{level}"), opts));
-        let mut off = opts;
-        off.passes = off.passes.without(PassName::Rewrite);
-        v.push((format!("O{level}-no-rewrite"), off));
-    }
-    v
-}
-
-/// Packs the 64 consecutive integers starting at `base` (little-endian
-/// bit `i` = input `i`) into lane words; lanes past `count` stay zero.
-fn pack_range(n: usize, base: u64, count: usize) -> Vec<u64> {
-    let mut packed = vec![0u64; n];
-    for lane in 0..count {
-        let x = base + lane as u64;
-        for (i, p) in packed.iter_mut().enumerate() {
-            *p |= (x >> i & 1) << lane;
-        }
-    }
-    packed
-}
-
-#[test]
-fn rewrite_preserves_semantics_exhaustively_at_small_n() {
-    for n in [4usize, 8] {
-        for (name, circuit) in catalog(n) {
-            let mut interp: Evaluator<'_, u64> = Evaluator::new(&circuit);
-            let mut expect = vec![0u64; n];
-            for (vname, opts) in variants() {
-                let cc = circuit.compile_with(&opts);
-                let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&cc);
-                let mut got = vec![0u64; n];
-                let total = 1u64 << n;
-                let mut base = 0u64;
-                while base < total {
-                    let count = ((total - base) as usize).min(64);
-                    let packed = pack_range(n, base, count);
-                    interp.run_into(&packed, &mut expect);
-                    comp.run_into(&packed, &mut got);
-                    assert_eq!(
-                        expect, got,
-                        "{name} n={n} {vname}: diverged from interpreter at base {base}"
-                    );
-                    base += count as u64;
-                }
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn rewrite_preserves_semantics_on_random_lane_batches(
-        packed in proptest::collection::vec(any::<u64>(), 8)
-    ) {
-        let n = 8usize;
-        for (name, circuit) in catalog(n) {
-            let mut interp: Evaluator<'_, u64> = Evaluator::new(&circuit);
-            let mut expect = vec![0u64; n];
-            interp.run_into(&packed, &mut expect);
-            for (vname, opts) in variants() {
-                let cc = circuit.compile_with(&opts);
-                let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&cc);
-                let mut got = vec![0u64; n];
-                comp.run_into(&packed, &mut got);
-                prop_assert_eq!(
-                    &expect, &got,
-                    "{} n={} {}: diverged from interpreter", name, n, vname
-                );
-            }
-        }
-    }
-}
-
-/// The PR's acceptance bar, pinned: the ruleset buys at least 5% of
-/// the post-pipeline tape on ≥ 2 catalog networks at n = 64, and never
-/// grows any network at any tested size.
+/// The pass buys at least 5% of the post-pipeline tape on ≥ 2 catalog
+/// networks at n = 64, and never grows any network at any tested size.
 #[test]
 fn ruleset_reduces_tape_and_never_grows_it() {
     let mut wins = Vec::new();
@@ -142,13 +57,12 @@ fn ruleset_reduces_tape_and_never_grows_it() {
     }
     assert!(
         wins.len() >= 2,
-        "ruleset must buy >=5% on at least two catalog networks at n=64, got {wins:?}"
+        "rewrite must buy >=5% on at least two catalog networks at n=64, got {wins:?}"
     );
 }
 
 /// Rewrites change the tape, never the fault report: byte-identical
-/// campaign JSON between the unoptimized tape and the full O2 pipeline
-/// with the ruleset enabled.
+/// campaign JSON between the unoptimized tape and the full O2 pipeline.
 #[test]
 fn fault_campaign_report_is_byte_identical_across_opt_levels() {
     let cfg = |level: OptLevel| CampaignConfig {
@@ -162,7 +76,7 @@ fn fault_campaign_report_is_byte_identical_across_opt_levels() {
     assert_eq!(
         o0.to_json().to_pretty(),
         o2.to_json().to_pretty(),
-        "campaign report must be bit-identical between O0 and O2-with-rules"
+        "campaign report must be bit-identical between O0 and O2"
     );
 }
 
@@ -190,24 +104,73 @@ fn rewrite_reports_pass_stats_and_rule_hits() {
     assert!(cc.rewrite_hits().iter().all(|(_, hits)| *hits > 0));
 }
 
-fn ruleset_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../circuit/rules/absort.rules")
+/// `(tape_len, n_slots, rewrite_hits)` of one compile.
+fn outcome(c: &Circuit, opts: &CompileOptions) -> (usize, usize, Vec<(String, u32)>) {
+    let cc = c.compile_with(opts);
+    (cc.tape_len(), cc.n_slots(), cc.rewrite_hits().to_vec())
 }
 
+fn hits(list: &[(&str, u32)]) -> Vec<(String, u32)> {
+    list.iter().map(|&(r, n)| (r.to_owned(), n)).collect()
+}
+
+/// The pass's output on the catalog, pinned at the values the
+/// declarative rule engine it replaced produced.
 #[test]
-fn committed_ruleset_is_blessed_synthesis_output() {
-    let synth = absort::rules::synthesize();
-    absort::rules::check(&synth).expect("synthesized ruleset verifies");
-    let text = synth.print();
-    let path = ruleset_path();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &text).expect("write blessed ruleset");
-        return;
+fn rewrite_pass_output_is_pinned() {
+    let o2 = CompileOptions::default();
+    let fish_at = |n| fish::circuits::build_combinational_kmerger(n, fish_k(n));
+    let bare = [
+        (
+            "prefix",
+            prefix::build(64),
+            1162,
+            131,
+            hits(&[("pair-and-xor", 168)]),
+        ),
+        ("mux-merger", muxmerge::build(64), 321, 96, hits(&[])),
+        (
+            "fish",
+            fish_at(64),
+            1693,
+            394,
+            hits(&[("pair-and-xor", 132)]),
+        ),
+        ("nonadaptive", nonadaptive::build(64), 672, 64, hits(&[])),
+    ];
+    for (name, c, tape, slots, want) in bare {
+        assert_eq!(outcome(&c, &o2), (tape, slots, want), "{name} n=64");
     }
-    let committed = std::fs::read_to_string(&path).expect("committed ruleset readable");
+
+    let dup = HardenOptions {
+        duplicate: true,
+        ..Default::default()
+    };
+    let wrapper_hits = hits(&[("or-idem", 7), ("pair-and-xor", 30), ("syn-xor-x-x", 8)]);
+    let hardened = [
+        ("prefix", prefix::build(8), 110, 30),
+        ("mux-merger", muxmerge::build(8), 86, 30),
+        ("fish", fish_at(8), 120, 30),
+        ("nonadaptive", nonadaptive::build(8), 93, 31),
+    ];
+    for (name, c, tape, slots) in hardened {
+        let h = harden(&c, &dup).circuit;
+        assert_eq!(
+            outcome(&h, &o2),
+            (tape, slots, wrapper_hits.clone()),
+            "{name}+duplicate n=8"
+        );
+    }
+
+    let mut no_const_prop = o2;
+    no_const_prop.passes = no_const_prop.passes.without(PassName::ConstProp);
     assert_eq!(
-        committed, text,
-        "crates/circuit/rules/absort.rules is stale — rerun with \
-         BLESS=1 cargo test --test rewrite_rules"
+        outcome(&fish_at(64), &no_const_prop),
+        (
+            1882,
+            441,
+            hits(&[("and-idem", 1), ("pair-and-xor", 201), ("syn-xor-x-x", 1)])
+        ),
+        "fish n=64 without const-prop"
     );
 }
