@@ -548,9 +548,17 @@ impl CompiledCircuit {
         #[cfg(feature = "telemetry")]
         let _span = absort_telemetry::span("compile/lower");
 
-        let mut ir = crate::ir::lower(c);
+        let mut ir = {
+            #[cfg(feature = "telemetry")]
+            let _span = absort_telemetry::span("compile/ir");
+            crate::ir::lower(c)
+        };
         let stats = PassManager::new(*opts).run(c, &mut ir);
-        let mut cc = crate::regalloc::allocate(&ir);
+        let mut cc = {
+            #[cfg(feature = "telemetry")]
+            let _span = absort_telemetry::span("compile/regalloc");
+            crate::regalloc::allocate(&ir)
+        };
         cc.pass_stats = stats;
         if opts.fuse {
             crate::fuse::fuse(&mut cc);

@@ -17,52 +17,49 @@
 //! campaigns fall back to per-mutant recompiles for exactly those
 //! sites.
 
-use std::collections::HashMap;
-
-use crate::component::{GateOp, Perm4};
-use crate::ir::{CompileIr, FoldHint, IrKind, ValId};
+use crate::component::Perm4;
+use crate::ir::{CompFate, CompileIr, FoldHint, IrKind, ValId, NO_COMP};
+use crate::passes::index::{pair, OpIndex};
 use crate::passes::Pass;
+use crate::regalloc::intern_perms;
 
-/// Hash key of one op: the function it computes of its (substituted)
-/// operand values. Commutative operand pairs are stored sorted.
-#[derive(Hash, PartialEq, Eq)]
-enum Key {
-    Const(bool),
-    Not(ValId),
-    Gate(GateOp, ValId, ValId),
-    Mux(ValId, ValId, ValId),
-    Demux(ValId, ValId),
-    Switch2(ValId, ValId, ValId),
-    BitCompare(ValId, ValId),
-    Switch4(ValId, ValId, [ValId; 4], [Perm4; 4]),
+/// Key of one op: the function it computes of its (substituted)
+/// operand values, in four words. Word 0 holds the kind tag, the gate
+/// op, and a 4×4 switch's perm set as an interned id; the operands
+/// follow, two per word. Commutative operand pairs are stored sorted.
+type Key = [u64; 4];
+
+fn sorted(a: ValId, b: ValId) -> u64 {
+    pair(a.min(b), a.max(b))
 }
 
-fn sorted(a: ValId, b: ValId) -> (ValId, ValId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-fn key_of(kind: &IrKind) -> Key {
+fn key_of(kind: &IrKind, perm_sets: &mut Vec<[Perm4; 4]>) -> Key {
     match *kind {
-        IrKind::Const { v } => Key::Const(v),
-        IrKind::Not { a } => Key::Not(a),
+        IrKind::Const { v } => [u64::from(v) << 8, 0, 0, 0],
+        IrKind::Not { a } => [1, u64::from(a), 0, 0],
         // Every two-input gate op is commutative.
-        IrKind::Gate { op, a, b } => {
-            let (a, b) = sorted(a, b);
-            Key::Gate(op, a, b)
+        IrKind::Gate { op, a, b } => [2 | (op as u64) << 8, sorted(a, b), 0, 0],
+        IrKind::Mux { s, a1, a0 } => [3, pair(s, a1), u64::from(a0), 0],
+        IrKind::Demux { s, x } => [4, pair(s, x), 0, 0],
+        IrKind::Switch2 { s, a, b } => [5, pair(s, a), u64::from(b), 0],
+        IrKind::BitCompare { a, b } => [6, sorted(a, b), 0, 0],
+        IrKind::Switch4 { s1, s0, ins, perms } => {
+            let pid = intern_perms(perm_sets, perms);
+            [
+                7 | u64::from(pid) << 8,
+                pair(s1, s0),
+                pair(ins[0], ins[1]),
+                pair(ins[2], ins[3]),
+            ]
         }
-        IrKind::Mux { s, a1, a0 } => Key::Mux(s, a1, a0),
-        IrKind::Demux { s, x } => Key::Demux(s, x),
-        IrKind::Switch2 { s, a, b } => Key::Switch2(s, a, b),
-        IrKind::BitCompare { a, b } => {
-            let (a, b) = sorted(a, b);
-            Key::BitCompare(a, b)
-        }
-        IrKind::Switch4 { s1, s0, ins, perms } => Key::Switch4(s1, s0, ins, perms),
     }
+}
+
+/// The index tag of a key: its words folded by multiply-rotate.
+fn tag(key: &Key) -> u64 {
+    key.iter().fold(0, |h, &w| {
+        (h.rotate_left(26) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95)
+    })
 }
 
 /// See the module docs.
@@ -91,32 +88,34 @@ impl Pass for Cse {
 
         let mut subst: Vec<ValId> = (0..ir.n_vals).collect();
         let mut keep = vec![true; ir.ops.len()];
-        // Key → (op index, defs) of the first occurrence.
-        let mut seen: HashMap<Key, (usize, [ValId; 4])> = HashMap::new();
+        // Key tag → op index of the first occurrence. A survivor is never
+        // modified after it is inserted, so its key can be re-derived to
+        // confirm a tag match.
+        let mut seen = OpIndex::with_capacity(ir.ops.len());
+        let mut perm_sets: Vec<[Perm4; 4]> = Vec::new();
         let mut folded: Vec<(u32, bool)> = Vec::new();
-        // Survivor op index → were ALL duplicates merged into it
-        // unobserved on entry?
-        let mut survivors: HashMap<usize, bool> = HashMap::new();
-        for (i, op) in ir.ops.iter_mut().enumerate() {
-            op.kind.map_uses(|v| subst[v as usize]);
-            match seen.entry(key_of(&op.kind)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert((i, op.defs));
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let (survivor, sdefs) = *e.get();
-                    let unobserved = op.defs().iter().all(|&d| !observed[d as usize]);
-                    for (k, &def) in op.defs().iter().enumerate() {
-                        subst[def as usize] = sdefs[k];
-                    }
-                    keep[i] = false;
-                    folded.push((op.comp, unobserved));
-                    survivors
-                        .entry(survivor)
-                        .and_modify(|all| *all &= unobserved)
-                        .or_insert(unobserved);
-                }
+        // Per op: `Some(all)` once a duplicate merged into it, where
+        // `all` says whether ALL duplicates merged into it were
+        // unobserved on entry.
+        let mut survivor: Vec<Option<bool>> = vec![None; ir.ops.len()];
+        for i in 0..ir.ops.len() {
+            ir.ops[i].kind.map_uses(|v| subst[v as usize]);
+            let ops = &ir.ops;
+            let key = key_of(&ops[i].kind, &mut perm_sets);
+            let Some(s) = seen.find_or_insert(tag(&key), i as u32, |s| {
+                key_of(&ops[s as usize].kind, &mut perm_sets) == key
+            }) else {
+                continue;
+            };
+            let (op, sdefs) = (&ops[i], ops[s as usize].defs);
+            let unobserved = op.defs().iter().all(|&d| !observed[d as usize]);
+            for (k, &def) in op.defs().iter().enumerate() {
+                subst[def as usize] = sdefs[k];
             }
+            keep[i] = false;
+            folded.push((op.comp, unobserved));
+            let all = &mut survivor[s as usize];
+            *all = Some(all.unwrap_or(true) && unobserved);
         }
         // Survivor sites. When every duplicate merged into a survivor
         // was unobserved, the merge did not change the survivor's
@@ -124,15 +123,17 @@ impl Pass for Cse {
         // own component, so it stays `Live` and unshared — fault
         // campaigns patch it in place instead of recompiling. Any
         // observed duplicate makes the survivor stand for two components
-        // at once, which keeps the recompile fallback.
-        let mut kept_live: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        for (&si, &all_unobserved) in &survivors {
+        // at once, which keeps the recompile fallback. Each component
+        // lowers to exactly one op and folding is idempotent, so the
+        // order survivors are visited in does not matter.
+        let mut kept_live = vec![false; ir.source_components()];
+        for (si, all_unobserved) in survivor.into_iter().enumerate() {
+            let Some(all_unobserved) = all_unobserved else {
+                continue;
+            };
             let comp = ir.ops[si].comp;
-            if all_unobserved
-                && comp != crate::ir::NO_COMP
-                && ir.comp_fate[comp as usize] == crate::ir::CompFate::Live
-            {
-                kept_live.insert(comp);
+            if all_unobserved && comp != NO_COMP && ir.comp_fate[comp as usize] == CompFate::Live {
+                kept_live[comp as usize] = true;
                 continue;
             }
             ir.ops[si].shared = true;
@@ -147,9 +148,9 @@ impl Pass for Cse {
             // with a kept-live survivor op is still observable through
             // that op, so it must not be declared `Equivalent` either.
             if unobserved
-                && comp != crate::ir::NO_COMP
-                && !kept_live.contains(&comp)
-                && ir.comp_fate[comp as usize] == crate::ir::CompFate::Live
+                && comp != NO_COMP
+                && !kept_live[comp as usize]
+                && ir.comp_fate[comp as usize] == CompFate::Live
             {
                 ir.fold_comp_hinted(comp, FoldHint::Equivalent);
             } else {
@@ -160,5 +161,100 @@ impl Pass for Cse {
             *o = subst[*o as usize];
         }
         ir.retain_ops(&keep);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::Builder;
+    use crate::component::GateOp;
+    use crate::ir::{lower, IrOp};
+
+    /// Lowers the netlist `build` makes, runs CSE, and returns the IR
+    /// with the component ops that survived.
+    fn cse(build: impl FnOnce(&mut Builder)) -> (CompileIr, Vec<IrOp>) {
+        let mut b = Builder::new();
+        build(&mut b);
+        let mut ir = lower(&b.finish());
+        Cse.run(&mut ir);
+        let ops = ir
+            .ops
+            .iter()
+            .filter(|op| op.comp != NO_COMP)
+            .copied()
+            .collect();
+        (ir, ops)
+    }
+
+    #[test]
+    fn commuted_operands_merge_into_the_first_op_as_written() {
+        let (ir, ops) = cse(|b| {
+            let x = b.input_bus(2);
+            let first = b.and(x[1], x[0]);
+            let second = b.and(x[0], x[1]);
+            b.outputs(&[first, second]);
+        });
+        assert_eq!(ops.len(), 1, "and b a / and a b merge: {ops:?}");
+        assert_eq!(
+            ops[0].kind,
+            IrKind::Gate {
+                op: GateOp::And,
+                a: 1,
+                b: 0
+            },
+            "the survivor keeps its own operand order"
+        );
+        assert_eq!(ir.outputs, vec![ops[0].defs[0]; 2]);
+        // Both merged ops are observed, so the survivor stands for two
+        // components and both fall back to recompiles.
+        assert!(ops[0].shared);
+        assert_eq!(ir.comp_fate, vec![CompFate::Folded; 2]);
+    }
+
+    #[test]
+    fn switch4s_merge_only_when_their_perm_sets_match() {
+        const IDENTITY: [Perm4; 4] = [[0, 1, 2, 3]; 4];
+        const SWAPS: [Perm4; 4] = [[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]];
+        let (ir, ops) = cse(|b| {
+            let x = b.input_bus(6);
+            let ins = [x[2], x[3], x[4], x[5]];
+            let mut outs = Vec::new();
+            for perms in [IDENTITY, IDENTITY, SWAPS, SWAPS] {
+                outs.extend(b.switch4(x[0], x[1], ins, perms));
+            }
+            b.outputs(&outs);
+        });
+        let perms: Vec<_> = ops
+            .iter()
+            .map(|op| match op.kind {
+                IrKind::Switch4 { perms, .. } => perms,
+                other => panic!("unexpected op {other:?}"),
+            })
+            .collect();
+        assert_eq!(perms, vec![IDENTITY, SWAPS]);
+        assert_eq!(ir.outputs[..4], ops[0].defs);
+        assert_eq!(ir.outputs[4..8], ops[0].defs);
+        assert_eq!(ir.outputs[8..12], ops[1].defs);
+        assert_eq!(ir.outputs[12..], ops[1].defs);
+    }
+
+    #[test]
+    fn different_gate_ops_over_the_same_operands_stay_apart() {
+        let gates = [
+            GateOp::And,
+            GateOp::Or,
+            GateOp::Xor,
+            GateOp::Nand,
+            GateOp::Nor,
+            GateOp::Xnor,
+        ];
+        let (ir, ops) = cse(|b| {
+            let x = b.input_bus(2);
+            let outs: Vec<_> = gates.iter().map(|&g| b.gate(g, x[0], x[1])).collect();
+            b.outputs(&outs);
+        });
+        assert_eq!(ops.len(), gates.len());
+        assert!(ir.comp_fate.iter().all(|&f| f == CompFate::Live));
     }
 }

@@ -29,6 +29,7 @@ pub mod const_prologue;
 pub mod const_prop;
 pub mod cse;
 pub mod dce;
+mod index;
 pub mod mask_reuse;
 pub mod rewrite;
 pub mod schedule;

@@ -43,11 +43,10 @@
 //! campaigns recompile mutants there and reports stay byte-identical
 //! across opt levels.
 
-use std::collections::HashMap;
-
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompileIr, FoldHint, IrKind, IrOp, ValId, NO_COMP};
 
+use super::index::{pair, OpIndex};
 use super::Pass;
 
 /// Permutation rows of the half-adder switch (see the module table).
@@ -112,6 +111,8 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
         const_used[1] |= o == ct;
     }
     let mut live = vec![false; ir.ops.len()];
+    let is_adder = |ins: [ValId; 4], perms| ins == [cf, ct, cf, ct] && perms == HALF_ADDER;
+    let (mut xors, mut adders) = (0, 0);
     for (i, op) in ir.ops.iter().enumerate().rev() {
         live[i] = op.defs().iter().any(|&d| needed[d as usize]);
         op.kind.for_each_use(|v| {
@@ -119,11 +120,19 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
             const_used[0] |= v == cf;
             const_used[1] |= v == ct;
         });
+        match op.kind {
+            IrKind::Gate {
+                op: GateOp::Xor, ..
+            } => xors += 1,
+            IrKind::Switch4 { ins, perms, .. } if is_adder(ins, perms) => adders += 1,
+            _ => {}
+        }
     }
     // Earliest xor per unordered operand pair; earliest half-adder
-    // switch per select pair.
-    let mut xor_at: HashMap<(ValId, ValId), u32> = HashMap::new();
-    let mut adder_at: HashMap<(ValId, ValId), u32> = HashMap::new();
+    // switch per select pair. Each key is one word, so a tag match is a
+    // key match.
+    let mut xor_at = OpIndex::with_capacity(xors);
+    let mut adder_at = OpIndex::with_capacity(adders);
     for (i, op) in ir.ops.iter().enumerate() {
         match op.kind {
             IrKind::Gate {
@@ -131,12 +140,10 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
                 a,
                 b,
             } => {
-                xor_at.entry((a.min(b), a.max(b))).or_insert(i as u32);
+                xor_at.find_or_insert(pair(a.min(b), a.max(b)), i as u32, |_| true);
             }
-            IrKind::Switch4 { s1, s0, ins, perms }
-                if ins == [cf, ct, cf, ct] && perms == HALF_ADDER =>
-            {
-                adder_at.entry((s1, s0)).or_insert(i as u32);
+            IrKind::Switch4 { s1, s0, ins, perms } if is_adder(ins, perms) => {
+                adder_at.find_or_insert(pair(s1, s0), i as u32, |_| true);
             }
             _ => {}
         }
@@ -160,11 +167,11 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
         };
         let hit = match g {
             GateOp::And => xor_at
-                .get(&(a.min(b), a.max(b)))
-                .filter(|&&j| !claimed[j as usize] && live[j as usize])
-                .map(|&j| {
-                    let (defs, switch) = match adder_at.get(&(a, b)) {
-                        Some(&k) if k < i.min(j) && live[k as usize] => {
+                .find(pair(a.min(b), a.max(b)), |_| true)
+                .filter(|&j| !claimed[j as usize] && live[j as usize])
+                .map(|j| {
+                    let (defs, switch) = match adder_at.find(pair(a, b), |_| true) {
+                        Some(k) if k < i.min(j) && live[k as usize] => {
                             (ir.ops[k as usize].defs, None)
                         }
                         _ => {
@@ -225,7 +232,9 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
     ir.n_vals = next_val;
     let mut subst: Vec<ValId> = (0..next_val).collect();
     let mut deleted = vec![false; ir.ops.len()];
-    let mut inserts: HashMap<u32, IrOp> = HashMap::new();
+    // New switches by insert position; each position is a distinct
+    // deleted op.
+    let mut inserts: Vec<(u32, IrOp)> = Vec::new();
     for h in hits {
         counts[h.rule] += 1;
         for &(o, v) in &h.repl {
@@ -236,9 +245,10 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
         }
         if let Some(sw) = h.switch {
             let at = h.repl.iter().map(|&(o, _)| o).min();
-            inserts.insert(at.expect("a hit deletes at least one op"), sw);
+            inserts.push((at.expect("a hit deletes at least one op"), sw));
         }
     }
+    inserts.sort_unstable_by_key(|&(at, _)| at);
     // A replacement is defined before the def it replaces, so chains
     // (a value replaced by one that is itself replaced) are acyclic.
     let resolve = |mut v: ValId| {
@@ -248,8 +258,11 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
         v
     };
     let old = std::mem::replace(&mut ir.ops, Vec::with_capacity(deleted.len()));
+    let mut inserts = inserts.into_iter().peekable();
     for (i, op) in old.into_iter().enumerate() {
-        ir.ops.extend(inserts.remove(&(i as u32)));
+        if let Some((_, sw)) = inserts.next_if(|&(at, _)| at == i as u32) {
+            ir.ops.push(sw);
+        }
         if !deleted[i] {
             ir.ops.push(op);
         }

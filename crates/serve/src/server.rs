@@ -359,6 +359,18 @@ fn accept_loop(
     }
 }
 
+/// Socket set-up of an accepted connection; returns its write half.
+/// `TCP_NODELAY` goes on before the clone so both halves carry it: each
+/// reply is one small frame, and Nagle's algorithm would hold it back
+/// until the client's delayed ACK.
+fn configure_stream(stream: &TcpStream, cfg: &ServeConfig) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    let write_half = stream.try_clone()?;
+    write_half.set_write_timeout(Some(cfg.write_timeout))?;
+    stream.set_read_timeout(Some(cfg.read_poll))?;
+    Ok(write_half)
+}
+
 fn spawn_connection(
     stream: TcpStream,
     cfg: &ServeConfig,
@@ -366,9 +378,7 @@ fn spawn_connection(
     counters: &Arc<Counters>,
     job_tx: &Sender<Job>,
 ) -> io::Result<(JoinHandle<()>, JoinHandle<()>)> {
-    let write_half = stream.try_clone()?;
-    write_half.set_write_timeout(Some(cfg.write_timeout))?;
-    stream.set_read_timeout(Some(cfg.read_poll))?;
+    let write_half = configure_stream(&stream, cfg)?;
     let (reply_tx, reply_rx) = channel::bounded::<Vec<u8>>(cfg.reply_capacity.max(1));
 
     let writer = {
@@ -1012,5 +1022,20 @@ fn serve_permute(job: Job, counters: &Counters) {
                 counters,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_disable_nagle_on_both_halves() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let write_half = configure_stream(&stream, &ServeConfig::default()).unwrap();
+        assert!(stream.nodelay().unwrap(), "read half");
+        assert!(write_half.nodelay().unwrap(), "write half");
     }
 }

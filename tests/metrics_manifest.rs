@@ -320,6 +320,41 @@ fn metrics_run_emits_trace_and_histograms() {
         .expect("derived telemetry.hist.samples counter");
     assert!(samples > 0);
 
+    // -- Compile spans ----------------------------------------------------
+    // The run compiles once, and the manifest splits that compile into
+    // lowering, each pass, schedule and regalloc. No stage span ends in
+    // `compile/lower`, so sums over that suffix count each compile once.
+    let spans = m
+        .get("spans")
+        .and_then(json::Value::as_obj)
+        .expect("spans object");
+    let lower: Vec<&str> = spans
+        .iter()
+        .map(|(path, _)| path.as_str())
+        .filter(|path| path.ends_with("compile/lower"))
+        .collect();
+    assert_eq!(lower.len(), 1, "one compile/lower span: {lower:?}");
+    let prefix = format!("{}/", lower[0]);
+    let mut stages: Vec<&str> = spans
+        .iter()
+        .filter_map(|(path, _)| path.strip_prefix(&prefix))
+        .collect();
+    stages.sort_unstable();
+    assert_eq!(
+        stages,
+        [
+            "compile/ir",
+            "compile/pass/const-prologue",
+            "compile/pass/const-prop",
+            "compile/pass/cse",
+            "compile/pass/dce",
+            "compile/pass/mask-reuse",
+            "compile/pass/rewrite",
+            "compile/regalloc",
+            "compile/schedule",
+        ]
+    );
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -9,6 +9,14 @@
 //! unobservable, folded sites fall back to per-mutant recompiles).
 
 use absort::analysis::faults::{self as fc, fish_k, NetworkSel};
+use absort::circuit::ir::lower;
+use absort::circuit::passes::const_prologue::ConstPrologue;
+use absort::circuit::passes::const_prop::ConstProp;
+use absort::circuit::passes::cse::Cse;
+use absort::circuit::passes::dce::Dce;
+use absort::circuit::passes::rewrite::Rewrite;
+use absort::circuit::passes::schedule::schedule;
+use absort::circuit::passes::Pass;
 use absort::circuit::{
     Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassName, PassSet,
 };
@@ -19,17 +27,7 @@ use absort::networks::hardened::{harden, HardenOptions};
 /// from `n = 4` up), plus the hardened wrappers campaigns actually
 /// sweep — the circuits where CSE and const-prop genuinely fire.
 fn catalog(n: usize) -> Vec<(String, Circuit)> {
-    let mut v = vec![
-        ("prefix".to_owned(), prefix::build(n)),
-        ("mux-merger".to_owned(), muxmerge::build(n)),
-        ("batcher".to_owned(), nonadaptive::build(n)),
-    ];
-    if n >= 4 {
-        v.push((
-            "fish".to_owned(),
-            fish::circuits::build_combinational_kmerger(n, fish_k(n)),
-        ));
-    }
+    let mut v = bare(n);
     let hardened: Vec<(String, Circuit)> = v
         .iter()
         .map(|(name, c)| {
@@ -44,6 +42,22 @@ fn catalog(n: usize) -> Vec<(String, Circuit)> {
         })
         .collect();
     v.extend(hardened);
+    v
+}
+
+/// The bare catalog networks at width `n`.
+fn bare(n: usize) -> Vec<(String, Circuit)> {
+    let mut v = vec![
+        ("prefix".to_owned(), prefix::build(n)),
+        ("mux-merger".to_owned(), muxmerge::build(n)),
+        ("batcher".to_owned(), nonadaptive::build(n)),
+    ];
+    if n >= 4 {
+        v.push((
+            "fish".to_owned(),
+            fish::circuits::build_combinational_kmerger(n, fish_k(n)),
+        ));
+    }
     v
 }
 
@@ -108,6 +122,40 @@ fn every_configuration_matches_interpreter_exhaustively() {
 /// (O2) pipeline must show a measured reduction over O0 on the hardened
 /// catalog (CSE merges checker structure, const-prop folds the fish
 /// merger's constant padding).
+/// The schedule stage's counting sort on level yields exactly the order
+/// a stable comparison sort yields, on the post-pass IR of every catalog
+/// network at n = 8…256 and of the duplicate-hardened wrappers at n = 8.
+#[test]
+fn schedule_order_is_the_stable_sort_by_level() {
+    let circuits = (3..=8).flat_map(|lg| {
+        let n = 1 << lg;
+        let nets = if n == 8 { catalog(n) } else { bare(n) };
+        nets.into_iter()
+            .map(move |(name, c)| (format!("{name} n={n}"), c))
+    });
+    for (name, c) in circuits {
+        let mut ir = lower(&c);
+        let passes: [&dyn Pass; 5] = [&ConstPrologue, &ConstProp, &Cse, &Rewrite, &Dce];
+        for p in passes {
+            p.run(&mut ir);
+        }
+        let mut got = ir.clone();
+        schedule(&mut got);
+        // The reference: the levels the stage assigned, then std's stable
+        // sort over the unscheduled order.
+        let mut level = vec![0; got.n_vals as usize];
+        for op in &got.ops {
+            level[op.defs[0] as usize] = op.level;
+        }
+        let mut want = ir.ops;
+        for op in &mut want {
+            op.level = level[op.defs[0] as usize];
+        }
+        want.sort_by_key(|op| op.level);
+        assert!(got.ops == want, "{name}: schedule order differs");
+    }
+}
+
 #[test]
 fn higher_opt_levels_never_grow_the_tape() {
     let mut o2_won_somewhere = false;
