@@ -80,7 +80,9 @@ fn usage() -> ! {
                                  allocated micro-op tape)\n\
            --opt-level <0|1|2>   compiled-engine optimization tier\n\
                                  (default 2: every pass; 1 matches the\n\
-                                 pre-pipeline compiler; 0 is bare lowering)\n\
+                                 pre-pipeline compiler; 0 is bare lowering;\n\
+                                 --faults campaigns default to 1, where no\n\
+                                 mutant needs a per-mutant recompile)\n\
            --passes <list>       explicit comma-separated pass list for the\n\
                                  compiled engine, overriding --opt-level\n\
                                  (const-prologue, const-prop, cse, rewrite,\n\
@@ -169,6 +171,9 @@ struct Args {
     m: Option<usize>,
     engine: Engine,
     opt: CompileOptions,
+    /// `--opt-level`, `--passes` or `--fuse` was given; otherwise fault
+    /// campaigns compile at the campaign default instead of `opt`.
+    opt_given: bool,
     harden_duplicate: bool,
     metrics: bool,
     metrics_out: Option<String>,
@@ -202,6 +207,7 @@ fn parse_args(argv: &[String]) -> Args {
         m: None,
         engine: Engine::default(),
         opt: CompileOptions::default(),
+        opt_given: false,
         harden_duplicate: false,
         metrics: false,
         metrics_out: None,
@@ -256,6 +262,7 @@ fn parse_args(argv: &[String]) -> Args {
                     .unwrap_or_else(|| enum_flag_error("--opt-level", v, "0, 1, 2"));
                 a.opt.passes = level.passes();
                 a.opt_level = level;
+                a.opt_given = true;
             }
             "--passes" => {
                 let v = it.next();
@@ -266,6 +273,7 @@ fn parse_args(argv: &[String]) -> Args {
                     Ok(set) => a.opt.passes = set,
                     Err(tok) => enum_flag_error("--passes", Some(&tok), VALID_PASSES),
                 }
+                a.opt_given = true;
             }
             "--harden-duplicate" => a.harden_duplicate = true,
             "--metrics" => a.metrics = true,
@@ -284,7 +292,10 @@ fn parse_args(argv: &[String]) -> Args {
                 );
             }
             "--profile" => a.profile = true,
-            "--fuse" => a.opt.fuse = true,
+            "--fuse" => {
+                a.opt.fuse = true;
+                a.opt_given = true;
+            }
             "--rust" => a.rust = true,
             "--standalone" => a.standalone = true,
             "--fn-name" => {
@@ -957,16 +968,18 @@ fn cmd_faults(a: &Args) {
             }
         }
     };
-    let cfg = fc::CampaignConfig {
+    let mut cfg = fc::CampaignConfig {
         n,
         engine: a.engine,
-        opt: a.opt,
         harden: absort::networks::hardened::HardenOptions {
             duplicate: a.harden_duplicate,
             ..Default::default()
         },
         ..Default::default()
     };
+    if a.opt_given {
+        cfg.opt = a.opt;
+    }
     // --resume implies a checkpoint; default its path so "interrupt, then
     // rerun with --resume" works without repeating the flag pair.
     let checkpoint = a.checkpoint.clone().or_else(|| {

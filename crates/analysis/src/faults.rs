@@ -49,8 +49,8 @@ use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort_circuit::faulty::{observable_wires, permanent_fault_sites, FaultyEvaluator};
 use absort_circuit::mutate::{self, Fault};
 use absort_circuit::{
-    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Engine, Evaluator,
-    MultiMutantTape, MutantTape, WireFault,
+    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Engine, Evaluator, MutantTape,
+    OptLevel, WireFault,
 };
 use absort_core::{fish, lang, muxmerge, nonadaptive, prefix};
 use absort_faults::json;
@@ -123,9 +123,11 @@ pub struct CampaignConfig {
     /// tape reuses slots and has no per-wire identity to inject into.
     pub engine: Engine,
     /// Compilation options for every tape the compiled engine builds
-    /// (base, patched fallbacks, per-mutant recompiles). The pass
-    /// pipeline's provenance contract guarantees report cells are
-    /// bit-identical across opt levels; only the sweep speed changes.
+    /// (base and per-mutant recompiles). The pass pipeline's provenance
+    /// contract guarantees report cells are bit-identical across opt
+    /// levels; only the sweep speed changes. The default is O1: it folds
+    /// and merges nothing, so every mutant is patched in place or dead
+    /// and none recompiles.
     pub opt: CompileOptions,
     /// Which concurrent checks the self-checking wrapper carries. The
     /// default (monotonicity + conservation) matches the paper's cheap
@@ -142,7 +144,7 @@ impl Default for CampaignConfig {
             max_exhaustive: 1 << 12,
             transient_samples: 64,
             engine: Engine::Compiled,
-            opt: CompileOptions::default(),
+            opt: CompileOptions::for_level(OptLevel::O1),
             harden: HardenOptions::default(),
         }
     }
@@ -269,20 +271,18 @@ fn sample_input(sel: NetworkSel, n: usize, rng: &mut StdRng) -> Vec<bool> {
     }
 }
 
-/// One workload, pre-packed for the sweep hot loop: 64-lane input
-/// chunks, the packed sorted oracle per chunk, and the valid-lane masks.
-/// Packing once here instead of once per faulty variant removes the
-/// dominant allocation churn of the campaign (every variant used to
-/// re-pack every chunk and allocate a fresh output vector per pass).
+/// One workload, pre-packed for the sweep hot loop: `[u64; 4]` input
+/// chunks, the packed sorted oracle per 64-lane chunk, and the
+/// valid-lane masks. Packing once here instead of once per faulty
+/// variant removes the dominant allocation churn of the campaign (every
+/// variant used to re-pack every chunk and allocate a fresh output
+/// vector per pass).
 struct Workload {
     vectors: Vec<Vec<bool>>,
     ones: Vec<usize>,
     tier: &'static str,
-    /// Packed 64-lane input chunks, in workload order.
-    packed: Vec<Vec<u64>>,
-    /// The same inputs packed as `[u64; 4]` wide chunks (256 vectors per
+    /// The inputs packed as `[u64; 4]` wide chunks (256 vectors per
     /// chunk; word `k` of wide chunk `wi` is 64-lane chunk `4·wi + k`).
-    /// The compiled engine sweeps these, quartering its pass count.
     packed_wide: Vec<Vec<[u64; 4]>>,
     /// Packed oracle outputs, one entry per input chunk.
     packed_oracle: Vec<Vec<u64>>,
@@ -307,7 +307,6 @@ fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
         .iter()
         .map(|v| v.iter().filter(|&&b| b).count())
         .collect();
-    let packed = vectors.chunks(64).map(|c| pack_lanes(c, cfg.n)).collect();
     let packed_wide = vectors
         .chunks(256)
         .map(|c| pack_lanes_wide::<4>(c, cfg.n))
@@ -327,7 +326,6 @@ fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
         vectors,
         ones,
         tier,
-        packed,
         packed_wide,
         packed_oracle,
         masks,
@@ -354,55 +352,20 @@ const CLEAN: Verdict = Verdict {
     flagged: false,
 };
 
-/// Scores one faulty variant: runs every pre-packed 64-lane chunk through
-/// `eval_pass` into a reused output buffer, diffs the packed outputs
-/// against the packed oracle, and applies the zero-one checker only to
-/// lanes that differ. `n_eval` is the evaluated circuit's full output
-/// count (data outputs plus the error rail at index `rail`).
+/// Scores one faulty variant: runs every pre-packed `[u64; 4]` chunk
+/// through `eval_pass` into a reused output buffer, diffs the packed
+/// outputs against the packed oracle, and applies the zero-one checker
+/// only to lanes that differ. `n_eval` is the evaluated circuit's full
+/// output count (data outputs plus the error rail at index `rail`).
 ///
 /// Skipping non-differing lanes loses nothing: a lane equal to the
 /// oracle *is* a sorted vector with the conserved popcount, so the
 /// checker (sortedness + token conservation, exactly the oracle's two
 /// defining properties) cannot fire on it. Differing lanes are unpacked
-/// and checked in ascending order, so detection results and the
-/// degradation-observation sequence are identical to the old
+/// and checked 64-lane chunk by chunk in ascending order, so detection
+/// results and the degradation-observation sequence are identical to a
 /// vector-at-a-time sweep.
 fn score_variant(
-    w: &Workload,
-    n_eval: usize,
-    rail: usize,
-    mut eval_pass: impl FnMut(&[u64], &mut [u64]),
-    degradation: &mut Degradation,
-) -> Verdict {
-    let mut v = CLEAN;
-    let mut out = vec![0u64; n_eval];
-    let mut lane_buf: Vec<bool> = Vec::with_capacity(n_eval);
-    let mut base = 0usize;
-    for (ci, packed) in w.packed.iter().enumerate() {
-        eval_pass(packed, &mut out);
-        check_chunk(
-            w,
-            ci,
-            base,
-            rail,
-            |o| out[o],
-            &mut lane_buf,
-            degradation,
-            &mut v,
-        );
-        base += w.masks[ci].count_ones() as usize;
-    }
-    v
-}
-
-/// Scores one faulty variant with `[u64; 4]` wide passes: each pass
-/// covers four 64-lane chunks, quartering per-variant evaluation count.
-/// This is what makes per-mutant lowering pay for itself in the compiled
-/// campaign path — the tape is walked once per 256 vectors instead of
-/// four times. Chunk checks run in the same ascending order as
-/// [`score_variant`], so verdicts and degradation sequences match the
-/// 64-lane sweep exactly.
-fn score_variant_wide(
     w: &Workload,
     n_eval: usize,
     rail: usize,
@@ -431,6 +394,57 @@ fn score_variant_wide(
         }
     }
     v
+}
+
+/// Scores the mutant `patches` makes of the compiled `base` tape: patched
+/// in place, skipped as dead, or — where the tape has no faithful image
+/// of a faulted component — recompiled from the netlist `rewrite` builds.
+/// Tallies the outcome in `outcomes` (patched, dead, recompiled).
+#[allow(clippy::too_many_arguments)]
+fn score_mutant(
+    w: &Workload,
+    n_eval: usize,
+    rail: usize,
+    base: &mut CompiledCircuit,
+    opt: &CompileOptions,
+    patches: &[(usize, Fault)],
+    rewrite: impl FnOnce() -> Circuit,
+    outcomes: &mut [u64; 3],
+    degradation: &mut Degradation,
+) -> Verdict {
+    let mut score = |cc: &CompiledCircuit| {
+        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(cc);
+        score_variant(w, n_eval, rail, |p, o| ev.run_into(p, o), degradation)
+    };
+    match base.mutant_tape_multi(patches) {
+        MutantTape::Patched(patched) => {
+            outcomes[0] += 1;
+            score(&patched)
+        }
+        // Dead sites: the mutant cannot differ from the base circuit,
+        // which matches the oracle on valid inputs (and a quiet rail —
+        // the checker taps only inputs and data outputs, so dead stays
+        // dead).
+        MutantTape::Dead => {
+            outcomes[1] += 1;
+            CLEAN
+        }
+        MutantTape::Unsupported => {
+            outcomes[2] += 1;
+            score(&rewrite().compile_with(opt))
+        }
+    }
+}
+
+/// Adds one unit's compiled-engine mutant outcomes to the
+/// `faults.mutants.{patched,dead,recompiled}` counters.
+#[cfg(feature = "telemetry")]
+fn count_outcomes(outcomes: &[u64; 3]) {
+    absort_telemetry::counter_add_many(&[
+        ("faults.mutants.patched", outcomes[0]),
+        ("faults.mutants.dead", outcomes[1]),
+        ("faults.mutants.recompiled", outcomes[2]),
+    ]);
 }
 
 /// Diffs one 64-lane output chunk (read through `out_word`, which maps an
@@ -529,6 +543,7 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         Engine::Compiled => Some(hardened.circuit.compile_with(&cfg.opt)),
         Engine::Interp => None,
     };
+    let mut outcomes = [0u64; 3];
 
     // --- component-granularity faults via netlist rewriting -------------
     for fault in Fault::ALL {
@@ -541,51 +556,25 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
             kind: Some(kind),
             ..Default::default()
         };
-        for (ci, mutant) in mutate::mutants(&circuit, fault) {
-            // Rewritten mutants must stay structurally sound before they
-            // are trusted with an evaluation sweep.
-            mutant
-                .validate()
-                .unwrap_or_else(|e| panic!("mutant failed validation: {e}"));
+        for ci in mutate::applicable(&circuit, fault) {
             let hci = hardened.component(ci);
             #[cfg(feature = "telemetry")]
             let t0 = tel_on.then(std::time::Instant::now);
             let v = match &mut base_cc {
-                Some(cc) => match cc.mutant_tape(hci, fault) {
-                    // Wide walks amortize per-mutant setup further: one
-                    // tape pass covers 256 vectors.
-                    MutantTape::Patched(patched) => {
-                        let mut ev: CompiledEvaluator<'_, [u64; 4]> =
-                            CompiledEvaluator::new(&patched);
-                        score_variant_wide(
-                            &w,
-                            n_eval,
-                            rail,
-                            |p, o| ev.run_into(p, o),
-                            &mut cell.degradation,
-                        )
-                    }
-                    // Dead site: the mutant cannot differ from the base
-                    // circuit, which matches the oracle on valid inputs
-                    // (and a quiet rail — the checker taps only inputs
-                    // and data outputs, so dead stays dead).
-                    MutantTape::Dead => CLEAN,
-                    MutantTape::Unsupported => {
-                        let hm = hardened_mutant(&hardened, hci, fault);
-                        let cc = hm.compile_with(&cfg.opt);
-                        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
-                        score_variant_wide(
-                            &w,
-                            n_eval,
-                            rail,
-                            |p, o| ev.run_into(p, o),
-                            &mut cell.degradation,
-                        )
-                    }
-                },
+                Some(cc) => score_mutant(
+                    &w,
+                    n_eval,
+                    rail,
+                    cc,
+                    &cfg.opt,
+                    &[(hci, fault)],
+                    || hardened_mutant(&hardened, hci, fault),
+                    &mut outcomes,
+                    &mut cell.degradation,
+                ),
                 None => {
                     let hm = hardened_mutant(&hardened, hci, fault);
-                    let mut ev: Evaluator<'_, u64> = Evaluator::new(&hm);
+                    let mut ev: Evaluator<'_, [u64; 4]> = Evaluator::new(&hm);
                     score_variant(
                         &w,
                         n_eval,
@@ -625,7 +614,7 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
             let hf = hardened.fault(site);
             let mut ev: FaultyEvaluator<'_, [u64; 4]> =
                 FaultyEvaluator::new(&hardened.circuit, &[hf]);
-            let v = score_variant_wide(
+            let v = score_variant(
                 &w,
                 n_eval,
                 rail,
@@ -659,7 +648,7 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         // wide chunks are fed in workload order.
         let mut ev: FaultyEvaluator<'_, [u64; 4]> =
             FaultyEvaluator::new(&hardened.circuit, &[fault]);
-        let v = score_variant_wide(
+        let v = score_variant(
             &w,
             n_eval,
             rail,
@@ -686,6 +675,9 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
                 injected * w.vectors.len() as u64,
             ),
         ]);
+        if base_cc.is_some() {
+            count_outcomes(&outcomes);
+        }
         absort_telemetry::hist_merge("faults.mutant_score_ns", &score_hist);
     }
 
@@ -810,6 +802,7 @@ pub fn run_network_sets(
         Engine::Compiled => Some(hardened.circuit.compile_with(&cfg.opt)),
         Engine::Interp => None,
     };
+    let mut outcomes = [0u64; 3];
 
     let mut cell = KindReport::default(); // kind: None → "mixed"
     #[cfg(feature = "telemetry")]
@@ -839,17 +832,37 @@ pub fn run_network_sets(
         }
         #[cfg(feature = "telemetry")]
         let t0 = tel_on.then(std::time::Instant::now);
-        let v = score_set(
-            &w,
-            n_eval,
-            rail,
-            &hardened,
-            &mut base_cc,
-            &cfg.opt,
-            &patches,
-            &wires,
-            &mut cell.degradation,
-        );
+        let apply_set = || {
+            mutate::apply_set(&hardened.circuit, &patches)
+                .expect("sampled distinct-site set must stay applicable")
+        };
+        let v = match &mut base_cc {
+            Some(cc) if wires.is_empty() => score_mutant(
+                &w,
+                n_eval,
+                rail,
+                cc,
+                &cfg.opt,
+                &patches,
+                apply_set,
+                &mut outcomes,
+                &mut cell.degradation,
+            ),
+            // Wire members run on the interpreting faulty evaluator, over
+            // the netlist with the component members rewritten in.
+            _ => {
+                let rewritten = (!patches.is_empty()).then(apply_set);
+                let target = rewritten.as_ref().unwrap_or(&hardened.circuit);
+                let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(target, &wires);
+                score_variant(
+                    &w,
+                    n_eval,
+                    rail,
+                    |p, o| ev.run_into(p, o),
+                    &mut cell.degradation,
+                )
+            }
+        };
         #[cfg(feature = "telemetry")]
         if let Some(t0) = t0 {
             score_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -860,6 +873,9 @@ pub fn run_network_sets(
     #[cfg(feature = "telemetry")]
     {
         absort_telemetry::counter_add("faults.multi.sets", samples as u64);
+        if base_cc.is_some() {
+            count_outcomes(&outcomes);
+        }
         absort_telemetry::hist_merge("faults.mutant_score_ns", &score_hist);
     }
 
@@ -874,53 +890,6 @@ pub fn run_network_sets(
         fault_set_size: k as u64,
         kinds: vec![cell],
     }
-}
-
-/// Scores one sampled fault set. All-component sets ride the compiled
-/// multi-patch tape when the compiled engine is selected; any set with a
-/// wire-granularity member falls back to netlist rewriting for its
-/// component members plus the interpreting [`FaultyEvaluator`] for its
-/// wire members (the same split as the single-fault sweep).
-#[allow(clippy::too_many_arguments)]
-fn score_set(
-    w: &Workload,
-    n_eval: usize,
-    rail: usize,
-    hardened: &HardenedSorter,
-    base_cc: &mut Option<CompiledCircuit>,
-    opt: &CompileOptions,
-    patches: &[(usize, Fault)],
-    wires: &[WireFault],
-    degradation: &mut Degradation,
-) -> Verdict {
-    if wires.is_empty() {
-        if let Some(cc) = base_cc {
-            return match cc.mutant_tape_multi(patches) {
-                MultiMutantTape::Patched(patched) => {
-                    let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&patched);
-                    score_variant_wide(w, n_eval, rail, |p, o| ev.run_into(p, o), degradation)
-                }
-                MultiMutantTape::Dead => CLEAN,
-                MultiMutantTape::Unsupported => {
-                    let m = mutate::apply_set(&hardened.circuit, patches)
-                        .expect("sampled distinct-site set must stay applicable");
-                    let cc = m.compile_with(opt);
-                    let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
-                    score_variant_wide(w, n_eval, rail, |p, o| ev.run_into(p, o), degradation)
-                }
-            };
-        }
-    }
-    let rewritten;
-    let target: &Circuit = if patches.is_empty() {
-        &hardened.circuit
-    } else {
-        rewritten = mutate::apply_set(&hardened.circuit, patches)
-            .expect("sampled distinct-site set must stay applicable");
-        &rewritten
-    };
-    let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(target, wires);
-    score_variant_wide(w, n_eval, rail, |p, o| ev.run_into(p, o), degradation)
 }
 
 /// One schedulable campaign unit.

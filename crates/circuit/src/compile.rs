@@ -47,7 +47,6 @@
 use crate::circuit::Circuit;
 use crate::component::Perm4;
 use crate::eval::EvalError;
-use crate::ir::FoldHint;
 use crate::lane::Lane;
 use crate::mutate::Fault;
 use crate::passes::{CompileOptions, PassManager, PassStats};
@@ -255,8 +254,8 @@ pub enum MicroOp {
     /// `idx` indexes [`CompiledCircuit::fused_pairs`], which holds the
     /// original encodings. Created only by the post-regalloc `fuse`
     /// pass ([`crate::fuse`]); fused source components are marked
-    /// [`COMP_FOLDED`] with [`FoldHint::Rewritten`], so fault campaigns
-    /// recompile instead of patching through the fused encoding.
+    /// [`COMP_FOLDED`], so fault campaigns recompile instead of patching
+    /// through the fused encoding.
     Pair2 {
         /// Index into [`CompiledCircuit::fused_pairs`].
         idx: u32,
@@ -389,10 +388,6 @@ pub struct CompiledCircuit {
     /// [`CompiledCircuit::mutant_tape`] patch single-component faults in
     /// place instead of re-lowering the whole netlist per mutant.
     pub(crate) comp_pos: Vec<u32>,
-    /// Per-component fold reason (meaningful at [`COMP_FOLDED`] sites):
-    /// lets `mutant_tape` report fault kinds a fold provably masks as
-    /// dead instead of falling back to a recompile.
-    pub(crate) fold_hint: Vec<FoldHint>,
     /// Wire count of the source circuit, kept for slot-savings reporting.
     pub(crate) source_wires: u32,
     /// Component count of the source circuit (tape length differs once
@@ -420,30 +415,18 @@ pub(crate) const COMP_DEAD: u32 = u32::MAX;
 /// or CSE-merged — in-place patching is unsound, recompile instead.
 pub(crate) const COMP_FOLDED: u32 = u32::MAX - 1;
 
-/// Outcome of [`CompiledCircuit::mutant_tape`].
+/// Outcome of [`CompiledCircuit::mutant_tape`] and
+/// [`CompiledCircuit::mutant_tape_multi`].
 pub enum MutantTape<'a> {
-    /// The tape is patched in place; dropping the guard restores the
-    /// base tape (and permutation table) exactly.
+    /// Every live patch is applied in place; dropping the guard restores
+    /// the base tape (and permutation table) exactly.
     Patched(PatchGuard<'a>),
-    /// The faulted component was eliminated as dead code, so the mutant
-    /// is output-equivalent to the base circuit: no evaluation needed.
-    Dead,
-    /// No in-place encoding exists for this `(component, fault)` pair;
-    /// callers fall back to compiling the rewritten netlist.
-    Unsupported,
-}
-
-/// Outcome of [`CompiledCircuit::mutant_tape_multi`]: the k-fault
-/// analogue of [`MutantTape`].
-pub enum MultiMutantTape<'a> {
-    /// All live patches applied; dropping the guard restores the base
-    /// tape exactly.
-    Patched(MultiPatchGuard<'a>),
     /// Every faulted component was eliminated as dead code (or the patch
-    /// set was empty), so the mutant is output-equivalent to the base.
+    /// set was empty), so the mutant is output-equivalent to the base
+    /// circuit: no evaluation needed.
     Dead,
-    /// At least one `(component, fault)` pair has no in-place encoding;
-    /// any patches already applied were rolled back. Callers fall back to
+    /// Some `(component, fault)` pair has no in-place encoding; any
+    /// patches already applied were rolled back. Callers fall back to
     /// compiling the rewritten netlist.
     Unsupported,
 }
@@ -460,14 +443,19 @@ struct PatchRecord {
     perm_len: usize,
 }
 
-fn undo_patch(cc: &mut CompiledCircuit, rec: &PatchRecord) {
-    cc.tape[rec.pos] = rec.saved;
-    if let Some((i, pidx)) = rec.saved_next {
-        if let MicroOp::Switch4 { pidx: slot, .. } = &mut cc.tape[i] {
-            *slot = pidx;
+/// Undoes patches in reverse application order — required when two
+/// patches touch adjacent ops (a stuck-select patch may clear the
+/// mask-reuse flag of the very op a later patch then rewrites).
+fn undo_patches(cc: &mut CompiledCircuit, recs: &[PatchRecord]) {
+    for rec in recs.iter().rev() {
+        cc.tape[rec.pos] = rec.saved;
+        if let Some((i, pidx)) = rec.saved_next {
+            if let MicroOp::Switch4 { pidx: slot, .. } = &mut cc.tape[i] {
+                *slot = pidx;
+            }
         }
+        cc.perm_sets.truncate(rec.perm_len);
     }
-    cc.perm_sets.truncate(rec.perm_len);
 }
 
 /// Outcome of one patch attempt, before it is wrapped in a guard.
@@ -477,12 +465,20 @@ enum PatchStep {
     Unsupported,
 }
 
-/// RAII view of a [`CompiledCircuit`] with one mutant patch applied.
-/// Dereferences to the patched circuit for evaluation; restores the
-/// original op (and any cleared mask-reuse flag) on drop.
+/// RAII view of a [`CompiledCircuit`] with a set of mutant patches
+/// applied. Dereferences to the patched circuit for evaluation; restores
+/// the original tape on drop.
 pub struct PatchGuard<'a> {
     cc: &'a mut CompiledCircuit,
-    rec: PatchRecord,
+    recs: Vec<PatchRecord>,
+}
+
+impl PatchGuard<'_> {
+    /// Number of live patches applied (dead-code components inject
+    /// nothing and are not counted).
+    pub fn n_patches(&self) -> usize {
+        self.recs.len()
+    }
 }
 
 impl std::ops::Deref for PatchGuard<'_> {
@@ -494,40 +490,7 @@ impl std::ops::Deref for PatchGuard<'_> {
 
 impl Drop for PatchGuard<'_> {
     fn drop(&mut self) {
-        undo_patch(self.cc, &self.rec);
-    }
-}
-
-/// RAII view of a [`CompiledCircuit`] with a *set* of mutant patches
-/// applied. Restores the original tape on drop by undoing the patches in
-/// reverse application order — required for correctness when two patches
-/// touch adjacent ops (a stuck-select patch may clear the mask-reuse flag
-/// of the very op a later patch then rewrites).
-pub struct MultiPatchGuard<'a> {
-    cc: &'a mut CompiledCircuit,
-    recs: Vec<PatchRecord>,
-}
-
-impl MultiPatchGuard<'_> {
-    /// Number of live patches applied (dead-code components inject
-    /// nothing and are not counted).
-    pub fn n_patches(&self) -> usize {
-        self.recs.len()
-    }
-}
-
-impl std::ops::Deref for MultiPatchGuard<'_> {
-    type Target = CompiledCircuit;
-    fn deref(&self) -> &CompiledCircuit {
-        self.cc
-    }
-}
-
-impl Drop for MultiPatchGuard<'_> {
-    fn drop(&mut self) {
-        for rec in self.recs.iter().rev() {
-            undo_patch(self.cc, rec);
-        }
+        undo_patches(self.cc, &self.recs);
     }
 }
 
@@ -595,11 +558,7 @@ impl CompiledCircuit {
     /// op's encoding changes. Mask-reuse flags are the single cross-op
     /// coupling, and the patch clears them where the controls change.
     pub fn mutant_tape(&mut self, component: usize, fault: Fault) -> MutantTape<'_> {
-        match self.patch_one(component, fault) {
-            PatchStep::Applied(rec) => MutantTape::Patched(PatchGuard { cc: self, rec }),
-            PatchStep::Dead => MutantTape::Dead,
-            PatchStep::Unsupported => MutantTape::Unsupported,
-        }
+        self.mutant_tape_multi(&[(component, fault)])
     }
 
     /// The k-fault generalisation of [`CompiledCircuit::mutant_tape`]:
@@ -607,26 +566,24 @@ impl CompiledCircuit {
     /// guard restoring all of them. Dead-code components are skipped (they
     /// cannot affect outputs); if *any* pair is unsupported the patches
     /// already applied are rolled back and the whole set reports
-    /// [`MultiMutantTape::Unsupported`], so callers re-lower the rewritten
+    /// [`MutantTape::Unsupported`], so callers re-lower the rewritten
     /// netlist exactly as in the single-fault path.
-    pub fn mutant_tape_multi(&mut self, patches: &[(usize, Fault)]) -> MultiMutantTape<'_> {
+    pub fn mutant_tape_multi(&mut self, patches: &[(usize, Fault)]) -> MutantTape<'_> {
         let mut recs: Vec<PatchRecord> = Vec::with_capacity(patches.len());
         for &(ci, fault) in patches {
             match self.patch_one(ci, fault) {
                 PatchStep::Applied(rec) => recs.push(rec),
                 PatchStep::Dead => {}
                 PatchStep::Unsupported => {
-                    for rec in recs.iter().rev() {
-                        undo_patch(self, rec);
-                    }
-                    return MultiMutantTape::Unsupported;
+                    undo_patches(self, &recs);
+                    return MutantTape::Unsupported;
                 }
             }
         }
         if recs.is_empty() {
-            return MultiMutantTape::Dead;
+            return MutantTape::Dead;
         }
-        MultiMutantTape::Patched(MultiPatchGuard { cc: self, recs })
+        MutantTape::Patched(PatchGuard { cc: self, recs })
     }
 
     fn patch_one(&mut self, component: usize, fault: Fault) -> PatchStep {
@@ -634,25 +591,11 @@ impl CompiledCircuit {
             // Dead code: no output observes the component, so the mutant
             // is output-equivalent to the base circuit.
             Some(COMP_DEAD) => return PatchStep::Dead,
-            // Folded or CSE-merged: the tape holds no faithful image of
-            // the component, so patching would apply the wrong fault
-            // semantics (or fault several components at once). The fold
-            // hint can still prove specific kinds output-equivalent to
-            // the base (a stuck select tied to the polarity the select
-            // already had, or a fold whose outputs no mutant can move);
-            // everything else falls back to recompiling the rewritten
-            // netlist.
-            Some(COMP_FOLDED) => {
-                return match self.fold_hint.get(component).copied() {
-                    Some(FoldHint::Equivalent) => PatchStep::Dead,
-                    Some(FoldHint::SelectKnown(v)) => match fault {
-                        Fault::StuckSelectLow if !v => PatchStep::Dead,
-                        Fault::StuckSelectHigh if v => PatchStep::Dead,
-                        _ => PatchStep::Unsupported,
-                    },
-                    _ => PatchStep::Unsupported,
-                }
-            }
+            // Folded, rewritten, fused or CSE-merged: the tape holds no
+            // faithful image of the component, so patching would apply
+            // the wrong fault semantics (or fault several components at
+            // once). Callers recompile the rewritten netlist instead.
+            Some(COMP_FOLDED) => return PatchStep::Unsupported,
             Some(p) => p as usize,
             None => return PatchStep::Unsupported,
         };
@@ -1684,7 +1627,7 @@ mod tests {
                                 ev.run(&inputs)
                             };
                             match base.mutant_tape_multi(&set) {
-                                MultiMutantTape::Patched(patched) => {
+                                MutantTape::Patched(patched) => {
                                     assert!(patched.n_patches() >= 1);
                                     let mut ev: CompiledEvaluator<'_, u64> =
                                         CompiledEvaluator::new(&patched);
@@ -1695,10 +1638,10 @@ mod tests {
                                     );
                                     patched_seen += 1;
                                 }
-                                MultiMutantTape::Dead => {
+                                MutantTape::Dead => {
                                     assert_eq!(base_out, reference, "dead set {ci},{cj} differs");
                                 }
-                                MultiMutantTape::Unsupported => {}
+                                MutantTape::Unsupported => {}
                             }
                             assert_eq!(
                                 base.tape, baseline_tape,
@@ -1711,136 +1654,5 @@ mod tests {
             }
             assert!(patched_seen > 0, "no multi-patched mutants exercised");
         }
-    }
-
-    /// Fold hints split the recompile fallback per fault *kind*: a
-    /// folded site scores `Dead` in place exactly when its fold provably
-    /// masks the kind (stuck select at the polarity the select already
-    /// had; identical-operand folds; rewrites deleted outright by DCE),
-    /// every such verdict is exhaustively output-equivalent to the
-    /// base, and the unmasked kinds still report `Unsupported`.
-    #[test]
-    fn fold_hints_mask_exactly_the_provably_dead_kinds() {
-        use crate::mutate::Fault::{InvertBehaviour, StuckSelectHigh, StuckSelectLow};
-        // One component per hint source. Component indices follow
-        // builder order (constants are wires, not components).
-        let mut b = Builder::new();
-        let s = b.input();
-        let x = b.input();
-        let y = b.input();
-        let t = b.constant(true);
-        let f = b.constant(false);
-        let m_hi = b.mux2(t, x, y); // 0: SelectKnown(true)
-        let m_lo = b.mux2(f, x, y); // 1: SelectKnown(false)
-        let m_eq = b.mux2(s, x, x); // 2: Equivalent (identical arms)
-        let (sw_a, sw_b) = b.switch2(t, x, y); // 3: SelectKnown(true)
-        let (c_lo, c_hi) = b.bit_compare(x, x); // 4: Equivalent (a == b)
-        let (d0, d1) = b.demux2(f, x); // 5: SelectKnown(false)
-        let dead_gate = b.gate(crate::GateOp::Nand, y, y); // 6: ToNot, then
-        let _ = dead_gate; // deleted by DCE → upgraded to Equivalent
-        let live = b.and(s, x); // 7: stays live (patched path)
-        b.outputs(&[m_hi, m_lo, m_eq, sw_a, sw_b, c_lo, c_hi, d0, d1, live]);
-        let c = b.finish();
-
-        let mut base = c.compile();
-        for ci in 0..=6usize {
-            assert_eq!(base.comp_pos[ci], COMP_FOLDED, "component {ci} must fold");
-        }
-
-        // In sweep order: fault kinds outermost (`Fault::ALL`), then
-        // component index.
-        let expected_dead: &[(usize, Fault)] = &[
-            (2, InvertBehaviour),
-            (4, InvertBehaviour),
-            (6, InvertBehaviour),
-            (1, StuckSelectLow),
-            (2, StuckSelectLow),
-            (5, StuckSelectLow),
-            (0, StuckSelectHigh),
-            (2, StuckSelectHigh),
-            (3, StuckSelectHigh),
-        ];
-        let mut dead: Vec<(usize, Fault)> = Vec::new();
-        let mut unsupported: Vec<(usize, Fault)> = Vec::new();
-        for fault in Fault::ALL {
-            for (ci, mutant) in crate::mutate::mutants(&c, fault) {
-                match base.mutant_tape(ci, fault) {
-                    MutantTape::Dead => {
-                        for input in all_inputs(c.n_inputs()) {
-                            assert_eq!(
-                                mutant.eval(&input),
-                                c.eval(&input),
-                                "dead {fault:?} at {ci} differs on {input:?}"
-                            );
-                        }
-                        dead.push((ci, fault));
-                    }
-                    MutantTape::Patched(patched) => {
-                        let reference = mutant.compile();
-                        for input in all_inputs(c.n_inputs()) {
-                            assert_eq!(
-                                patched.eval(&input),
-                                reference.eval(&input),
-                                "patched {fault:?} at {ci} differs on {input:?}"
-                            );
-                        }
-                    }
-                    MutantTape::Unsupported => unsupported.push((ci, fault)),
-                }
-            }
-        }
-        assert_eq!(dead, expected_dead, "hint-masked kinds");
-        // The unmasked polarity of a known select still recompiles.
-        assert!(unsupported.contains(&(0, StuckSelectLow)));
-        assert!(unsupported.contains(&(1, StuckSelectHigh)));
-        assert!(unsupported.contains(&(5, StuckSelectHigh)));
-        assert!(unsupported.contains(&(0, InvertBehaviour)));
-    }
-
-    /// A CSE survivor whose merged duplicates were all unobserved keeps
-    /// `Live` provenance and a real tape position, so fault campaigns
-    /// patch it in place (the duplicate scores `Equivalent` / `Dead`).
-    /// A survivor with an *observed* duplicate still takes the shared /
-    /// recompile fallback.
-    #[test]
-    fn cse_survivor_stays_patchable_when_duplicates_unobserved() {
-        use crate::mutate::Fault::InvertBehaviour;
-        let mut b = Builder::new();
-        let x = b.input();
-        let y = b.input();
-        let z = b.input();
-        let g1 = b.gate(crate::GateOp::And, x, y); // 0: survivor, dup unread
-        let _g2 = b.gate(crate::GateOp::And, x, y); // 1: duplicate, never read
-        let g3 = b.gate(crate::GateOp::Or, x, z); // 2: survivor, dup observed
-        let g4 = b.gate(crate::GateOp::Or, x, z); // 3: duplicate, an output
-        b.outputs(&[g1, g3, g4]);
-        let c = b.finish();
-
-        let mut base = c.compile();
-        assert!(
-            base.comp_pos[0] < COMP_FOLDED,
-            "survivor of an unobserved duplicate must keep a tape position"
-        );
-        assert_eq!(base.comp_pos[2], COMP_FOLDED, "observed dup folds survivor");
-        assert_eq!(base.comp_pos[3], COMP_FOLDED, "observed dup folds itself");
-        // The unobserved duplicate is output-equivalent under any fault.
-        assert!(matches!(
-            base.mutant_tape(1, InvertBehaviour),
-            MutantTape::Dead
-        ));
-        // The kept-live survivor patches in place, matching a recompile.
-        let (_, mutant) = crate::mutate::mutants(&c, InvertBehaviour)
-            .into_iter()
-            .find(|&(ci, _)| ci == 0)
-            .expect("component 0 has an invert mutant");
-        let reference = mutant.compile();
-        match base.mutant_tape(0, InvertBehaviour) {
-            MutantTape::Patched(patched) => {
-                for input in all_inputs(c.n_inputs()) {
-                    assert_eq!(patched.eval(&input), reference.eval(&input));
-                }
-            }
-            _ => panic!("kept-live CSE survivor must patch in place"),
-        };
     }
 }

@@ -28,13 +28,12 @@
 //!
 //! **Provenance:** a component absorbed into a superinstruction loses
 //! its patchable tape image, so its [`CompiledCircuit::comp_pos`] entry
-//! becomes `COMP_FOLDED` with [`FoldHint::Rewritten`] — fault campaigns
-//! recompile mutants at those sites and stay bit-identical with the
-//! unfused tape (pinned by `tests/fused_differential.rs`).
+//! becomes `COMP_FOLDED` — fault campaigns recompile mutants at those
+//! sites and stay bit-identical with the unfused tape (pinned by
+//! `tests/fused_differential.rs`).
 
 use crate::compile::{CompiledCircuit, MicroOp, S4ChainData, S4Item, COMP_FOLDED, REUSE_MASKS};
 use crate::dispatch::pair_code;
-use crate::ir::FoldHint;
 use crate::passes::PassStats;
 
 /// Rewrites `cc`'s tape in place with superinstructions (see the module
@@ -163,7 +162,6 @@ pub fn fuse(cc: &mut CompiledCircuit) {
     }
     for comp in folded {
         cc.comp_pos[comp as usize] = COMP_FOLDED;
-        cc.fold_hint[comp as usize] = FoldHint::Rewritten;
     }
     cc.pass_stats.push(PassStats {
         name: "fuse",

@@ -189,10 +189,6 @@ pub struct IrOp {
     pub defs: [ValId; 4],
     /// Source component index, or [`NO_COMP`] for synthesized ops.
     pub comp: u32,
-    /// Set by CSE on a surviving op that now stands for more than one
-    /// source component: patching it would fault all of them at once,
-    /// so it is non-patchable-by-sharing.
-    pub shared: bool,
     /// Set by the mask-reuse pass: this 4×4 switch may reuse the select
     /// masks computed by the (identical-control) switch directly before
     /// it on the scheduled tape.
@@ -223,45 +219,8 @@ pub enum CompFate {
     Dead,
     /// Folded, rewritten, or merged by an optimization: the tape holds
     /// no faithful image of the component, so fault campaigns must
-    /// recompile the rewritten netlist for mutants at this site —
-    /// unless the per-site [`FoldHint`] proves a given fault *kind*
-    /// output-equivalent to the base.
+    /// recompile the rewritten netlist for mutants at this site.
     Folded,
-}
-
-/// Why a [`CompFate::Folded`] component's tape image went away.
-///
-/// Recorded by the folding passes alongside the fate and consulted by
-/// `CompiledCircuit::mutant_tape`: some fold reasons prove that specific
-/// fault kinds at the site cannot change any output, so those mutants
-/// score as dead in place instead of forcing a per-mutant recompile.
-/// Every hint's equivalence is *pointwise* (it holds for all values of
-/// the live operands), which also keeps it valid inside multi-fault
-/// sets: any other fault able to disturb a hint's premise necessarily
-/// sits on a folded site itself, where it is either a no-op too or
-/// forces the whole set onto the recompile fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FoldHint {
-    /// No kind-level knowledge (CSE merges, gate/constant folds): every
-    /// fault at the site falls back to a recompile.
-    #[default]
-    None,
-    /// The line a stuck-select fault would tie (the sole select of a
-    /// mux/demux/2×2 switch, `s0` of a 4×4 switch) is the compile-time
-    /// constant `v` on every input vector. Tying it to the same polarity
-    /// is a no-op; the opposite polarity or an inverted behaviour still
-    /// needs the recompile fallback.
-    SelectKnown(bool),
-    /// Every output of the component provably equals its base value
-    /// under *any* applicable fault kind (operand-equality folds such as
-    /// a mux with identical arms, or a folded op later deleted outright
-    /// by DCE): all mutants at the site are dead.
-    Equivalent,
-    /// Folded with live aliases baked into downstream uses (the demux
-    /// with a constant-1 data input, whose `d1` becomes an alias of the
-    /// select): a surviving rewrite op underestimates the component's
-    /// fanout, so this is never upgraded by DCE and always recompiles.
-    Rewritten,
 }
 
 /// The IR for one circuit as it flows through the pass pipeline.
@@ -281,9 +240,6 @@ pub struct CompileIr {
     pub const_true: ValId,
     /// Fate of each source component, indexed by component.
     pub comp_fate: Vec<CompFate>,
-    /// Fold reason of each source component (meaningful only where the
-    /// fate is [`CompFate::Folded`]), indexed by component.
-    pub fold_hint: Vec<FoldHint>,
     /// Wire count of the source circuit (for slot-savings reporting).
     pub source_wires: u32,
     /// Per-rule application counts recorded by the `rewrite` pass
@@ -318,7 +274,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
             kind: IrKind::Const { v },
             defs: [def, 0, 0, 0],
             comp: NO_COMP,
-            shared: false,
             reuse_masks: false,
             level: 0,
         });
@@ -374,7 +329,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
             kind,
             defs,
             comp: ci as u32,
-            shared: false,
             reuse_masks: false,
             level: 0,
         });
@@ -394,7 +348,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
         const_false,
         const_true,
         comp_fate: vec![CompFate::Live; comps.len()],
-        fold_hint: vec![FoldHint::None; comps.len()],
         source_wires: c.n_wires() as u32,
         rewrite_hits: Vec::new(),
     }
@@ -407,23 +360,12 @@ impl CompileIr {
         self.comp_fate.len()
     }
 
-    /// Marks a component folded (never downgrades `Folded`; upgrades
+    /// Marks a component folded (never downgrades `Folded`; upgrading
     /// `Dead` to `Folded` is impossible because folding passes run
-    /// before DCE). Leaves any previously recorded [`FoldHint`]
-    /// untouched. No-op for [`NO_COMP`].
+    /// before DCE). No-op for [`NO_COMP`].
     pub fn fold_comp(&mut self, comp: u32) {
         if comp != NO_COMP {
             self.comp_fate[comp as usize] = CompFate::Folded;
-        }
-    }
-
-    /// [`CompileIr::fold_comp`] plus the reason: records why the tape
-    /// image went away so `mutant_tape` can skip recompiles for fault
-    /// kinds the fold provably masks. No-op for [`NO_COMP`].
-    pub fn fold_comp_hinted(&mut self, comp: u32, hint: FoldHint) {
-        if comp != NO_COMP {
-            self.comp_fate[comp as usize] = CompFate::Folded;
-            self.fold_hint[comp as usize] = hint;
         }
     }
 

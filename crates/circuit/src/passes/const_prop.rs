@@ -13,14 +13,10 @@
 //! [`crate::ir::CompFate::Folded`]: the tape no longer carries a
 //! faithful image of the component, so in-place fault patching must
 //! not touch it (e.g. patching an `Or` that used to be a `Mux` would
-//! apply the wrong fault semantics). Each fold also records a
-//! [`FoldHint`] saying *why* the image went away — select-known and
-//! operand-equality folds prove specific fault kinds output-equivalent
-//! to the base, letting `mutant_tape` skip the recompile fallback for
-//! exactly those kinds.
+//! apply the wrong fault semantics), and its mutants recompile.
 
 use crate::component::GateOp;
-use crate::ir::{CompileIr, FoldHint, IrKind, ValId};
+use crate::ir::{CompileIr, IrKind, ValId};
 use crate::passes::Pass;
 
 /// See the module docs.
@@ -39,20 +35,19 @@ impl Pass for ConstProp {
         let (cf, ct) = (ir.const_false, ir.const_true);
         let cval = |v: bool| if v { ct } else { cf };
 
-        let mut folded: Vec<(u32, FoldHint)> = Vec::new();
+        let mut folded: Vec<u32> = Vec::new();
         for (i, op) in ir.ops.iter_mut().enumerate() {
             op.kind.map_uses(|v| subst[v as usize]);
             let d = op.defs;
             // The fold decision for this op: aliases for each def
             // (None = op survives unchanged), or an in-place rewrite.
-            // Each fold carries the `FoldHint` recorded for the site.
             enum Act {
                 Keep,
                 /// Delete the op; def `k` becomes alias `alias[k]`.
-                Alias([ValId; 4], FoldHint),
+                Alias([ValId; 4]),
                 /// Rewrite in place to `defs[0] = !a` (single def); the
                 /// remaining defs (if any) become the given aliases.
-                ToNot(ValId, [Option<ValId>; 4], FoldHint),
+                ToNot(ValId, [Option<ValId>; 4]),
             }
             let act = match op.kind {
                 IrKind::Const { v } => {
@@ -60,24 +55,19 @@ impl Pass for ConstProp {
                     Act::Keep
                 }
                 IrKind::Not { a } => match cv[a as usize] {
-                    Some(x) => Act::Alias([cval(!x), 0, 0, 0], FoldHint::None),
+                    Some(x) => Act::Alias([cval(!x), 0, 0, 0]),
                     None => Act::Keep,
                 },
                 IrKind::Gate { op: g, a, b } => {
-                    // Gate folds never earn a kind hint: the only gate
-                    // fault is `InvertBehaviour`, which changes the
-                    // folded value in general (Nand(a,a) ≠ And(a,a)).
-                    // DCE may still upgrade a surviving `ToNot` rewrite
-                    // to `Equivalent` if nothing observes it.
                     let (ca, cb) = (cv[a as usize], cv[b as usize]);
                     if let (Some(x), Some(y)) = (ca, cb) {
-                        Act::Alias([cval(g.apply(x, y)), 0, 0, 0], FoldHint::None)
+                        Act::Alias([cval(g.apply(x, y)), 0, 0, 0])
                     } else if a == b {
                         match g {
-                            GateOp::And | GateOp::Or => Act::Alias([a, 0, 0, 0], FoldHint::None),
-                            GateOp::Xor => Act::Alias([cf, 0, 0, 0], FoldHint::None),
-                            GateOp::Xnor => Act::Alias([ct, 0, 0, 0], FoldHint::None),
-                            GateOp::Nand | GateOp::Nor => Act::ToNot(a, [None; 4], FoldHint::None),
+                            GateOp::And | GateOp::Or => Act::Alias([a, 0, 0, 0]),
+                            GateOp::Xor => Act::Alias([cf, 0, 0, 0]),
+                            GateOp::Xnor => Act::Alias([ct, 0, 0, 0]),
+                            GateOp::Nand | GateOp::Nor => Act::ToNot(a, [None; 4]),
                         }
                     } else if let Some((c, other)) = match (ca, cb) {
                         (Some(x), None) => Some((x, b)),
@@ -86,67 +76,46 @@ impl Pass for ConstProp {
                     } {
                         match (g, c) {
                             (GateOp::And, true) | (GateOp::Or | GateOp::Xor, false) => {
-                                Act::Alias([other, 0, 0, 0], FoldHint::None)
+                                Act::Alias([other, 0, 0, 0])
                             }
-                            (GateOp::And, false) | (GateOp::Nor, true) => {
-                                Act::Alias([cf, 0, 0, 0], FoldHint::None)
-                            }
-                            (GateOp::Or, true) | (GateOp::Nand, false) => {
-                                Act::Alias([ct, 0, 0, 0], FoldHint::None)
-                            }
-                            (GateOp::Xnor, true) => Act::Alias([other, 0, 0, 0], FoldHint::None),
+                            (GateOp::And, false) | (GateOp::Nor, true) => Act::Alias([cf, 0, 0, 0]),
+                            (GateOp::Or, true) | (GateOp::Nand, false) => Act::Alias([ct, 0, 0, 0]),
+                            (GateOp::Xnor, true) => Act::Alias([other, 0, 0, 0]),
                             (GateOp::Xor | GateOp::Nand, true)
-                            | (GateOp::Nor | GateOp::Xnor, false) => {
-                                Act::ToNot(other, [None; 4], FoldHint::None)
-                            }
+                            | (GateOp::Nor | GateOp::Xnor, false) => Act::ToNot(other, [None; 4]),
                         }
                     } else {
                         Act::Keep
                     }
                 }
                 IrKind::Mux { s, a1, a0 } => match cv[s as usize] {
-                    Some(v) => {
-                        Act::Alias([if v { a1 } else { a0 }, 0, 0, 0], FoldHint::SelectKnown(v))
-                    }
-                    // Identical arms: every mux fault (swapped arms or a
-                    // stuck select) still emits the same value.
-                    None if a1 == a0 => Act::Alias([a1, 0, 0, 0], FoldHint::Equivalent),
+                    Some(v) => Act::Alias([if v { a1 } else { a0 }, 0, 0, 0]),
+                    // Identical arms: either select emits the same value.
+                    None if a1 == a0 => Act::Alias([a1, 0, 0, 0]),
                     None => Act::Keep,
                 },
                 IrKind::Demux { s, x } => match (cv[s as usize], cv[x as usize]) {
-                    (Some(false), _) => Act::Alias([x, cf, 0, 0], FoldHint::SelectKnown(false)),
-                    (Some(true), _) => Act::Alias([cf, x, 0, 0], FoldHint::SelectKnown(true)),
-                    // x ≡ 0: both outputs are 0 under any stuck select
-                    // (the only demux fault kinds).
-                    (None, Some(false)) => Act::Alias([cf, cf, 0, 0], FoldHint::Equivalent),
-                    // d0 = !s, d1 = s: the inverter keeps def 0, but d1
-                    // aliases the select — the surviving op no longer
-                    // accounts for the whole component, so the site is
-                    // pinned to the recompile fallback.
-                    (None, Some(true)) => {
-                        Act::ToNot(s, [None, Some(s), None, None], FoldHint::Rewritten)
-                    }
+                    (Some(false), _) => Act::Alias([x, cf, 0, 0]),
+                    (Some(true), _) => Act::Alias([cf, x, 0, 0]),
+                    // x ≡ 0: both outputs are 0.
+                    (None, Some(false)) => Act::Alias([cf, cf, 0, 0]),
+                    // d0 = !s (the inverter keeps def 0), d1 = s.
+                    (None, Some(true)) => Act::ToNot(s, [None, Some(s), None, None]),
                     (None, None) => Act::Keep,
                 },
                 IrKind::Switch2 { s, a, b } => match cv[s as usize] {
-                    Some(v) => Act::Alias(
-                        if v { [b, a, 0, 0] } else { [a, b, 0, 0] },
-                        FoldHint::SelectKnown(v),
-                    ),
-                    // Equal operands: pass and cross are the same
-                    // routing, so swapped outputs or a stuck control
-                    // still emit (a, a).
-                    None if a == b => Act::Alias([a, a, 0, 0], FoldHint::Equivalent),
+                    Some(v) => Act::Alias(if v { [b, a, 0, 0] } else { [a, b, 0, 0] }),
+                    // Equal operands: pass and cross are the same routing.
+                    None if a == b => Act::Alias([a, a, 0, 0]),
                     None => Act::Keep,
                 },
                 IrKind::BitCompare { a, b } => {
                     let (ca, cb) = (cv[a as usize], cv[b as usize]);
                     if a == b {
-                        // min = max = a; the mis-steered comparator
-                        // (its only fault kind) also routes (a, a).
-                        Act::Alias([a, a, 0, 0], FoldHint::Equivalent)
+                        // min = max = a.
+                        Act::Alias([a, a, 0, 0])
                     } else if let (Some(x), Some(y)) = (ca, cb) {
-                        Act::Alias([cval(x & y), cval(x | y), 0, 0], FoldHint::None)
+                        Act::Alias([cval(x & y), cval(x | y), 0, 0])
                     } else if let Some((c, other)) = match (ca, cb) {
                         (Some(x), None) => Some((x, b)),
                         (None, Some(y)) => Some((y, a)),
@@ -154,10 +123,10 @@ impl Pass for ConstProp {
                     } {
                         if c {
                             // min = other, max = 1.
-                            Act::Alias([other, ct, 0, 0], FoldHint::None)
+                            Act::Alias([other, ct, 0, 0])
                         } else {
                             // min = 0, max = other.
-                            Act::Alias([cf, other, 0, 0], FoldHint::None)
+                            Act::Alias([cf, other, 0, 0])
                         }
                     } else {
                         Act::Keep
@@ -168,17 +137,12 @@ impl Pass for ConstProp {
                         (Some(h), Some(l)) => {
                             let sel = usize::from(h) * 2 + usize::from(l);
                             let p = perms[sel];
-                            // Stuck-select faults tie `s0` only, so the
-                            // hint records the low select's constant.
-                            Act::Alias(
-                                [
-                                    ins[p[0] as usize],
-                                    ins[p[1] as usize],
-                                    ins[p[2] as usize],
-                                    ins[p[3] as usize],
-                                ],
-                                FoldHint::SelectKnown(l),
-                            )
+                            Act::Alias([
+                                ins[p[0] as usize],
+                                ins[p[1] as usize],
+                                ins[p[2] as usize],
+                                ins[p[3] as usize],
+                            ])
                         }
                         _ => Act::Keep,
                     }
@@ -186,15 +150,15 @@ impl Pass for ConstProp {
             };
             match act {
                 Act::Keep => {}
-                Act::Alias(alias, hint) => {
+                Act::Alias(alias) => {
                     for (k, &def) in op.defs().iter().enumerate() {
                         subst[def as usize] = alias[k];
                         cv[def as usize] = cv[alias[k] as usize];
                     }
                     keep[i] = false;
-                    folded.push((op.comp, hint));
+                    folded.push(op.comp);
                 }
-                Act::ToNot(a, extra, hint) => {
+                Act::ToNot(a, extra) => {
                     for (k, &def) in op.defs().iter().enumerate() {
                         if let Some(t) = extra[k] {
                             subst[def as usize] = t;
@@ -203,12 +167,12 @@ impl Pass for ConstProp {
                     }
                     op.kind = IrKind::Not { a };
                     op.defs = [d[0], 0, 0, 0];
-                    folded.push((op.comp, hint));
+                    folded.push(op.comp);
                 }
             }
         }
-        for (comp, hint) in folded {
-            ir.fold_comp_hinted(comp, hint);
+        for comp in folded {
+            ir.fold_comp(comp);
         }
         for o in &mut ir.outputs {
             *o = subst[*o as usize];

@@ -11,14 +11,13 @@
 //!
 //! Provenance: merging two ops with distinct source components leaves
 //! the tape with one op standing for both. Patching it would fault both
-//! components at once, which no single-site netlist mutant does, so the
-//! survivor is flagged [`crate::ir::IrOp::shared`] and **both**
-//! components are marked [`crate::ir::CompFate::Folded`] — fault
-//! campaigns fall back to per-mutant recompiles for exactly those
+//! components at once, which no single-site netlist mutant does, so
+//! **both** components are marked [`crate::ir::CompFate::Folded`] —
+//! fault campaigns fall back to per-mutant recompiles for exactly those
 //! sites.
 
 use crate::component::Perm4;
-use crate::ir::{CompFate, CompileIr, FoldHint, IrKind, ValId, NO_COMP};
+use crate::ir::{CompileIr, IrKind, ValId};
 use crate::passes::index::{pair, OpIndex};
 use crate::passes::Pass;
 use crate::regalloc::intern_perms;
@@ -71,21 +70,6 @@ impl Pass for Cse {
     }
 
     fn run(&self, ir: &mut CompileIr) {
-        // Pre-substitution observation census: how many ops (or outputs)
-        // reference each value *on entry*. A merged op none of whose defs
-        // is observed here is unobservable in the source netlist too
-        // (earlier passes only drop uses that are pointwise-insensitive
-        // to the value), so any mutant of its component is
-        // output-equivalent to the base: those sites get
-        // [`FoldHint::Equivalent`] and skip the per-mutant recompile.
-        let mut observed = vec![false; ir.n_vals as usize];
-        for op in &ir.ops {
-            op.kind.for_each_use(|v| observed[v as usize] = true);
-        }
-        for &o in &ir.outputs {
-            observed[o as usize] = true;
-        }
-
         let mut subst: Vec<ValId> = (0..ir.n_vals).collect();
         let mut keep = vec![true; ir.ops.len()];
         // Key tag → op index of the first occurrence. A survivor is never
@@ -93,11 +77,6 @@ impl Pass for Cse {
         // confirm a tag match.
         let mut seen = OpIndex::with_capacity(ir.ops.len());
         let mut perm_sets: Vec<[Perm4; 4]> = Vec::new();
-        let mut folded: Vec<(u32, bool)> = Vec::new();
-        // Per op: `Some(all)` once a duplicate merged into it, where
-        // `all` says whether ALL duplicates merged into it were
-        // unobserved on entry.
-        let mut survivor: Vec<Option<bool>> = vec![None; ir.ops.len()];
         for i in 0..ir.ops.len() {
             ir.ops[i].kind.map_uses(|v| subst[v as usize]);
             let ops = &ir.ops;
@@ -107,55 +86,13 @@ impl Pass for Cse {
             }) else {
                 continue;
             };
-            let (op, sdefs) = (&ops[i], ops[s as usize].defs);
-            let unobserved = op.defs().iter().all(|&d| !observed[d as usize]);
+            let (op, survivor) = (ops[i], ops[s as usize]);
             for (k, &def) in op.defs().iter().enumerate() {
-                subst[def as usize] = sdefs[k];
+                subst[def as usize] = survivor.defs[k];
             }
             keep[i] = false;
-            folded.push((op.comp, unobserved));
-            let all = &mut survivor[s as usize];
-            *all = Some(all.unwrap_or(true) && unobserved);
-        }
-        // Survivor sites. When every duplicate merged into a survivor
-        // was unobserved, the merge did not change the survivor's
-        // observable fanout: its tape image still represents exactly its
-        // own component, so it stays `Live` and unshared — fault
-        // campaigns patch it in place instead of recompiling. Any
-        // observed duplicate makes the survivor stand for two components
-        // at once, which keeps the recompile fallback. Each component
-        // lowers to exactly one op and folding is idempotent, so the
-        // order survivors are visited in does not matter.
-        let mut kept_live = vec![false; ir.source_components()];
-        for (si, all_unobserved) in survivor.into_iter().enumerate() {
-            let Some(all_unobserved) = all_unobserved else {
-                continue;
-            };
-            let comp = ir.ops[si].comp;
-            if all_unobserved && comp != NO_COMP && ir.comp_fate[comp as usize] == CompFate::Live {
-                kept_live[comp as usize] = true;
-                continue;
-            }
-            ir.ops[si].shared = true;
-            ir.fold_comp(comp);
-        }
-        for (comp, unobserved) in folded {
-            // The upgrade is only sound for comps the pipeline had not
-            // touched yet: an op surviving an earlier fold (a `ToNot`
-            // rewrite) can under-represent its component's fanout via
-            // aliases baked into downstream uses, so "defs unobserved"
-            // would not imply "component unobservable" there. A comp
-            // with a kept-live survivor op is still observable through
-            // that op, so it must not be declared `Equivalent` either.
-            if unobserved
-                && comp != NO_COMP
-                && !kept_live[comp as usize]
-                && ir.comp_fate[comp as usize] == CompFate::Live
-            {
-                ir.fold_comp_hinted(comp, FoldHint::Equivalent);
-            } else {
-                ir.fold_comp(comp);
-            }
+            ir.fold_comp(survivor.comp);
+            ir.fold_comp(op.comp);
         }
         for o in &mut ir.outputs {
             *o = subst[*o as usize];
@@ -169,7 +106,7 @@ mod tests {
     use super::*;
     use crate::builder::Builder;
     use crate::component::GateOp;
-    use crate::ir::{lower, IrOp};
+    use crate::ir::{lower, CompFate, IrOp, NO_COMP};
 
     /// Lowers the netlist `build` makes, runs CSE, and returns the IR
     /// with the component ops that survived.
@@ -206,9 +143,8 @@ mod tests {
             "the survivor keeps its own operand order"
         );
         assert_eq!(ir.outputs, vec![ops[0].defs[0]; 2]);
-        // Both merged ops are observed, so the survivor stands for two
-        // components and both fall back to recompiles.
-        assert!(ops[0].shared);
+        // The survivor stands for two components, so both fall back to
+        // recompiles.
         assert_eq!(ir.comp_fate, vec![CompFate::Folded; 2]);
     }
 

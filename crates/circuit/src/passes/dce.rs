@@ -6,12 +6,9 @@
 //! campaigns skip evaluating it entirely. Components already folded by
 //! an earlier pass keep their [`crate::ir::CompFate::Folded`] fate (a
 //! folded component is *not* unobservable in the source netlist; see
-//! `DESIGN.md`) — but when the deleted op is an unshared single-def
-//! rewrite (a gate const-prop turned into a `Not`), the component's
-//! whole image is now unobserved, so its [`crate::ir::FoldHint`] is
-//! upgraded to `Equivalent`: any mutant there is dead too.
+//! `DESIGN.md`).
 
-use crate::ir::{CompFate, CompileIr, FoldHint, IrKind, NO_COMP};
+use crate::ir::{CompFate, CompileIr, NO_COMP};
 use crate::passes::Pass;
 
 /// See the module docs.
@@ -34,24 +31,8 @@ impl Pass for Dce {
                 op.kind.for_each_use(|v| used[v as usize] = true);
             } else {
                 keep[i] = false;
-                if op.comp != NO_COMP {
-                    let comp = op.comp as usize;
-                    match ir.comp_fate[comp] {
-                        CompFate::Live => ir.comp_fate[comp] = CompFate::Dead,
-                        // A deleted `ToNot` gate rewrite was the only
-                        // remaining image of its component (single def,
-                        // no baked-in aliases — `Rewritten` sites and
-                        // CSE survivors are excluded), so no output can
-                        // observe any mutant of it.
-                        CompFate::Folded
-                            if !op.shared
-                                && matches!(op.kind, IrKind::Not { .. })
-                                && ir.fold_hint[comp] == FoldHint::None =>
-                        {
-                            ir.fold_hint[comp] = FoldHint::Equivalent;
-                        }
-                        _ => {}
-                    }
+                if op.comp != NO_COMP && ir.comp_fate[op.comp as usize] == CompFate::Live {
+                    ir.comp_fate[op.comp as usize] = CompFate::Dead;
                 }
             }
         }

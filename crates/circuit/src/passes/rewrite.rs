@@ -39,12 +39,11 @@
 //! applied round removes ops, so the loop ends.
 //!
 //! **Provenance.** Every op a rewrite deletes has its component marked
-//! [`crate::ir::CompFate::Folded`] with [`FoldHint::Rewritten`], so fault
-//! campaigns recompile mutants there and reports stay byte-identical
-//! across opt levels.
+//! [`crate::ir::CompFate::Folded`], so fault campaigns recompile mutants
+//! there and reports stay byte-identical across opt levels.
 
 use crate::component::{GateOp, Perm4};
-use crate::ir::{CompileIr, FoldHint, IrKind, IrOp, ValId, NO_COMP};
+use crate::ir::{CompileIr, IrKind, IrOp, ValId, NO_COMP};
 
 use super::index::{pair, OpIndex};
 use super::Pass;
@@ -187,7 +186,6 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
                                 kind,
                                 defs,
                                 comp: NO_COMP,
-                                shared: false,
                                 reuse_masks: false,
                                 level: 0,
                             };
@@ -241,7 +239,7 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
             let op = ir.ops[o as usize];
             subst[op.defs[0] as usize] = v;
             deleted[o as usize] = true;
-            ir.fold_comp_hinted(op.comp, FoldHint::Rewritten);
+            ir.fold_comp(op.comp);
         }
         if let Some(sw) = h.switch {
             let at = h.repl.iter().map(|&(o, _)| o).min();

@@ -129,7 +129,6 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
         }
 
         if op.comp != NO_COMP && ir.comp_fate[op.comp as usize] == CompFate::Live {
-            debug_assert!(!op.shared, "shared op with live provenance");
             comp_pos[op.comp as usize] = tape.len() as u32;
         }
 
@@ -214,7 +213,6 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
         prologue_len,
         level_ranges,
         comp_pos,
-        fold_hint: ir.fold_hint.clone(),
         source_wires: ir.source_wires,
         source_components: ir.source_components() as u32,
         pass_stats: Vec::new(),

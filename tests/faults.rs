@@ -16,7 +16,7 @@ use absort::analysis::faults::{
 use absort::circuit::eval::pack_lanes;
 use absort::circuit::faulty::{observable_wires, permanent_fault_sites, FaultyEvaluator};
 use absort::circuit::mutate::{self, Fault};
-use absort::circuit::{Circuit, Wire, WireFault};
+use absort::circuit::{Circuit, MutantTape, Wire, WireFault};
 use absort::faults::FaultKind;
 use absort::networks::hardened::{harden, streaming_sorter, HardenOptions};
 use absort_telemetry::json;
@@ -493,6 +493,111 @@ fn interrupted_campaign_resumes_into_identical_report() {
         "resumed campaign must reproduce the uninterrupted report bit-for-bit"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The hardening options campaigns sweep: the default checker, and
+/// duplicate-and-compare on top of it.
+fn hardenings() -> [HardenOptions; 2] {
+    [
+        HardenOptions::default(),
+        HardenOptions {
+            duplicate: true,
+            ..HardenOptions::default()
+        },
+    ]
+}
+
+/// Every component mutant the campaigns sweep is a structurally sound
+/// netlist, bare and inside each self-checking wrapper. Campaigns build
+/// a mutant netlist only where they evaluate one, so this is where the
+/// check lives.
+#[test]
+fn every_campaign_mutant_validates_bare_and_hardened() {
+    for n in [4, 8, 16] {
+        for sel in NetworkSel::ALL {
+            let circuit = build_network(sel, n);
+            let wrappers: Vec<_> = hardenings().iter().map(|h| harden(&circuit, h)).collect();
+            for fault in Fault::ALL {
+                for (ci, mutant) in mutate::mutants(&circuit, fault) {
+                    let site = format!("{} n={n} {fault:?} at {ci}", sel.name());
+                    assert_eq!(mutant.validate(), Ok(()), "bare {site}");
+                    for hardened in &wrappers {
+                        let hm = mutate::apply(&hardened.circuit, hardened.component(ci), fault)
+                            .expect("base-applicable fault applies to the embedded copy");
+                        assert_eq!(hm.validate(), Ok(()), "hardened {site}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Campaign tapes compile at O1, which folds and merges nothing, so
+/// every applicable mutant of every hardened campaign tape is patched in
+/// place or dead: no campaign falls back to a per-mutant recompile.
+#[test]
+fn o1_campaign_tapes_patch_or_kill_every_mutant() {
+    let opt = CampaignConfig::default().opt;
+    for n in [4, 8, 16] {
+        for sel in NetworkSel::ALL {
+            let circuit = build_network(sel, n);
+            for h in hardenings() {
+                let hardened = harden(&circuit, &h);
+                let mut tape = hardened.circuit.compile_with(&opt);
+                for fault in Fault::ALL {
+                    for ci in mutate::applicable(&circuit, fault) {
+                        assert!(
+                            !matches!(
+                                tape.mutant_tape(hardened.component(ci), fault),
+                                MutantTape::Unsupported
+                            ),
+                            "{} n={n} duplicate={}: {fault:?} at {ci} needs a recompile",
+                            sel.name(),
+                            h.duplicate
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The campaign counts its compiled-engine mutant outcomes in the run
+/// manifest: at n = 8 every mutant of the four networks is patched in
+/// place or dead.
+#[cfg(feature = "telemetry")]
+#[test]
+fn default_campaign_manifest_counts_mutant_outcomes() {
+    let dir = std::env::temp_dir().join(format!("absort-mutants-{}", std::process::id()));
+    let path = dir.join("faults.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_absort"))
+        .args(["--network", "all", "--faults", "--n", "8", "--faults-out"])
+        .arg(&path)
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn absort CLI");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&std::fs::read_to_string(&path).expect("manifest written"))
+        .expect("manifest is JSON");
+    let _ = std::fs::remove_dir_all(&dir);
+    let counter = |name: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(json::Value::as_i64)
+            .unwrap_or_else(|| panic!("manifest lacks counter {name}"))
+    };
+    assert_eq!(
+        [
+            counter("faults.mutants.patched"),
+            counter("faults.mutants.dead"),
+            counter("faults.mutants.recompiled"),
+        ],
+        [260, 19, 0]
+    );
 }
 
 #[test]

@@ -7,9 +7,8 @@
 //!   the hot tapes;
 //! * fault-campaign reports are bit-identical between fused and unfused
 //!   sweeps (fused sites recompile instead of mispatching);
-//! * CSE merge-site provenance: the Dead / patched / recompiled split,
-//!   including the `FoldHint::Equivalent` fast path for merged comps
-//!   nothing observes.
+//! * CSE merge-site provenance: every merged component recompiles, and
+//!   the live gates downstream of the merge stay patchable.
 
 use absort::analysis::faults::{self as fc, fish_k, NetworkSel};
 use absort::circuit::compile::{MicroOp, MutantTape, REUSE_MASKS};
@@ -160,22 +159,23 @@ fn campaign_reports_identical_fused_vs_unfused() {
 
 /// CSE provenance split, pinned on a crafted netlist:
 ///
-/// * comps 0 and 1 — the merge survivor (shared, stands for two
-///   components at once) and its observed duplicate: the tape holds no
-///   faithful single-component image, mutants must recompile
-///   (`Unsupported`);
-/// * comp 2 — merged duplicate nothing observes → `FoldHint::Equivalent`
-///   proves every mutant output-equivalent (`Dead`), no recompile;
-/// * comps 3 and 4 — live downstream gates → patched in place.
+/// * comps 0, 1 and 2 — the merge survivor (it stands for three
+///   components at once) and both duplicates, observed or not: the tape
+///   holds no faithful single-component image, so mutants must
+///   recompile (`Unsupported`);
+/// * comps 3 and 4 — live downstream gates → patched in place;
+/// * comp 5 — a gate nothing observes and nothing merged with → removed
+///   by DCE, so every mutant is output-equivalent (`Dead`).
 #[test]
 fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
     let mut b = Builder::new();
     let ins = b.input_bus(3);
-    let g1 = b.gate(GateOp::And, ins[0], ins[1]); // comp 0 (survivor, shared)
+    let g1 = b.gate(GateOp::And, ins[0], ins[1]); // comp 0 (survivor)
     let g2 = b.gate(GateOp::And, ins[0], ins[1]); // comp 1 (dup, observed)
     let _g3 = b.gate(GateOp::And, ins[0], ins[1]); // comp 2 (dup, unobserved)
     let x = b.gate(GateOp::Xor, g1, g2); // comp 3
     let y = b.gate(GateOp::Or, g2, ins[2]); // comp 4
+    let _dead = b.gate(GateOp::Or, ins[0], ins[2]); // comp 5 (unobserved)
     b.outputs(&[x, y]);
     let c = b.finish();
 
@@ -186,7 +186,7 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
     let mut opts = CompileOptions::default();
     opts.passes = opts.passes.without(PassName::Rewrite);
     let mut cc = c.compile_with(&opts);
-    for comp in [0usize, 1] {
+    for comp in [0usize, 1, 2] {
         assert!(
             matches!(
                 cc.mutant_tape(comp, Fault::InvertBehaviour),
@@ -195,10 +195,6 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
             "comp {comp}: merged sites must force the recompile fallback"
         );
     }
-    assert!(
-        matches!(cc.mutant_tape(2, Fault::InvertBehaviour), MutantTape::Dead),
-        "unobserved merged duplicate must score Dead without recompiling"
-    );
     for comp in [3usize, 4] {
         assert!(
             matches!(
@@ -208,26 +204,30 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
             "comp {comp}: live gate must stay patchable in place"
         );
     }
+    assert!(
+        matches!(cc.mutant_tape(5, Fault::InvertBehaviour), MutantTape::Dead),
+        "comp 5: dead code must score Dead without recompiling"
+    );
 
     // With the rewrite pass back on (full default O2), `syn-xor-x-x`
-    // folds comp 3's v ^ v to a constant; its provenance marks the
-    // site Rewritten, so mutants fall back to the recompile path
-    // rather than patching a tape that no longer holds the gate.
+    // folds comp 3's v ^ v to a constant; the site is Folded, so
+    // mutants fall back to the recompile path rather than patching a
+    // tape that no longer holds the gate.
     let mut cc_o2 = c.compile();
     assert!(
         matches!(
             cc_o2.mutant_tape(3, Fault::InvertBehaviour),
-            MutantTape::Unsupported | MutantTape::Dead
+            MutantTape::Unsupported
         ),
         "comp 3: rewritten x^x site must not claim an in-place patch"
     );
 
     // Semantic backstop for the Dead verdict: the actual netlist mutant
-    // of comp 2 is output-equivalent to the base on every input.
-    let mutant = mutate::apply(&c, 2, Fault::InvertBehaviour).expect("fault applies");
+    // of comp 5 is output-equivalent to the base on every input.
+    let mutant5 = mutate::apply(&c, 5, Fault::InvertBehaviour).expect("fault applies");
     for v in 0..1u64 << 3 {
         let bits: Vec<bool> = (0..3).map(|i| v >> i & 1 == 1).collect();
-        assert_eq!(mutant.eval(&bits), c.eval(&bits), "input {v:03b}");
+        assert_eq!(mutant5.eval(&bits), c.eval(&bits), "input {v:03b}");
     }
 
     // And the recompile verdict for comp 1 is not spurious: its mutant
