@@ -86,12 +86,7 @@ fn usage() -> ! {
            --passes <list>       explicit comma-separated pass list for the\n\
                                  compiled engine, overriding --opt-level\n\
                                  (const-prologue, const-prop, cse, rewrite,\n\
-                                 dce, mask-reuse; \"none\" disables all)\n\
-           --fuse                run the post-regalloc superinstruction\n\
-                                 pass: adjacent hot op pairs and 4x4-switch\n\
-                                 mask-reuse chains collapse into single\n\
-                                 dispatches (fault campaigns recompile at\n\
-                                 fused sites, results unchanged)\n\
+                                 dce; \"none\" disables all)\n\
            --harden-duplicate    add duplicate-and-compare to the fault\n\
                                  campaign's self-checking wrapper; the\n\
                                  summary prices the extra hardware next to\n\
@@ -151,7 +146,7 @@ fn enum_flag_error(flag: &str, got: Option<&String>, valid: &str) -> ! {
 }
 
 /// Valid `--passes` tokens, quoted back at the user on a parse error.
-const VALID_PASSES: &str = "const-prologue, const-prop, cse, rewrite, dce, mask-reuse, none";
+const VALID_PASSES: &str = "const-prologue, const-prop, cse, rewrite, dce, none";
 
 fn parse_kind(s: &str) -> SorterKind {
     match s {
@@ -171,7 +166,7 @@ struct Args {
     m: Option<usize>,
     engine: Engine,
     opt: CompileOptions,
-    /// `--opt-level`, `--passes` or `--fuse` was given; otherwise fault
+    /// `--opt-level` or `--passes` was given; otherwise fault
     /// campaigns compile at the campaign default instead of `opt`.
     opt_given: bool,
     harden_duplicate: bool,
@@ -292,10 +287,6 @@ fn parse_args(argv: &[String]) -> Args {
                 );
             }
             "--profile" => a.profile = true,
-            "--fuse" => {
-                a.opt.fuse = true;
-                a.opt_given = true;
-            }
             "--rust" => a.rust = true,
             "--standalone" => a.standalone = true,
             "--fn-name" => {
@@ -593,6 +584,10 @@ fn cmd_inspect(a: &Args) {
         c.n_wires(),
         100.0 * cc.slots_saved() as f64 / c.n_wires() as f64
     );
+    println!(
+        "  decoded: {} dispatches (switch chains and op pairs fused)",
+        CompiledEvaluator::<u64>::new(&cc).dispatches()
+    );
     if a.profile {
         print_tape_profile(&cc);
     }
@@ -660,12 +655,12 @@ fn print_tape_profile(cc: &absort::circuit::CompiledCircuit) {
             k.total_ns as f64 / k.executions as f64,
         );
     }
-    // Same-level adjacent pairs — the statistic the `fuse` pass's
-    // superinstruction menu is derived from.
+    // Adjacent tape-op pairs, level boundaries included — the statistic
+    // decode's fusion menu (switch chains, op pairs) is derived from.
     let pairs = prof.hot_pairs();
     if !pairs.is_empty() {
         let total_pairs: u64 = pairs.iter().map(|&(_, c)| c).sum();
-        println!("  hottest same-level op pairs (fusion candidates):");
+        println!("  hottest adjacent op pairs (fusion candidates):");
         for ((a, b), count) in pairs.iter().take(8) {
             println!(
                 "    {:<28} {:>10}  ({:>4.1}%)",

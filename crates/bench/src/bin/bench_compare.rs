@@ -41,8 +41,8 @@ const REQUIRED_SIZE_METRICS: &[&str] = &[
 ];
 
 /// Metrics the v3 schema added; required on every fresh size row once
-/// the fresh document declares v3 or newer (the fuse pass must actually
-/// report through the tape it benchmarked).
+/// the fresh document declares v3 or newer (the ops decode fused away
+/// must be reported for the tape it benchmarked).
 const V3_REQUIRED_SIZE_METRICS: &[&str] = &["compile.pass.fuse.fused"];
 
 /// Metrics the v4 schema added: the rules-on/off column pair isolating
@@ -553,7 +553,7 @@ mod tests {
         assert!(out.notes.iter().any(|n| n.contains("schema upgraded")));
     }
 
-    /// A v3 row with opt-in extras: fuse pass stats and (optionally) the
+    /// A v3 row with opt-in extras: fusion stats and (optionally) the
     /// emitted-golden scalar column.
     fn doc_v3(rows: &[(i64, f64, bool, bool)]) -> Value {
         let sizes: Vec<String> = rows

@@ -146,15 +146,10 @@ fn size_row(n: usize, reps: usize) -> String {
 
     let compile_s = min_of(reps, 20, || circuit.compile());
     let compiled = circuit.compile();
-    // The fused tape: superinstruction dispatch for the headline
-    // scalar/wide columns.
-    let fused = circuit.compile_with(&CompileOptions::default().with_fuse());
-    let fuse_stats = fused
-        .pass_stats()
-        .iter()
-        .find(|s| s.name == "fuse")
-        .expect("fuse pass ran");
-    let (fuse_before, fuse_after) = (fuse_stats.ops_before, fuse_stats.ops_after);
+    // Decode fuses switch chains and op pairs: tape ops before, decoded
+    // dispatches after (the same count for every lane type).
+    let fuse_before = compiled.tape_len();
+    let fuse_after = CompiledEvaluator::<bool>::new(&compiled).dispatches();
 
     let interp_scalar = sample(reps, 1, || {
         let mut ev: Evaluator<'_, bool> = Evaluator::new(&circuit);
@@ -181,13 +176,7 @@ fn size_row(n: usize, reps: usize) -> String {
             acc
         }
     }
-    // Headline scalar column: the fused tape (fewer dispatches, same
-    // results); the unfused figure rides along for the record.
     let compiled_scalar = {
-        let mut f = scalar_workload(&fused, n);
-        sample(reps, 1, || f(&vectors))
-    };
-    let compiled_scalar_unfused = {
         let mut f = scalar_workload(&compiled, n);
         sample(reps, 1, || f(&vectors))
     };
@@ -225,10 +214,9 @@ fn size_row(n: usize, reps: usize) -> String {
         acc
     });
 
-    // Wide-walk candidates: one [u64; 4] (256-lane) call covers the
-    // whole workload, which the register-allocated slot buffer keeps
-    // cache-resident. The headline `compiled_wide_ms` takes the better
-    // of the unfused and fused tapes per size.
+    // The wide walk: one [u64; 4] (256-lane) call covers the whole
+    // workload, which the register-allocated slot buffer keeps
+    // cache-resident.
     let wide = pack_lanes_wide::<4>(&vectors, n);
     let mut compiled_w4: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&compiled);
     let mut wout = vec![[0u64; 4]; n];
@@ -236,18 +224,6 @@ fn size_row(n: usize, reps: usize) -> String {
         compiled_w4.run_into(&wide, &mut wout);
         wout[0][0]
     });
-    let compiled_wide4_fused_s = {
-        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&fused);
-        min_of(reps, 100, || {
-            ev.run_into(&wide, &mut wout);
-            wout[0][0]
-        })
-    };
-    let (wide_config, best_wide_s) = if compiled_wide4_fused_s < compiled_wide.min {
-        ("w4-fused", compiled_wide4_fused_s)
-    } else {
-        ("w4", compiled_wide.min)
-    };
 
     // Rules on/off column pair (schema v4): the default tape above
     // already runs the rewrite pass at O2; the off tape keeps every
@@ -322,13 +298,12 @@ fn size_row(n: usize, reps: usize) -> String {
         .collect();
 
     eprintln!(
-        "n={n}: lanes64 interp {} ms -> compiled wide {} ms [{}] ({}x; u64-for-u64 {}x); \
-         scalar {}x (fused tape {} -> {} ops); compile {} ms, {} slots for {} wires; \
+        "n={n}: lanes64 interp {} ms -> compiled wide {} ms [w4] ({}x; u64-for-u64 {}x); \
+         scalar {}x ({} tape ops -> {} dispatches); compile {} ms, {} slots for {} wires; \
          vector p50 interp {ivp50} ns -> compiled {cvp50} ns",
         ms(interp_lanes.min),
-        ms(best_wide_s),
-        wide_config,
-        ratio(interp_lanes.min, best_wide_s),
+        ms(compiled_wide.min),
+        ratio(interp_lanes.min, compiled_wide.min),
         ratio(interp_lanes.min, compiled_lanes_s),
         ratio(interp_scalar.min, compiled_scalar.min),
         fuse_before,
@@ -339,7 +314,7 @@ fn size_row(n: usize, reps: usize) -> String {
     );
     if let Some(es) = emitted_scalar_s {
         eprintln!(
-            "  emitted scalar (rustc -O straight-line): {} ms vs fused tape {} ms",
+            "  emitted scalar (rustc -O straight-line): {} ms vs tape {} ms",
             ms(es),
             ms(compiled_scalar.min)
         );
@@ -364,15 +339,13 @@ fn size_row(n: usize, reps: usize) -> String {
             "      \"compile.pass.fuse.fused\": {fuse_delta},\n",
             "      \"interp_scalar_ms\": {is},\n",
             "      \"compiled_scalar_ms\": {cs},\n",
-            "      \"compiled_scalar_unfused_ms\": {csu},\n",
             "{emitted_row}",
             "      \"scalar_speedup\": {ss},\n",
             "      \"interp_lanes_ms\": {il},\n",
             "      \"compiled_lanes_ms\": {cl},\n",
             "      \"compiled_wide_ms\": {cw},\n",
-            "      \"wide_config\": \"{wide_config}\",\n",
+            "      \"wide_config\": \"w4\",\n",
             "      \"compiled_wide4_ms\": {cw4},\n",
-            "      \"compiled_wide4_fused_ms\": {cw4f},\n",
             "      \"lanes_speedup\": {ls},\n",
             "      \"interp_par4_ms\": {ip},\n",
             "      \"interp_vector_p50_ns\": {ivp50},\n",
@@ -404,18 +377,15 @@ fn size_row(n: usize, reps: usize) -> String {
         fuse_delta = fuse_before - fuse_after,
         is = ms(interp_scalar.min),
         cs = ms(compiled_scalar.min),
-        csu = ms(compiled_scalar_unfused.min),
         emitted_row = emitted_scalar_s
             .map(|es| format!("      \"emitted_scalar_ms\": {},\n", ms(es)))
             .unwrap_or_default(),
         ss = ratio(interp_scalar.min, compiled_scalar.min),
         il = ms(interp_lanes.min),
         cl = ms(compiled_lanes_s),
-        cw = ms(best_wide_s),
-        wide_config = wide_config,
+        cw = ms(compiled_wide.min),
         cw4 = ms(compiled_wide.min),
-        cw4f = ms(compiled_wide4_fused_s),
-        ls = ratio(interp_lanes.min, best_wide_s),
+        ls = ratio(interp_lanes.min, compiled_wide.min),
         ip = ms(interp_par4_s),
         ivp50 = ivp50,
         ivp99 = ivp99,

@@ -13,8 +13,8 @@
 //! [`CompiledCircuit::compile`] runs the staged pipeline
 //! `Circuit → CompileIr → PassManager → regalloc → CompiledCircuit`:
 //! lowering lives in [`crate::ir`], every transform (constant prologue,
-//! constant propagation, CSE, DCE, select-mask reuse) is a named pass
-//! in [`crate::passes`], and slot allocation plus tape emission live in
+//! constant propagation, CSE, the rewrites, DCE) is a named pass in
+//! [`crate::passes`], and slot allocation plus tape emission live in
 //! [`crate::regalloc`]. [`CompiledCircuit::compile_with`] exposes the
 //! pass set (`--opt-level` / `--passes` on the CLI); per-pass op counts
 //! land in [`CompiledCircuit::pass_stats`]. The tape properties:
@@ -22,17 +22,20 @@
 //! * **fused micro-ops** — every primitive becomes a single opcode with
 //!   `u32` slot operands (`Nand`/`Nor`/`Xnor` are single ops, not
 //!   gate-plus-inverter; the 4×4 switch computes its four select masks
-//!   once and drives all four outputs in one op, and consecutive
-//!   switches sharing a control pair — one swapper column — skip the
-//!   mask computation entirely via [`REUSE_MASKS`]);
+//!   once and drives all four outputs in one op);
 //! * **register allocation by last-use liveness** — values live in
 //!   *slots* that are freed at their last read and reused, so the working
 //!   buffer shrinks from `n_wires` entries to the peak live-slot count.
 //!   This is the real win at `n = 256+`: the hot buffer drops back into
 //!   L1/L2 and stays there for the whole sweep;
 //! * **levelization** — ops are emitted grouped by bit-level depth stage
-//!   ([`CompiledCircuit::level_ranges`]); the fuse pass never fuses
-//!   across a level and the tape profiler attributes time per level.
+//!   ([`CompiledCircuit::level_ranges`]); the tape profiler attributes
+//!   time per level;
+//! * **no dispatch hints** — the tape is a plain image of the netlist.
+//!   Which ops share one dispatch (runs of 4×4 switches on one control
+//!   pair, adjacent simple-op pairs) is decided when
+//!   [`crate::dispatch`] decodes it, so an in-place mutant patch never
+//!   has to repair a neighbour.
 //!
 //! [`CompiledEvaluator`] then replays the tape with the same `run` /
 //! `run_into` / `try_*` surface as [`crate::Evaluator`], over any
@@ -232,10 +235,10 @@ pub enum MicroOp {
         b: u32,
     },
     /// Fused 4×4 switch. The four select masks are computed once and
-    /// reused across all four outputs — and, when [`REUSE_MASKS`] is set,
-    /// carried over from the previous op entirely (consecutive switches
-    /// of one swapper column share a control pair; the compiler proves
-    /// statically that the control slots are unchanged in between).
+    /// reused across all four outputs — and, when the previous op is a
+    /// 4×4 switch over the same unclobbered control slots (one swapper
+    /// column; see [`shares_controls`]), decode shares them across the
+    /// whole run.
     Switch4 {
         /// The four destination slots.
         d: [u32; 4],
@@ -247,68 +250,32 @@ pub enum MicroOp {
         s0: u32,
         /// Index into [`CompiledCircuit::perm_sets`] (circuits draw from
         /// a handful of distinct permutation sets, so the table stays
-        /// cache-resident), with [`REUSE_MASKS`] or-ed into the high bit.
+        /// cache-resident).
         pidx: u32,
     },
-    /// Superinstruction: two simple ops executed by a single dispatch.
-    /// `idx` indexes [`CompiledCircuit::fused_pairs`], which holds the
-    /// original encodings. Created only by the post-regalloc `fuse`
-    /// pass ([`crate::fuse`]); fused source components are marked
-    /// [`COMP_FOLDED`], so fault campaigns recompile instead of patching
-    /// through the fused encoding.
-    Pair2 {
-        /// Index into [`CompiledCircuit::fused_pairs`].
-        idx: u32,
-    },
-    /// Superinstruction: a run of 4×4 switches steered by one shared
-    /// control pair (the runs the mask-reuse pass flags) executed by a
-    /// single dispatch — the select masks are computed once and kept in
-    /// registers across the whole run. `idx` indexes
-    /// [`CompiledCircuit::s4_chains`]. Same provenance contract as
-    /// [`MicroOp::Pair2`].
-    S4Chain {
-        /// Index into [`CompiledCircuit::s4_chains`].
-        idx: u32,
-    },
 }
 
-/// Side-table entry of one fused 4×4-switch chain: the shared control
-/// slots plus a range of [`S4Item`]s in [`CompiledCircuit::s4_items`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct S4ChainData {
-    /// High select-bit slot (shared by every switch in the chain).
-    pub s1: u32,
-    /// Low select-bit slot.
-    pub s0: u32,
-    /// First item index in [`CompiledCircuit::s4_items`].
-    pub start: u32,
-    /// Number of switches in the chain (≥ 2).
-    pub len: u32,
+/// The control-identity rule: `op` is a 4×4 switch reading the same
+/// control slots as `prev`, also a 4×4 switch, and `prev` wrote neither
+/// slot. The select masks (or the scalar 2-bit index) computed for
+/// `prev` are then valid for `op`, so [`crate::dispatch`] chains such
+/// runs into one instruction and [`crate::emit`] shares one set of mask
+/// temporaries across them.
+pub(crate) fn shares_controls(prev: &MicroOp, op: &MicroOp) -> bool {
+    match (*prev, *op) {
+        (
+            MicroOp::Switch4 {
+                d, s1: p1, s0: p0, ..
+            },
+            MicroOp::Switch4 { s1, s0, .. },
+        ) => (p1, p0) == (s1, s0) && !d.contains(&s1) && !d.contains(&s0),
+        _ => false,
+    }
 }
-
-/// One 4×4 switch of a fused chain (controls live in the owning
-/// [`S4ChainData`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct S4Item {
-    /// The four destination slots.
-    pub d: [u32; 4],
-    /// The four data-input slots.
-    pub ins: [u32; 4],
-    /// Index into [`CompiledCircuit::perm_sets`] (no [`REUSE_MASKS`]
-    /// bit — reuse is implied by chain membership).
-    pub pidx: u32,
-}
-
-/// High bit of [`MicroOp::Switch4::pidx`]: the select masks of the
-/// previous tape op (also a `Switch4`, over the same still-live control
-/// slots) are valid for this op and need not be recomputed.
-pub const REUSE_MASKS: u32 = 1 << 31;
 
 impl MicroOp {
-    /// Number of distinct profiling kinds: the 16 variants, with
-    /// mask-reusing `Switch4` split from mask-computing `Switch4`
-    /// (their dispatch cost differs by the whole mask computation).
-    pub const NUM_KINDS: usize = 17;
+    /// Number of distinct profiling kinds: one per variant.
+    pub const NUM_KINDS: usize = 14;
 
     /// Dense stable index of this op's kind, `0..NUM_KINDS`.
     pub fn kind_index(&self) -> usize {
@@ -326,15 +293,7 @@ impl MicroOp {
             MicroOp::Switch2 { .. } => 10,
             MicroOp::Route2 { .. } => 11,
             MicroOp::BitCompare { .. } => 12,
-            MicroOp::Switch4 { pidx, .. } => {
-                if pidx & REUSE_MASKS != 0 {
-                    14
-                } else {
-                    13
-                }
-            }
-            MicroOp::Pair2 { .. } => 15,
-            MicroOp::S4Chain { .. } => 16,
+            MicroOp::Switch4 { .. } => 13,
         }
     }
 
@@ -355,9 +314,6 @@ impl MicroOp {
             11 => "route2",
             12 => "bitcompare",
             13 => "switch4",
-            14 => "switch4+reuse",
-            15 => "pair2",
-            16 => "s4chain",
             _ => "?",
         }
     }
@@ -399,13 +355,6 @@ pub struct CompiledCircuit {
     /// (rule name → hits), empty when the pass did not run or matched
     /// nothing. Surfaced by `absort inspect` and telemetry.
     pub(crate) rewrite_hits: Vec<(String, u32)>,
-    /// Original encodings of [`MicroOp::Pair2`] superinstructions
-    /// (empty unless the `fuse` pass ran).
-    pub(crate) fused_pairs: Vec<[MicroOp; 2]>,
-    /// Chain descriptors of [`MicroOp::S4Chain`] superinstructions.
-    pub(crate) s4_chains: Vec<S4ChainData>,
-    /// Flat item storage for every [`S4ChainData`] range.
-    pub(crate) s4_items: Vec<S4Item>,
 }
 
 /// [`CompiledCircuit::comp_pos`] sentinel: component eliminated as dead
@@ -435,25 +384,16 @@ pub enum MutantTape<'a> {
 struct PatchRecord {
     pos: usize,
     saved: MicroOp,
-    /// `(tape index, original pidx)` of a following 4×4 switch whose
-    /// mask-reuse flag the patch had to clear.
-    saved_next: Option<(usize, u32)>,
     /// Permutation-table length before the patch; sets the patch
     /// interned are dropped on restore.
     perm_len: usize,
 }
 
-/// Undoes patches in reverse application order — required when two
-/// patches touch adjacent ops (a stuck-select patch may clear the
-/// mask-reuse flag of the very op a later patch then rewrites).
+/// Undoes patches in reverse application order, restoring the tape and
+/// the permutation table to their state before the first patch.
 fn undo_patches(cc: &mut CompiledCircuit, recs: &[PatchRecord]) {
     for rec in recs.iter().rev() {
         cc.tape[rec.pos] = rec.saved;
-        if let Some((i, pidx)) = rec.saved_next {
-            if let MicroOp::Switch4 { pidx: slot, .. } = &mut cc.tape[i] {
-                *slot = pidx;
-            }
-        }
         cc.perm_sets.truncate(rec.perm_len);
     }
 }
@@ -523,9 +463,6 @@ impl CompiledCircuit {
             crate::regalloc::allocate(&ir)
         };
         cc.pass_stats = stats;
-        if opts.fuse {
-            crate::fuse::fuse(&mut cc);
-        }
 
         #[cfg(feature = "telemetry")]
         absort_telemetry::counter_add_many(&[
@@ -555,8 +492,9 @@ impl CompiledCircuit {
     /// and stuck selects *remove* a dependency (the faulted op reads a
     /// subset of its old sources). Levelization, liveness, and the slot
     /// assignment of the base tape therefore remain valid; only the one
-    /// op's encoding changes. Mask-reuse flags are the single cross-op
-    /// coupling, and the patch clears them where the controls change.
+    /// op's encoding changes. The tape carries no cross-op hints:
+    /// decode re-derives switch chains from the patched tape, so a
+    /// switch whose controls a patch rewires leaves its run by itself.
     pub fn mutant_tape(&mut self, component: usize, fault: Fault) -> MutantTape<'_> {
         self.mutant_tape_multi(&[(component, fault)])
     }
@@ -591,7 +529,7 @@ impl CompiledCircuit {
             // Dead code: no output observes the component, so the mutant
             // is output-equivalent to the base circuit.
             Some(COMP_DEAD) => return PatchStep::Dead,
-            // Folded, rewritten, fused or CSE-merged: the tape holds no
+            // Folded, rewritten or CSE-merged: the tape holds no
             // faithful image of the component, so patching would apply
             // the wrong fault semantics (or fault several components at
             // once). Callers recompile the rewritten netlist instead.
@@ -601,7 +539,6 @@ impl CompiledCircuit {
         };
         let perm_len = self.perm_sets.len();
         let saved = self.tape[pos];
-        let mut saved_next = None;
         let patched = match (fault, saved) {
             // A comparator steered by its lower input instead of its
             // upper one — mirrors `mutate_component` on `BitCompare`.
@@ -638,16 +575,14 @@ impl CompiledCircuit {
                 },
             ) => {
                 // Select decode scrambled: permutation table reversed.
-                // Controls (and therefore the select masks) are
-                // unchanged, so reuse flags stay valid.
-                let p = self.perm_sets[(pidx & !REUSE_MASKS) as usize];
+                let p = self.perm_sets[pidx as usize];
                 let pid = intern_perms(&mut self.perm_sets, [p[3], p[2], p[1], p[0]]);
                 MicroOp::Switch4 {
                     d,
                     ins,
                     s1,
                     s0,
-                    pidx: pid | (pidx & REUSE_MASKS),
+                    pidx: pid,
                 }
             }
             (Fault::StuckSelectLow, MicroOp::Mux { d, a0, .. }) => MicroOp::Or { d, a: a0, b: a0 },
@@ -669,23 +604,12 @@ impl CompiledCircuit {
                 // equal-controls decodes (mask indices 0 and 3) remain
                 // reachable, and route them to the perms the tied decode
                 // selects (`s1·2 + tie`).
-                let p = self.perm_sets[(pidx & !REUSE_MASKS) as usize];
+                let p = self.perm_sets[pidx as usize];
                 let q = match fault {
                     Fault::StuckSelectLow => [p[0], p[0], p[2], p[2]],
                     _ => [p[1], p[1], p[3], p[3]],
                 };
                 let pid = intern_perms(&mut self.perm_sets, q);
-                // The controls changed: recompute masks here (no reuse
-                // flag on the patched op), and stop the next op from
-                // reusing masks computed from the old controls.
-                if let Some(&MicroOp::Switch4 { pidx: np, .. }) = self.tape.get(pos + 1) {
-                    if np & REUSE_MASKS != 0 {
-                        saved_next = Some((pos + 1, np));
-                        if let MicroOp::Switch4 { pidx: slot, .. } = &mut self.tape[pos + 1] {
-                            *slot = np & !REUSE_MASKS;
-                        }
-                    }
-                }
                 MicroOp::Switch4 {
                     d,
                     ins,
@@ -703,7 +627,6 @@ impl CompiledCircuit {
         PatchStep::Applied(PatchRecord {
             pos,
             saved,
-            saved_next,
             perm_len,
         })
     }
@@ -802,25 +725,6 @@ impl CompiledCircuit {
         &self.perm_sets
     }
 
-    /// Original encodings of [`MicroOp::Pair2`] superinstructions, by
-    /// index (empty unless the `fuse` pass ran).
-    #[inline]
-    pub fn fused_pairs(&self) -> &[[MicroOp; 2]] {
-        &self.fused_pairs
-    }
-
-    /// Chain descriptors of [`MicroOp::S4Chain`] superinstructions.
-    #[inline]
-    pub fn s4_chains(&self) -> &[S4ChainData] {
-        &self.s4_chains
-    }
-
-    /// Flat item storage backing [`CompiledCircuit::s4_chains`] ranges.
-    #[inline]
-    pub fn s4_items(&self) -> &[S4Item] {
-        &self.s4_items
-    }
-
     /// Slot each primary input is loaded into.
     #[inline]
     pub fn input_slots(&self) -> &[u32] {
@@ -905,6 +809,12 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         }
     }
 
+    /// Number of decoded instructions one pass dispatches: the tape
+    /// length minus what decode fused (switch chains, op pairs).
+    pub fn dispatches(&self) -> usize {
+        self.prog.len()
+    }
+
     /// Evaluates on the given primary-input values and returns the
     /// outputs.
     pub fn run(&mut self, inputs: &[V]) -> Vec<V> {
@@ -948,9 +858,9 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         let t0 = self.tel.is_active().then(std::time::Instant::now);
 
         // Threaded-code dispatch: the tape was decoded once at evaluator
-        // construction (operands resolved, reuse flags folded into the
-        // function choice, superinstructions expanded); each instruction
-        // is now a single indirect call. See `crate::dispatch`.
+        // construction (operands resolved, switch chains and op pairs
+        // fused); each instruction is now a single indirect call. See
+        // `crate::dispatch`.
         self.pass(inputs, out, |prog, w| prog.exec(w));
 
         // The histogram sample is the pass wall-clock divided by lane
@@ -971,9 +881,11 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
     /// depth level into `prof` (level 0 = constant prologue).
     ///
     /// Walks the same decoded program as `run_into`, reading the clock
-    /// after each instruction (instruction `i` is tape op `i`). Callers
-    /// sample (profile a subset of passes) rather than pay the per-op
-    /// clock reads everywhere. Outputs are identical to `run_into`.
+    /// after each instruction. An instruction is credited to every tape
+    /// op it covers, one execution each, and its time is split evenly
+    /// among them. Callers sample (profile a subset of passes) rather
+    /// than pay the per-instruction clock reads everywhere. Outputs are
+    /// identical to `run_into`.
     pub fn run_into_profiled(
         &mut self,
         inputs: &[V],
@@ -991,24 +903,27 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         let mut prev_kind: Option<usize> = None;
         self.pass(inputs, out, |prog, w| {
             let mut last = Instant::now();
-            prog.exec_profiled(w, |i| {
+            prog.exec_profiled(w, |ops| {
                 let now = Instant::now();
                 let ns = u64::try_from((now - last).as_nanos()).unwrap_or(u64::MAX);
                 last = now;
-                while i >= seg_end && seg < cc.level_ranges.len() {
-                    seg_end = cc.level_ranges[seg].1 as usize;
-                    seg += 1;
-                    prev_kind = None;
+                let (share, rem) = (ns / ops.len() as u64, ns % ops.len() as u64);
+                for (j, i) in ops.enumerate() {
+                    let ns = share + u64::from((j as u64) < rem);
+                    while i >= seg_end && seg < cc.level_ranges.len() {
+                        seg_end = cc.level_ranges[seg].1 as usize;
+                        seg += 1;
+                    }
+                    let k = cc.tape[i].kind_index();
+                    prof.kinds[k].executions += 1;
+                    prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
+                    prof.levels[seg].executions += 1;
+                    prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
+                    if let Some(p) = prev_kind {
+                        prof.record_pair(p, k);
+                    }
+                    prev_kind = Some(k);
                 }
-                let k = cc.tape[i].kind_index();
-                prof.kinds[k].executions += 1;
-                prof.kinds[k].total_ns = prof.kinds[k].total_ns.saturating_add(ns);
-                prof.levels[seg].executions += 1;
-                prof.levels[seg].total_ns = prof.levels[seg].total_ns.saturating_add(ns);
-                if let Some(p) = prev_kind {
-                    prof.record_pair(p, k);
-                }
-                prev_kind = Some(k);
             });
         });
         prof.passes += 1;
@@ -1088,8 +1003,8 @@ mod tests {
     }
 
     /// Two 4×4 switches on one control pair side by side in one level
-    /// (a mask-reuse run) plus gates and a comparator: fused, the tape
-    /// carries both an `S4Chain` and a `Pair2`.
+    /// plus gates and a comparator: decode fuses the switches into one
+    /// chain and the two gates into one pair.
     fn fusible() -> Circuit {
         let mut b = Builder::new();
         let s1 = b.input();
@@ -1106,8 +1021,9 @@ mod tests {
     }
 
     /// Profiles `passes` through `cc`: outputs equal `run_into`, each
-    /// kind executes its tape count once per pass, and every op lands
-    /// in exactly one level segment.
+    /// kind executes its tape count once per pass, every op lands in
+    /// exactly one level segment, and the pair census sees every
+    /// adjacent op pair, level boundaries included.
     fn check_profile<V: Lane + PartialEq + std::fmt::Debug>(
         cc: &CompiledCircuit,
         passes: &[Vec<V>],
@@ -1138,6 +1054,8 @@ mod tests {
             n * cc.prologue_len() as u64,
             "prologue segment holds exactly the prologue ops"
         );
+        let pairs: u64 = prof.pairs.iter().sum();
+        assert_eq!(pairs, n * (cc.tape_len() as u64 - 1));
     }
 
     #[test]
@@ -1147,8 +1065,12 @@ mod tests {
         check_profile(&c.compile(), &inputs);
 
         let c = fusible();
-        let cc = c.compile_with(&CompileOptions::default().with_fuse());
-        assert!(!cc.fused_pairs().is_empty() && !cc.s4_chains().is_empty());
+        let cc = c.compile();
+        // One chain and one pair: two dispatches fewer than tape ops.
+        let ev: CompiledEvaluator<'_, bool> = CompiledEvaluator::new(&cc);
+        assert_eq!(ev.dispatches(), cc.tape_len() - 2);
+        let ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
+        assert_eq!(ev.dispatches(), cc.tape_len() - 2);
         let inputs: Vec<Vec<bool>> = all_inputs(c.n_inputs()).collect();
         check_profile(&cc, &inputs);
         let wide: Vec<Vec<[u64; 4]>> = inputs
@@ -1194,27 +1116,7 @@ mod tests {
             assert!((s as usize) < cc.n_slots(), "slot {s} out of range");
             assert!(written[s as usize], "slot {s} read before written");
         };
-        let mut prev: Option<MicroOp> = None;
         for op in cc.tape() {
-            // A mask-reuse op must directly follow a 4×4 switch over the
-            // same control slots, and that op must not have written them.
-            if let MicroOp::Switch4 { s1, s0, pidx, .. } = *op {
-                if pidx & REUSE_MASKS != 0 {
-                    match prev {
-                        Some(MicroOp::Switch4 {
-                            d, s1: p1, s0: p0, ..
-                        }) => {
-                            assert_eq!((p1, p0), (s1, s0), "reuse across control change");
-                            assert!(
-                                !d.contains(&s1) && !d.contains(&s0),
-                                "reuse after control slot was clobbered"
-                            );
-                        }
-                        other => panic!("reuse flag after non-switch op {other:?}"),
-                    }
-                }
-            }
-            prev = Some(*op);
             match *op {
                 MicroOp::Const { d, .. } => written[d as usize] = true,
                 MicroOp::Not { d, a } => {
@@ -1266,7 +1168,7 @@ mod tests {
                     read(s1, &written);
                     read(s0, &written);
                     assert!(
-                        ((pidx & !REUSE_MASKS) as usize) < cc.perm_sets().len(),
+                        (pidx as usize) < cc.perm_sets().len(),
                         "perm-set index out of range"
                     );
                     for &i in &ins {
@@ -1275,9 +1177,6 @@ mod tests {
                     for &di in &d {
                         written[di as usize] = true;
                     }
-                }
-                MicroOp::Pair2 { .. } | MicroOp::S4Chain { .. } => {
-                    unreachable!("default compile never emits superinstructions")
                 }
             }
         }
@@ -1410,10 +1309,10 @@ mod tests {
         }
     }
 
-    /// Two back-to-back 4×4 switches sharing a control pair, so the
-    /// second op carries [`REUSE_MASKS`] — the one cross-op coupling a
-    /// tape patch has to repair.
-    fn dual_switch() -> Circuit {
+    /// Three back-to-back 4×4 switches on one control pair: decode runs
+    /// them as one chain, so stuck-select patches land at the head, the
+    /// middle and the tail of a chain whose shared controls they rewire.
+    fn switch_chain() -> Circuit {
         let mut b = Builder::new();
         let s1 = b.input();
         let s0 = b.input();
@@ -1424,19 +1323,49 @@ mod tests {
             [ins[0], ins[1], ins[2], ins[3]],
             [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
         );
-        let o = b.switch4(
+        let m = b.switch4(
             s1,
             s0,
             a,
             [[1, 2, 3, 0], [0, 3, 2, 1], [3, 0, 1, 2], [2, 1, 0, 3]],
         );
+        let o = b.switch4(
+            s1,
+            s0,
+            m,
+            [[2, 0, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [0, 2, 1, 3]],
+        );
         b.outputs(&o);
         b.finish()
     }
 
+    /// Outputs of `cc` on the 64 vectors packed in `inputs` through
+    /// every decode flavour: the 64-lane and 256-lane walks (wide) and
+    /// each vector on its own (scalar).
+    fn run_every_lane_type(
+        cc: &CompiledCircuit,
+        inputs: &[u64],
+    ) -> (Vec<u64>, Vec<[u64; 4]>, Vec<Vec<bool>>) {
+        let lanes = CompiledEvaluator::<u64>::new(cc).run(inputs);
+        let wide: Vec<[u64; 4]> = inputs
+            .iter()
+            .map(|&x| [x, !x, x.rotate_left(17), x ^ 0x5555_5555_5555_5555])
+            .collect();
+        let wide = CompiledEvaluator::<[u64; 4]>::new(cc).run(&wide);
+        let mut ev = CompiledEvaluator::<bool>::new(cc);
+        let scalar = (0..64)
+            .map(|lane| {
+                let v: Vec<bool> = inputs.iter().map(|x| x >> lane & 1 == 1).collect();
+                ev.run(&v)
+            })
+            .collect();
+        (lanes, wide, scalar)
+    }
+
     /// Every mutant expressible as an in-place tape patch must evaluate
-    /// exactly like the fully re-lowered mutant netlist, and the patch
-    /// guard must restore the base tape bit for bit on drop.
+    /// exactly like the fully re-lowered mutant netlist, on every lane
+    /// type, and the patch guard must restore the base tape bit for bit
+    /// on drop.
     ///
     /// Pinned to opt-level 1: the pre-pipeline transforms, where every
     /// component is either live or dead — so `InvertBehaviour` is
@@ -1446,7 +1375,7 @@ mod tests {
     #[test]
     fn mutant_tape_matches_recompiled_mutants() {
         let o1 = CompileOptions::for_level(crate::passes::OptLevel::O1);
-        for c in [kitchen_sink(), dual_switch()] {
+        for c in [kitchen_sink(), switch_chain()] {
             let mut base = c.compile_with(&o1);
             let baseline_tape = base.tape.clone();
             let baseline_perms = base.perm_sets.clone();
@@ -1463,23 +1392,18 @@ mod tests {
                     })
                     .collect()
             };
-            let base_out = {
-                let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&base);
-                ev.run(&inputs)
-            };
+            let base_out = run_every_lane_type(&base, &inputs);
             let mut patched_seen = 0usize;
             for fault in Fault::ALL {
                 for (ci, mutant) in crate::mutate::mutants(&c, fault) {
-                    let reference = {
-                        let cc = mutant.compile();
-                        let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&cc);
-                        ev.run(&inputs)
-                    };
+                    let reference = run_every_lane_type(&mutant.compile(), &inputs);
                     match base.mutant_tape(ci, fault) {
                         MutantTape::Patched(patched) => {
-                            let mut ev: CompiledEvaluator<'_, u64> =
-                                CompiledEvaluator::new(&patched);
-                            assert_eq!(ev.run(&inputs), reference, "{fault:?} at component {ci}");
+                            assert_eq!(
+                                run_every_lane_type(&patched, &inputs),
+                                reference,
+                                "{fault:?} at component {ci}"
+                            );
                             patched_seen += 1;
                         }
                         MutantTape::Dead => {
@@ -1501,40 +1425,41 @@ mod tests {
             }
             assert!(patched_seen > 0, "no patched mutants exercised");
         }
+        // The three switches really are one decoded chain.
+        let cc = switch_chain().compile_with(&o1);
+        assert_eq!(cc.tape_len(), 3);
+        assert_eq!(CompiledEvaluator::<bool>::new(&cc).dispatches(), 1);
+        assert_eq!(CompiledEvaluator::<[u64; 4]>::new(&cc).dispatches(), 1);
     }
 
     /// The provenance contract at the default level (O2, every pass
     /// on): each single-fault mutant is either patched in place and
-    /// matches the recompiled mutant, reported dead and genuinely
-    /// output-equivalent to the base, or reported unsupported (folded /
-    /// CSE-merged sites included) — never silently wrong. Also checks
-    /// that O2 really folds something in `kitchen_sink` (the
-    /// `Xnor(x, const 1)`), so the fallback path is exercised.
+    /// matches the recompiled mutant on every lane type, reported dead
+    /// and genuinely output-equivalent to the base, or reported
+    /// unsupported (folded / CSE-merged sites included) — never
+    /// silently wrong. Also checks that O2 really folds something in
+    /// `kitchen_sink` (the `Xnor(x, const 1)`), so the fallback path is
+    /// exercised.
     #[test]
     fn mutant_tape_contract_at_o2() {
-        for (c, expect_folded) in [(kitchen_sink(), true), (dual_switch(), false)] {
+        for (c, expect_folded) in [(kitchen_sink(), true), (switch_chain(), false)] {
             let mut base = c.compile();
             let baseline_tape = base.tape.clone();
             let inputs: Vec<u64> = (0..c.n_inputs())
                 .map(|i| 0x0F1E_2D3C_4B5A_6978u64.rotate_left(11 * i as u32))
                 .collect();
-            let base_out = {
-                let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&base);
-                ev.run(&inputs)
-            };
+            let base_out = run_every_lane_type(&base, &inputs);
             let mut unsupported = 0usize;
             for fault in Fault::ALL {
                 for (ci, mutant) in crate::mutate::mutants(&c, fault) {
-                    let reference = {
-                        let cc = mutant.compile();
-                        let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&cc);
-                        ev.run(&inputs)
-                    };
+                    let reference = run_every_lane_type(&mutant.compile(), &inputs);
                     match base.mutant_tape(ci, fault) {
                         MutantTape::Patched(patched) => {
-                            let mut ev: CompiledEvaluator<'_, u64> =
-                                CompiledEvaluator::new(&patched);
-                            assert_eq!(ev.run(&inputs), reference, "{fault:?} at component {ci}");
+                            assert_eq!(
+                                run_every_lane_type(&patched, &inputs),
+                                reference,
+                                "{fault:?} at component {ci}"
+                            );
                         }
                         MutantTape::Dead => {
                             assert_eq!(base_out, reference, "dead {fault:?} at {ci} differs");
@@ -1564,14 +1489,7 @@ mod tests {
         let names: Vec<&str> = cc.pass_stats().iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            vec![
-                "const-prologue",
-                "const-prop",
-                "cse",
-                "rewrite",
-                "dce",
-                "mask-reuse"
-            ]
+            vec!["const-prologue", "const-prop", "cse", "rewrite", "dce"]
         );
         let removed_by = |n: &str| {
             cc.pass_stats()
@@ -1593,21 +1511,18 @@ mod tests {
     /// Every 2-fault mutant expressible as in-place patches must evaluate
     /// exactly like the fully re-lowered `apply_set` netlist, and the
     /// multi-patch guard must restore the base tape bit for bit on drop —
-    /// including the adjacent-op mask-reuse coupling in `dual_switch`.
+    /// including two patches inside one decoded chain of `switch_chain`.
     #[test]
     fn mutant_tape_multi_matches_recompiled_fault_sets() {
         let o1 = CompileOptions::for_level(crate::passes::OptLevel::O1);
-        for c in [kitchen_sink(), dual_switch()] {
+        for c in [kitchen_sink(), switch_chain()] {
             let mut base = c.compile_with(&o1);
             let baseline_tape = base.tape.clone();
             let baseline_perms = base.perm_sets.clone();
             let inputs: Vec<u64> = (0..c.n_inputs())
                 .map(|i| 0xA5A5_5A5A_0F0F_F0F0u64.rotate_left(7 * i as u32))
                 .collect();
-            let base_out = {
-                let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&base);
-                ev.run(&inputs)
-            };
+            let base_out = run_every_lane_type(&base, &inputs);
             let mut patched_seen = 0usize;
             for f1 in Fault::ALL {
                 for f2 in Fault::ALL {
@@ -1619,20 +1534,13 @@ mod tests {
                                 continue;
                             }
                             let set = [(ci, f1), (cj, f2)];
-                            let reference = {
-                                let m = crate::mutate::apply_set(&c, &set).expect("both apply");
-                                let cc = m.compile();
-                                let mut ev: CompiledEvaluator<'_, u64> =
-                                    CompiledEvaluator::new(&cc);
-                                ev.run(&inputs)
-                            };
+                            let m = crate::mutate::apply_set(&c, &set).expect("both apply");
+                            let reference = run_every_lane_type(&m.compile(), &inputs);
                             match base.mutant_tape_multi(&set) {
                                 MutantTape::Patched(patched) => {
                                     assert!(patched.n_patches() >= 1);
-                                    let mut ev: CompiledEvaluator<'_, u64> =
-                                        CompiledEvaluator::new(&patched);
                                     assert_eq!(
-                                        ev.run(&inputs),
+                                        run_every_lane_type(&patched, &inputs),
                                         reference,
                                         "{f1:?}@{ci} + {f2:?}@{cj}"
                                     );

@@ -4,15 +4,30 @@
 //! [`MicroOp`]s with a match loop. At construction it *decodes* the tape
 //! once into a [`Program`]: a flat instruction array where every entry
 //! carries a function pointer plus fully resolved operands — the
-//! permutation bytes of a 4×4 switch are copied inline, the
-//! [`REUSE_MASKS`] flag is resolved into a distinct function, and the
-//! superinstructions created by the [`crate::fuse`] pass
-//! ([`MicroOp::Pair2`], [`MicroOp::S4Chain`]) each decode to a single
-//! entry. Evaluation is then one indirect call per instruction with no
-//! per-op re-decoding, which is what closes the scalar gap between the
-//! tape and the component interpreter.
+//! permutation bytes of a 4×4 switch are copied inline. Evaluation is
+//! then one indirect call per instruction with no per-op re-decoding,
+//! which is what closes the scalar gap between the tape and the
+//! component interpreter.
 //!
-//! Two decode policies exist per op where it pays:
+//! Decode is the one place that decides dispatch shape, for every
+//! evaluator and lane type. The tape itself carries no fusion hints:
+//!
+//! * **switch chains** — a maximal run of 4×4 switches where each one
+//!   reads the same control slots as the switch before it and that
+//!   switch wrote neither slot ([`shares_controls`]) becomes one
+//!   instruction. It computes the select masks, or the scalar index,
+//!   once for the whole run: one swapper column steered by one control
+//!   pair;
+//! * **pairs** — two adjacent pair-fusible ops (gates, bit comparators,
+//!   2×2 switches, muxes) become one instruction.
+//!
+//! Both rewrites are pure re-bracketing: the program executes exactly
+//! the tape's slot reads and writes in tape order, it just pays fewer
+//! dispatches. Because they are re-derived from the tape on every
+//! decode, an in-place mutant patch (`CompiledCircuit::mutant_tape`)
+//! only ever rewrites its own op.
+//!
+//! Two decode policies exist per switch:
 //!
 //! * **wide** (`LANES > 1`): 4×4 switches run the select-mask arithmetic
 //!   (masks shared across an op's four outputs and, for chains, across
@@ -23,15 +38,16 @@
 //!   only when every lane shares one control value, i.e. exactly when
 //!   `LANES == 1`.
 //!
-//! Decode emits exactly one instruction per tape op, so the profiler
-//! (`CompiledEvaluator::run_into_profiled`) walks this same program
-//! through [`Program::exec_profiled`] and attributes instruction `i` to
-//! tape op `i`.
+//! The profiler (`CompiledEvaluator::run_into_profiled`) walks this same
+//! program through [`Program::exec_profiled`], which reports the tape
+//! range each instruction covers.
 
-use crate::compile::{CompiledCircuit, MicroOp, REUSE_MASKS};
+use std::ops::Range;
+
+use crate::compile::{shares_controls, CompiledCircuit, MicroOp};
 use crate::lane::Lane;
 
-/// One decoded 4×4 switch of a fused chain: permutation bytes inline.
+/// One decoded 4×4 switch of a chain: permutation bytes inline.
 pub(crate) struct ChainItem {
     d: [u32; 4],
     ins: [u32; 4],
@@ -39,9 +55,9 @@ pub(crate) struct ChainItem {
 }
 
 /// Decoded instruction: a function pointer plus resolved operands.
-/// `a` is a flat slot-operand window whose layout is op-specific (for
-/// [`MicroOp::Pair2`] it is two 5-slot sub-op windows); `perm` holds a
-/// 4×4 switch's permutation set inline so execution never touches
+/// `a` is a flat slot-operand window whose layout is op-specific (for a
+/// pair it is two 5-slot sub-op windows); `perm` holds a lone 4×4
+/// switch's permutation set inline so execution never touches
 /// [`CompiledCircuit::perm_sets`].
 pub(crate) struct Instr<V: Lane> {
     f: OpFn<V>,
@@ -49,14 +65,17 @@ pub(crate) struct Instr<V: Lane> {
     perm: [[u8; 4]; 4],
 }
 
-/// `(slots, switch-masks register, chain items, instruction)`.
-type OpFn<V> = fn(&mut [V], &mut [V; 4], &[ChainItem], &Instr<V>);
+/// `(slots, chain items, instruction)`.
+type OpFn<V> = fn(&mut [V], &[ChainItem], &Instr<V>);
 
 /// A decoded tape: what a [`CompiledEvaluator`](crate::CompiledEvaluator)
 /// actually runs.
 pub(crate) struct Program<V: Lane> {
     instrs: Vec<Instr<V>>,
     items: Vec<ChainItem>,
+    /// Tape position of each instruction's first op, plus the tape
+    /// length: instruction `i` covers ops `first_op[i]..first_op[i + 1]`.
+    first_op: Vec<u32>,
 }
 
 #[inline]
@@ -66,21 +85,21 @@ fn s(x: u32) -> usize {
 
 // ---- simple ops -----------------------------------------------------------
 
-fn op_const<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+fn op_const<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     w[s(i.a[0])] = V::splat(i.a[1] != 0);
 }
 
-fn op_not<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+fn op_not<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     w[s(i.a[0])] = w[s(i.a[1])].not();
 }
 
-fn op_demux<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+fn op_demux<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     let (sv, xv) = (w[s(i.a[2])], w[s(i.a[3])]);
     w[s(i.a[0])] = sv.not().and(xv);
     w[s(i.a[1])] = sv.and(xv);
 }
 
-fn op_route2<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+fn op_route2<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     let (av, bv) = (w[s(i.a[2])], w[s(i.a[3])]);
     w[s(i.a[0])] = av;
     w[s(i.a[1])] = bv;
@@ -88,7 +107,7 @@ fn op_route2<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr
 
 // ---- pair-fusible sub-ops -------------------------------------------------
 //
-// The ops the fuse pass may pack two-per-dispatch, executed through a
+// The ops decode may pack two-per-dispatch, executed through a
 // const-generic kind code so the inner match folds away after
 // monomorphization. Operand window layouts (5 slots each):
 //   gates (codes 0-5):  [d, a, b]
@@ -97,11 +116,11 @@ fn op_route2<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr
 //   mux (8):            [d, s, a1, a0]
 
 /// Number of pair-fusible kind codes (see [`pair_code`]).
-pub(crate) const N_PAIR_KINDS: u8 = 9;
+const N_PAIR_KINDS: u8 = 9;
 
-/// The pair-fusible kind code and 5-slot operand window of `op`, if it
-/// participates in [`MicroOp::Pair2`] fusion.
-pub(crate) fn pair_code(op: &MicroOp) -> Option<(u8, [u32; 5])> {
+/// The pair-fusible kind code and 5-slot operand window of `op`, if
+/// decode may pack it into a pair.
+fn pair_code(op: &MicroOp) -> Option<(u8, [u32; 5])> {
     Some(match *op {
         MicroOp::And { d, a, b } => (0, [d, a, b, 0, 0]),
         MicroOp::Or { d, a, b } => (1, [d, a, b, 0, 0]),
@@ -163,17 +182,12 @@ fn sub_op<V: Lane, const K: u8>(w: &mut [V], c: &[u32]) {
 }
 
 /// A lone pair-fusible op dispatched through its `sub_op` body.
-fn op_single<V: Lane, const K: u8>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+fn op_single<V: Lane, const K: u8>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     sub_op::<V, K>(w, &i.a[..5]);
 }
 
-/// Two sub-ops, one dispatch: the [`MicroOp::Pair2`] superinstruction.
-fn op_pair<V: Lane, const K1: u8, const K2: u8>(
-    w: &mut [V],
-    _m: &mut [V; 4],
-    _it: &[ChainItem],
-    i: &Instr<V>,
-) {
+/// Two sub-ops, one dispatch.
+fn op_pair<V: Lane, const K1: u8, const K2: u8>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     sub_op::<V, K1>(w, &i.a[..5]);
     sub_op::<V, K2>(w, &i.a[5..]);
 }
@@ -250,23 +264,15 @@ fn switch_apply<V: Lane>(w: &mut [V], m: &[V; 4], d: &[u32], ins: &[u32], pm: &[
     }
 }
 
-/// Mask-computing 4×4 switch: refreshes the shared mask register `m`.
-fn op_switch4<V: Lane>(w: &mut [V], m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
-    *m = switch_masks(w[s(i.a[8])], w[s(i.a[9])]);
-    switch_apply(w, m, &i.a[..4], &i.a[4..8], &i.perm);
+/// Lone 4×4 switch, wide flavour.
+fn op_switch4<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
+    let m = switch_masks(w[s(i.a[8])], w[s(i.a[9])]);
+    switch_apply(w, &m, &i.a[..4], &i.a[4..8], &i.perm);
 }
 
-/// Mask-reusing 4×4 switch: reads `m` as left by the previous switch.
-fn op_switch4_reuse<V: Lane>(w: &mut [V], m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
-    switch_apply(w, m, &i.a[..4], &i.a[4..8], &i.perm);
-}
-
-/// Scalar (`LANES == 1`) 4×4 switch: the control pair indexes one
-/// permutation and the op becomes four slot moves. Never touches `m` —
-/// in scalar decode, reuse flags also resolve here (recomputing the
-/// 2-bit index from the still-live control slots is cheaper than any
-/// sharing).
-fn op_switch4_scalar<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i: &Instr<V>) {
+/// Lone 4×4 switch, scalar (`LANES == 1`) flavour: the control pair
+/// indexes one permutation and the op becomes four slot moves.
+fn op_switch4_scalar<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     let k = usize::from(w[s(i.a[8])].first_lane()) << 1 | usize::from(w[s(i.a[9])].first_lane());
     let iv = [w[s(i.a[4])], w[s(i.a[5])], w[s(i.a[6])], w[s(i.a[7])]];
     let pm = &i.perm[k];
@@ -275,18 +281,18 @@ fn op_switch4_scalar<V: Lane>(w: &mut [V], _m: &mut [V; 4], _it: &[ChainItem], i
     }
 }
 
-/// Fused switch chain, wide flavour: masks computed once, applied to
-/// every item of the run.
-fn op_s4chain<V: Lane>(w: &mut [V], _m: &mut [V; 4], it: &[ChainItem], i: &Instr<V>) {
+/// Switch chain, wide flavour: masks computed once, applied to every
+/// item of the run.
+fn op_chain<V: Lane>(w: &mut [V], it: &[ChainItem], i: &Instr<V>) {
     let m = switch_masks(w[s(i.a[0])], w[s(i.a[1])]);
     for item in &it[s(i.a[2])..s(i.a[2]) + s(i.a[3])] {
         switch_apply(w, &m, &item.d, &item.ins, &item.perm);
     }
 }
 
-/// Fused switch chain, scalar flavour: one 2-bit index steers the whole
-/// run of four-slot moves.
-fn op_s4chain_scalar<V: Lane>(w: &mut [V], _m: &mut [V; 4], it: &[ChainItem], i: &Instr<V>) {
+/// Switch chain, scalar flavour: one 2-bit index steers the whole run
+/// of four-slot moves.
+fn op_chain_scalar<V: Lane>(w: &mut [V], it: &[ChainItem], i: &Instr<V>) {
     let k = usize::from(w[s(i.a[0])].first_lane()) << 1 | usize::from(w[s(i.a[1])].first_lane());
     for item in &it[s(i.a[2])..s(i.a[2]) + s(i.a[3])] {
         let iv = [
@@ -305,17 +311,25 @@ fn op_s4chain_scalar<V: Lane>(w: &mut [V], _m: &mut [V; 4], it: &[ChainItem], i:
 // ---- decode ---------------------------------------------------------------
 
 impl<V: Lane> Program<V> {
-    /// Decodes a compiled tape into its threaded form. `O(tape)`; done
-    /// once per evaluator, so per-mutant evaluators in fault campaigns
-    /// pay it on tapes of a few hundred ops at most.
+    /// Decodes a compiled tape into its threaded form, fusing switch
+    /// chains and op pairs (see the module docs). `O(tape)`; done once
+    /// per evaluator, so per-mutant evaluators in fault campaigns pay it
+    /// on tapes of a few hundred ops at most.
     pub(crate) fn decode(cc: &CompiledCircuit) -> Program<V> {
         let scalar = V::LANES == 1;
-        let mut items: Vec<ChainItem> = Vec::with_capacity(cc.s4_items().len());
-        let mut instrs: Vec<Instr<V>> = Vec::with_capacity(cc.tape().len());
-        for op in cc.tape() {
+        let tape = cc.tape();
+        let mut prog = Program {
+            instrs: Vec::with_capacity(tape.len()),
+            items: Vec::new(),
+            first_op: Vec::with_capacity(tape.len() + 1),
+        };
+        let mut i = 0;
+        while i < tape.len() {
+            prog.first_op.push(i as u32);
             let mut a = [0u32; 10];
             let mut perm = [[0u8; 4]; 4];
-            let f: OpFn<V> = match *op {
+            let mut next = i + 1;
+            let f: OpFn<V> = match tape[i] {
                 MicroOp::Const { d, v } => {
                     a[0] = d;
                     a[1] = u32::from(v);
@@ -341,73 +355,82 @@ impl<V: Lane> Program<V> {
                     s0,
                     pidx,
                 } => {
-                    a[..4].copy_from_slice(&d);
-                    a[4..8].copy_from_slice(&ins);
-                    a[8] = s1;
-                    a[9] = s0;
-                    perm = cc.perm_sets()[s(pidx & !REUSE_MASKS)];
-                    if scalar {
-                        op_switch4_scalar
-                    } else if pidx & REUSE_MASKS != 0 {
-                        op_switch4_reuse
+                    while next < tape.len() && shares_controls(&tape[next - 1], &tape[next]) {
+                        next += 1;
+                    }
+                    if next - i == 1 {
+                        a[..4].copy_from_slice(&d);
+                        a[4..8].copy_from_slice(&ins);
+                        a[8] = s1;
+                        a[9] = s0;
+                        perm = cc.perm_sets()[s(pidx)];
+                        if scalar {
+                            op_switch4_scalar
+                        } else {
+                            op_switch4
+                        }
                     } else {
-                        op_switch4
+                        a[..4].copy_from_slice(&[
+                            s1,
+                            s0,
+                            prog.items.len() as u32,
+                            (next - i) as u32,
+                        ]);
+                        for op in &tape[i..next] {
+                            if let MicroOp::Switch4 { d, ins, pidx, .. } = *op {
+                                prog.items.push(ChainItem {
+                                    d,
+                                    ins,
+                                    perm: cc.perm_sets()[s(pidx)],
+                                });
+                            }
+                        }
+                        if scalar {
+                            op_chain_scalar
+                        } else {
+                            op_chain
+                        }
                     }
                 }
-                MicroOp::Pair2 { idx } => {
-                    let [op1, op2] = cc.fused_pairs()[s(idx)];
-                    let (k1, c1) = pair_code(&op1).expect("unfusible op in pair table");
-                    let (k2, c2) = pair_code(&op2).expect("unfusible op in pair table");
+                ref op => {
+                    let (k1, c1) = pair_code(op).expect("unhandled micro-op kind");
                     a[..5].copy_from_slice(&c1);
-                    a[5..].copy_from_slice(&c2);
-                    pair_fn(k1, k2)
-                }
-                MicroOp::S4Chain { idx } => {
-                    let ch = cc.s4_chains()[s(idx)];
-                    a[0] = ch.s1;
-                    a[1] = ch.s0;
-                    a[2] = items.len() as u32;
-                    a[3] = ch.len;
-                    for item in &cc.s4_items()[s(ch.start)..s(ch.start) + s(ch.len)] {
-                        items.push(ChainItem {
-                            d: item.d,
-                            ins: item.ins,
-                            perm: cc.perm_sets()[s(item.pidx)],
-                        });
+                    match tape.get(next).and_then(pair_code) {
+                        Some((k2, c2)) => {
+                            a[5..].copy_from_slice(&c2);
+                            next += 1;
+                            pair_fn(k1, k2)
+                        }
+                        None => single_fn(k1),
                     }
-                    if scalar {
-                        op_s4chain_scalar
-                    } else {
-                        op_s4chain
-                    }
-                }
-                ref other => {
-                    let (k, c) = pair_code(other).expect("unhandled micro-op kind");
-                    a[..5].copy_from_slice(&c);
-                    single_fn(k)
                 }
             };
-            instrs.push(Instr { f, a, perm });
+            prog.instrs.push(Instr { f, a, perm });
+            i = next;
         }
-        Program { instrs, items }
+        prog.first_op.push(tape.len() as u32);
+        prog
+    }
+
+    /// Number of decoded instructions.
+    pub(crate) fn len(&self) -> usize {
+        self.instrs.len()
     }
 
     /// Executes the decoded program over the slot buffer `w`.
     #[inline]
     pub(crate) fn exec(&self, w: &mut [V]) {
-        let mut m = [V::ZERO; 4];
         for i in &self.instrs {
-            (i.f)(w, &mut m, &self.items, i);
+            (i.f)(w, &self.items, i);
         }
     }
 
-    /// [`Program::exec`] that calls `after` with each instruction's
-    /// index (= its tape position) once the instruction has run.
-    pub(crate) fn exec_profiled(&self, w: &mut [V], mut after: impl FnMut(usize)) {
-        let mut m = [V::ZERO; 4];
-        for (idx, i) in self.instrs.iter().enumerate() {
-            (i.f)(w, &mut m, &self.items, i);
-            after(idx);
+    /// [`Program::exec`] that calls `after` with the tape range each
+    /// instruction covers once the instruction has run.
+    pub(crate) fn exec_profiled(&self, w: &mut [V], mut after: impl FnMut(Range<usize>)) {
+        for (i, ops) in self.instrs.iter().zip(self.first_op.windows(2)) {
+            (i.f)(w, &self.items, i);
+            after(s(ops[0])..s(ops[1]));
         }
     }
 }

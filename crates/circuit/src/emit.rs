@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::compile::{CompiledCircuit, MicroOp, REUSE_MASKS};
+use crate::compile::{shares_controls, CompiledCircuit, MicroOp};
 
 /// Emits `cc` as a free function `fn <fn_name>(input: &[bool; I]) ->
 /// [bool; O]`. With `standalone` the output is a complete `#![no_std]`
@@ -60,18 +60,24 @@ pub fn emit_rust(cc: &CompiledCircuit, fn_name: &str, standalone: bool) -> Strin
         let _ = writeln!(out, "    let {} = input[{i}];", wr(slot, &mut ver));
     }
 
-    // Mask temporaries of the most recent mask-computing 4×4 switch;
-    // mask-reuse ops read them instead of re-deriving.
+    // Mask temporaries of the current run of 4×4 switches on one
+    // control pair (the runs dispatch decodes into one chain); every
+    // switch of the run reads them instead of re-deriving.
     let mut masks: Option<[String; 4]> = None;
     let mut mctr = 0u32;
     // Bindings known to hold a constant (the rewrite pass routes the
     // canonical consts into half-adder 4×4 switches); switch emission
     // folds them so the straight-line source stays near tape size.
     let mut konst: HashMap<String, bool> = HashMap::new();
+    let mut prev: Option<&MicroOp> = None;
     for op in cc.tape() {
+        if !prev.is_some_and(|p| shares_controls(p, op)) {
+            masks = None;
+        }
         emit_op(
             &mut out, cc, op, &mut ver, &mut masks, &mut mctr, &mut konst, &rd,
         );
+        prev = Some(op);
     }
 
     out.push_str("    [");
@@ -177,7 +183,7 @@ fn emit_op(
             s0,
             pidx,
         } => {
-            let pm = &cc.perm_sets()[(pidx & !REUSE_MASKS) as usize];
+            let pm = &cc.perm_sets()[pidx as usize];
             let iv = [
                 rd(ins[0], ver),
                 rd(ins[1], ver),
@@ -187,52 +193,14 @@ fn emit_op(
             if iv.iter().all(|v| konst.contains_key(v)) {
                 // A LUT-backed switch (every data input constant): each
                 // output is a two-input boolean function of the selects
-                // — emit it directly, no mask temporaries. Invalidate
-                // any cached masks this op was supposed to establish.
-                if pidx & REUSE_MASKS == 0 {
-                    *masks = None;
-                }
+                // — emit it directly, no mask temporaries.
                 emit_lut_outs(out, &rd(s1, ver), &rd(s0, ver), &d, &iv, pm, ver, konst);
             } else {
-                if pidx & REUSE_MASKS == 0 || masks.is_none() {
-                    *masks = Some(emit_masks(out, rd(s1, ver), rd(s0, ver), mctr));
-                }
-                let m = masks.as_ref().unwrap().clone();
+                let m = masks
+                    .get_or_insert_with(|| emit_masks(out, rd(s1, ver), rd(s0, ver), mctr))
+                    .clone();
                 emit_switch4_outs(out, &m, &d, &iv, pm, ver, konst);
             }
-        }
-        MicroOp::Pair2 { idx } => {
-            for sub in &cc.fused_pairs()[idx as usize] {
-                emit_op(out, cc, sub, ver, masks, mctr, konst, rd);
-            }
-        }
-        MicroOp::S4Chain { idx } => {
-            let ch = cc.s4_chains()[idx as usize];
-            let m = emit_masks(out, rd(ch.s1, ver), rd(ch.s0, ver), mctr);
-            for it in &cc.s4_items()[ch.start as usize..(ch.start + ch.len) as usize] {
-                let pm = &cc.perm_sets()[it.pidx as usize];
-                let iv = [
-                    rd(it.ins[0], ver),
-                    rd(it.ins[1], ver),
-                    rd(it.ins[2], ver),
-                    rd(it.ins[3], ver),
-                ];
-                if iv.iter().all(|v| konst.contains_key(v)) {
-                    emit_lut_outs(
-                        out,
-                        &rd(ch.s1, ver),
-                        &rd(ch.s0, ver),
-                        &it.d,
-                        &iv,
-                        pm,
-                        ver,
-                        konst,
-                    );
-                } else {
-                    emit_switch4_outs(out, &m, &it.d, &iv, pm, ver, konst);
-                }
-            }
-            *masks = Some(m);
         }
     }
 }

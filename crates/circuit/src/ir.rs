@@ -189,10 +189,6 @@ pub struct IrOp {
     pub defs: [ValId; 4],
     /// Source component index, or [`NO_COMP`] for synthesized ops.
     pub comp: u32,
-    /// Set by the mask-reuse pass: this 4×4 switch may reuse the select
-    /// masks computed by the (identical-control) switch directly before
-    /// it on the scheduled tape.
-    pub reuse_masks: bool,
     /// Depth level assigned by the schedule stage (constants are 0 and
     /// go to the prologue; component ops start at 1).
     pub level: u32,
@@ -274,7 +270,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
             kind: IrKind::Const { v },
             defs: [def, 0, 0, 0],
             comp: NO_COMP,
-            reuse_masks: false,
             level: 0,
         });
     };
@@ -329,7 +324,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
             kind,
             defs,
             comp: ci as u32,
-            reuse_masks: false,
             level: 0,
         });
     }

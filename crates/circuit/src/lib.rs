@@ -45,7 +45,6 @@ pub mod emit;
 pub mod equiv;
 pub mod eval;
 pub mod faulty;
-pub mod fuse;
 pub mod ir;
 pub mod lane;
 pub mod mutate;

@@ -1,7 +1,7 @@
 //! The compiler pass pipeline: named, individually-toggleable IR
 //! transforms behind the [`Pass`] trait, driven by [`PassManager`].
 //!
-//! The pipeline has three parts:
+//! The pipeline has two parts:
 //!
 //! 1. **optional IR passes**, run in canonical order when enabled by the
 //!    [`PassSet`]: [`PassName::ConstPrologue`] (constant dedup),
@@ -13,10 +13,10 @@
 //!    (dead-code elimination);
 //! 2. the **schedule** stage (always on): levelize and stable-sort ops
 //!    so constants form the prologue and component ops are grouped by
-//!    depth level;
-//! 3. [`PassName::MaskReuse`] (optional, post-schedule): flag adjacent
-//!    4×4 switches sharing a control pair so the evaluator reuses the
-//!    select masks.
+//!    depth level.
+//!
+//! Nothing runs after the schedule: which tape ops share a dispatch is
+//! decided when `crate::dispatch` decodes the tape.
 //!
 //! Every optional pass records before/after op counts in a
 //! [`PassStats`] row (surfaced by `CompiledCircuit::pass_stats`, the
@@ -30,7 +30,6 @@ pub mod const_prop;
 pub mod cse;
 pub mod dce;
 mod index;
-pub mod mask_reuse;
 pub mod rewrite;
 pub mod schedule;
 
@@ -65,20 +64,16 @@ pub enum PassName {
     Rewrite,
     /// Drop ops no output observes.
     Dce,
-    /// Flag select-mask reuse between adjacent 4×4 switches
-    /// (post-schedule).
-    MaskReuse,
 }
 
 impl PassName {
     /// Every pass, in canonical run order.
-    pub const ALL: [PassName; 6] = [
+    pub const ALL: [PassName; 5] = [
         PassName::ConstPrologue,
         PassName::ConstProp,
         PassName::Cse,
         PassName::Rewrite,
         PassName::Dce,
-        PassName::MaskReuse,
     ];
 
     /// Stable name used by `--passes`, telemetry, and reports.
@@ -89,7 +84,6 @@ impl PassName {
             PassName::Cse => "cse",
             PassName::Rewrite => "rewrite",
             PassName::Dce => "dce",
-            PassName::MaskReuse => "mask-reuse",
         }
     }
 
@@ -106,7 +100,6 @@ impl PassName {
             PassName::Cse => 1 << 2,
             PassName::Rewrite => 1 << 5,
             PassName::Dce => 1 << 3,
-            PassName::MaskReuse => 1 << 4,
         }
     }
 }
@@ -128,7 +121,7 @@ impl PassSet {
     pub const EMPTY: PassSet = PassSet(0);
 
     /// Every pass (opt-level 2).
-    pub const ALL: PassSet = PassSet(0b11_1111);
+    pub const ALL: PassSet = PassSet(0b10_1111);
 
     /// Whether `p` is enabled.
     #[inline]
@@ -203,7 +196,7 @@ pub enum OptLevel {
     /// No optional passes: straight lowering plus schedule + regalloc.
     O0,
     /// The transforms the pre-pipeline compiler performed: constant
-    /// prologue, DCE, and select-mask reuse.
+    /// prologue and DCE.
     O1,
     /// Everything, including CSE and constant propagation (default).
     #[default]
@@ -220,8 +213,7 @@ impl OptLevel {
             OptLevel::O0 => PassSet::EMPTY,
             OptLevel::O1 => PassSet::EMPTY
                 .with(PassName::ConstPrologue)
-                .with(PassName::Dce)
-                .with(PassName::MaskReuse),
+                .with(PassName::Dce),
             OptLevel::O2 => PassSet::ALL,
         }
     }
@@ -261,12 +253,6 @@ pub struct CompileOptions {
     /// Force the per-pass IR-vs-interpreter differential check even in
     /// release builds (it is always on under `debug_assertions`).
     pub verify: bool,
-    /// Run the post-regalloc superinstruction pass (`crate::fuse`):
-    /// fuse 4×4-switch mask-reuse runs into single-dispatch chains and
-    /// frequent adjacent simple-op pairs into `Pair2` ops. Off by
-    /// default — fused sites lose in-place mutant patching (they fall
-    /// back to recompile), so sweep drivers opt in explicitly.
-    pub fuse: bool,
 }
 
 impl Default for CompileOptions {
@@ -274,7 +260,6 @@ impl Default for CompileOptions {
         CompileOptions {
             passes: OptLevel::default().passes(),
             verify: false,
-            fuse: false,
         }
     }
 }
@@ -286,13 +271,6 @@ impl CompileOptions {
             passes: level.passes(),
             ..CompileOptions::default()
         }
-    }
-
-    /// This option set with the superinstruction fuse pass enabled.
-    #[must_use]
-    pub fn with_fuse(mut self) -> CompileOptions {
-        self.fuse = true;
-        self
     }
 }
 
@@ -308,7 +286,7 @@ pub struct PassStats {
 }
 
 impl PassStats {
-    /// Ops removed by the pass (0 for flag-only passes).
+    /// Ops removed by the pass.
     pub fn removed(&self) -> usize {
         self.ops_before.saturating_sub(self.ops_after)
     }
@@ -321,7 +299,6 @@ fn pass_impl(p: PassName) -> &'static dyn Pass {
         PassName::Cse => &cse::Cse,
         PassName::Rewrite => &rewrite::Rewrite,
         PassName::Dce => &dce::Dce,
-        PassName::MaskReuse => &mask_reuse::MaskReuse,
     }
 }
 
@@ -336,9 +313,8 @@ impl PassManager {
         PassManager { opts }
     }
 
-    /// Runs the enabled passes (canonical order), the schedule stage,
-    /// and the post-schedule passes; returns one [`PassStats`] row per
-    /// optional pass run. `circuit` is only consulted by the
+    /// Runs the enabled passes (canonical order) and the schedule
+    /// stage; returns one [`PassStats`] row per optional pass run. `circuit` is only consulted by the
     /// differential check.
     pub fn run(&self, circuit: &Circuit, ir: &mut CompileIr) -> Vec<PassStats> {
         let verify = self.opts.verify || cfg!(debug_assertions);
@@ -351,10 +327,7 @@ impl PassManager {
         if verify {
             self.check(circuit, ir, "lower");
         }
-        for p in PassName::ALL {
-            if p == PassName::MaskReuse || !self.opts.passes.contains(p) {
-                continue;
-            }
+        for p in self.opts.passes.passes() {
             self.run_one(p, circuit, ir, verify, &mut stats);
         }
         {
@@ -364,9 +337,6 @@ impl PassManager {
         }
         if verify {
             self.check(circuit, ir, "schedule");
-        }
-        if self.opts.passes.contains(PassName::MaskReuse) {
-            self.run_one(PassName::MaskReuse, circuit, ir, verify, &mut stats);
         }
         stats
     }

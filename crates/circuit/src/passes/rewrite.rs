@@ -186,7 +186,6 @@ fn round(ir: &mut CompileIr, counts: &mut [u32; 4]) -> bool {
                                 kind,
                                 defs,
                                 comp: NO_COMP,
-                                reuse_masks: false,
                                 level: 0,
                             };
                             (defs, Some(op))

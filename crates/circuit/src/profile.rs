@@ -3,12 +3,13 @@
 //!
 //! The profiled run path ([`crate::CompiledEvaluator::run_into_profiled`])
 //! walks the same decoded program as the hot `run_into`, with a clock
-//! read after every instruction; `run_into` itself carries no profiling
-//! branches, and drivers sample (e.g. profile every k-th pass) rather
-//! than instrument every pass. Absolute nanoseconds include clock
-//! overhead (~tens of ns per op); the numbers are for *ranking* kinds
-//! and levels against each other, which is what the superinstruction
-//! work needs.
+//! read after every instruction; an instruction decode fused from
+//! several tape ops credits each of them one execution and an even
+//! share of its time. `run_into` itself carries no profiling branches,
+//! and drivers sample (e.g. profile every k-th pass) rather than
+//! instrument every pass. Absolute nanoseconds include clock overhead
+//! (~tens of ns per instruction); the numbers are for *ranking* kinds
+//! and levels against each other.
 
 use crate::compile::MicroOp;
 
@@ -39,10 +40,9 @@ pub struct TapeProfile {
     /// depth level `l` of [`crate::CompiledCircuit::level_ranges`].
     pub levels: Vec<LevelStat>,
     /// Adjacent-pair census: `pairs[prev * NUM_KINDS + cur]` counts how
-    /// often an op of kind `cur` directly followed one of kind `prev`
-    /// *within the same depth level* (pairs never straddle a level
-    /// boundary, matching the fuse pass's legality rule). Empty until
-    /// the first profiled pass.
+    /// often an op of kind `cur` directly followed one of kind `prev` on
+    /// the tape, level boundaries included (decode fuses across them
+    /// too). Empty until the first profiled pass.
     pub pairs: Vec<u64>,
     /// Profiled passes folded in.
     pub passes: u64,
@@ -61,7 +61,7 @@ impl TapeProfile {
         }
     }
 
-    /// Records one same-level adjacency of kinds `(prev, cur)`.
+    /// Records one adjacency of kinds `(prev, cur)`.
     pub(crate) fn record_pair(&mut self, prev: usize, cur: usize) {
         if self.pairs.is_empty() {
             self.pairs = vec![0; MicroOp::NUM_KINDS * MicroOp::NUM_KINDS];
@@ -116,9 +116,8 @@ impl TapeProfile {
     }
 
     /// `((prev_kind, cur_kind), count)` rows with at least one observed
-    /// same-level adjacency, most frequent first. This is the table the
-    /// `fuse` pass's superinstruction menu is justified against (see
-    /// `absort inspect --profile`).
+    /// adjacency, most frequent first. This is the table decode's fusion
+    /// menu is justified against (see `absort inspect --profile`).
     pub fn hot_pairs(&self) -> Vec<((&'static str, &'static str), u64)> {
         let k = MicroOp::NUM_KINDS;
         let mut rows: Vec<((&'static str, &'static str), u64)> = self

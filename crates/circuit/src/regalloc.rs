@@ -8,7 +8,7 @@
 //! reads all of its sources before writing. Definitions nothing reads
 //! (an unused demux branch, an ignored input) share one scratch slot.
 
-use crate::compile::{CompiledCircuit, MicroOp, COMP_DEAD, COMP_FOLDED, REUSE_MASKS};
+use crate::compile::{CompiledCircuit, MicroOp, COMP_DEAD, COMP_FOLDED};
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompFate, CompileIr, IrKind, NO_COMP};
 
@@ -176,16 +176,13 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
                 a: slot(a),
                 b: slot(b),
             },
-            IrKind::Switch4 { s1, s0, ins, perms } => {
-                let pid = intern_perms(&mut perm_sets, perms);
-                MicroOp::Switch4 {
-                    d: ds,
-                    ins: [slot(ins[0]), slot(ins[1]), slot(ins[2]), slot(ins[3])],
-                    s1: slot(s1),
-                    s0: slot(s0),
-                    pidx: pid | if op.reuse_masks { REUSE_MASKS } else { 0 },
-                }
-            }
+            IrKind::Switch4 { s1, s0, ins, perms } => MicroOp::Switch4 {
+                d: ds,
+                ins: [slot(ins[0]), slot(ins[1]), slot(ins[2]), slot(ins[3])],
+                s1: slot(s1),
+                s0: slot(s0),
+                pidx: intern_perms(&mut perm_sets, perms),
+            },
         });
         if !is_const {
             if let Some(last) = level_ranges.last_mut() {
@@ -217,8 +214,5 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
         source_components: ir.source_components() as u32,
         pass_stats: Vec::new(),
         rewrite_hits: ir.rewrite_hits.clone(),
-        fused_pairs: Vec::new(),
-        s4_chains: Vec::new(),
-        s4_items: Vec::new(),
     }
 }

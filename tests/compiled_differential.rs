@@ -6,14 +6,18 @@
 //! * exhaustive — every one of the `2^n` input vectors at `n ≤ 8`, for
 //!   the prefix sorter, the mux-based merge sorter, the fish k-way
 //!   merger (combinational form), and the nonadaptive (Batcher-equal)
-//!   sorter, swept in packed 64-lane passes;
+//!   sorter, swept in packed 64-lane passes (the sweep at every opt
+//!   level through every decode flavour is `fused_differential.rs`);
 //! * proptest — random vector batches across the same catalog at larger
 //!   sizes, through scalar, packed, and wide (`[u64; 4]` and `[u64; 8]`)
-//!   compiled walks.
+//!   compiled walks;
+//! * the decoded dispatch count — decode fuses switch chains and op
+//!   pairs identically for every lane type, at least as far as the
+//!   tape-level fuse pass it replaced did.
 
 use absort::analysis::faults::fish_k;
 use absort::circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
-use absort::circuit::{Circuit, CompiledEvaluator, Evaluator};
+use absort::circuit::{Circuit, CompileOptions, CompiledEvaluator, Evaluator, OptLevel};
 use absort::core::{fish, muxmerge, nonadaptive, prefix};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -69,6 +73,46 @@ fn exhaustive_equivalence_at_small_n() {
                 assert_eq!(got, want, "{name} n={n} vectors {v}..{}", v + lanes as u64);
                 v += lanes as u64;
             }
+        }
+    }
+}
+
+/// Decode fuses every lane type alike, and at least as far as the
+/// tape-level fuse pass it replaced: `dispatches()` is equal for `bool`
+/// and `[u64; 4]` and at most that pass's fused tape length (the pins).
+/// Decode may also fuse across depth levels, which the pass never did.
+#[test]
+fn decoded_dispatch_counts_are_pinned() {
+    // (network, n, fused tape length at O1, at O2)
+    let pins: [(&str, usize, usize, usize); 8] = [
+        ("prefix", 64, 669, 692),
+        ("mux-merger", 64, 146, 146),
+        ("nonadaptive", 64, 336, 336),
+        ("fish", 64, 1345, 975),
+        ("prefix", 1024, 17_132, 17_521),
+        ("mux-merger", 1024, 2538, 2538),
+        ("nonadaptive", 1024, 14_080, 14_080),
+        ("fish", 1024, 60_033, 41_065),
+    ];
+    for (name, n, o1, o2) in pins {
+        let circuit = match name {
+            "prefix" => prefix::build(n),
+            "mux-merger" => muxmerge::build(n),
+            "nonadaptive" => nonadaptive::build(n),
+            _ => fish::circuits::build_combinational_kmerger(n, fish_k(n)),
+        };
+        for (level, pin) in [(OptLevel::O1, o1), (OptLevel::O2, o2)] {
+            let cc = circuit.compile_with(&CompileOptions::for_level(level));
+            let scalar = CompiledEvaluator::<bool>::new(&cc).dispatches();
+            let wide = CompiledEvaluator::<[u64; 4]>::new(&cc).dispatches();
+            assert_eq!(
+                scalar, wide,
+                "{name} n={n} O{level}: lane types decode apart"
+            );
+            assert!(
+                wide <= pin,
+                "{name} n={n} O{level}: {wide} dispatches, the fuse pass reached {pin}"
+            );
         }
     }
 }

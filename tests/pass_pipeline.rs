@@ -6,10 +6,13 @@
 //! identically to the interpreter — and a whole fault campaign must
 //! produce a bit-identical report no matter which opt level compiled
 //! its tapes (the provenance contract: dead sites are genuinely
-//! unobservable, folded sites fall back to per-mutant recompiles).
+//! unobservable, folded sites fall back to per-mutant recompiles; a
+//! crafted CSE merge pins the split site by site).
 
 use absort::analysis::faults::{self as fc, fish_k, NetworkSel};
+use absort::circuit::compile::MutantTape;
 use absort::circuit::ir::lower;
+use absort::circuit::mutate::{self, Fault};
 use absort::circuit::passes::const_prologue::ConstPrologue;
 use absort::circuit::passes::const_prop::ConstProp;
 use absort::circuit::passes::cse::Cse;
@@ -18,7 +21,8 @@ use absort::circuit::passes::rewrite::Rewrite;
 use absort::circuit::passes::schedule::schedule;
 use absort::circuit::passes::Pass;
 use absort::circuit::{
-    Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassName, PassSet,
+    Builder, Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, GateOp, OptLevel,
+    PassName, PassSet,
 };
 use absort::core::{fish, muxmerge, nonadaptive, prefix};
 use absort::networks::hardened::{harden, HardenOptions};
@@ -99,7 +103,6 @@ fn every_configuration_matches_interpreter_exhaustively() {
                 let opts = CompileOptions {
                     passes,
                     verify: true,
-                    ..CompileOptions::default()
                 };
                 let compiled = circuit.compile_with(&opts);
                 let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&compiled);
@@ -248,5 +251,90 @@ fn report_cost_columns_price_the_hardening() {
     assert!(
         dup.hardened_cost >= cheap.hardened_cost + dup.base_cost,
         "duplicate-and-compare must at least double the core"
+    );
+}
+
+/// CSE provenance split, pinned on a crafted netlist:
+///
+/// * comps 0, 1 and 2 — the merge survivor (it stands for three
+///   components at once) and both duplicates, observed or not: the tape
+///   holds no faithful single-component image, so mutants must
+///   recompile (`Unsupported`);
+/// * comps 3 and 4 — live downstream gates → patched in place;
+/// * comp 5 — a gate nothing observes and nothing merged with → removed
+///   by DCE, so every mutant is output-equivalent (`Dead`).
+#[test]
+fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
+    let mut b = Builder::new();
+    let ins = b.input_bus(3);
+    let g1 = b.gate(GateOp::And, ins[0], ins[1]); // comp 0 (survivor)
+    let g2 = b.gate(GateOp::And, ins[0], ins[1]); // comp 1 (dup, observed)
+    let _g3 = b.gate(GateOp::And, ins[0], ins[1]); // comp 2 (dup, unobserved)
+    let x = b.gate(GateOp::Xor, g1, g2); // comp 3
+    let y = b.gate(GateOp::Or, g2, ins[2]); // comp 4
+    let _dead = b.gate(GateOp::Or, ins[0], ins[2]); // comp 5 (unobserved)
+    b.outputs(&[x, y]);
+    let c = b.finish();
+
+    // O2 minus the rewrite pass: after CSE merges g1/g2 into one value
+    // v, its `syn-xor-x-x` rewrite would fold comp 3 (v ^ v -> false)
+    // and obscure the CSE split this test pins; the rewrite interaction
+    // is asserted separately below.
+    let mut opts = CompileOptions::default();
+    opts.passes = opts.passes.without(PassName::Rewrite);
+    let mut cc = c.compile_with(&opts);
+    for comp in [0usize, 1, 2] {
+        assert!(
+            matches!(
+                cc.mutant_tape(comp, Fault::InvertBehaviour),
+                MutantTape::Unsupported
+            ),
+            "comp {comp}: merged sites must force the recompile fallback"
+        );
+    }
+    for comp in [3usize, 4] {
+        assert!(
+            matches!(
+                cc.mutant_tape(comp, Fault::InvertBehaviour),
+                MutantTape::Patched(_)
+            ),
+            "comp {comp}: live gate must stay patchable in place"
+        );
+    }
+    assert!(
+        matches!(cc.mutant_tape(5, Fault::InvertBehaviour), MutantTape::Dead),
+        "comp 5: dead code must score Dead without recompiling"
+    );
+
+    // With the rewrite pass back on (full default O2), `syn-xor-x-x`
+    // folds comp 3's v ^ v to a constant; the site is Folded, so
+    // mutants fall back to the recompile path rather than patching a
+    // tape that no longer holds the gate.
+    let mut cc_o2 = c.compile();
+    assert!(
+        matches!(
+            cc_o2.mutant_tape(3, Fault::InvertBehaviour),
+            MutantTape::Unsupported
+        ),
+        "comp 3: rewritten x^x site must not claim an in-place patch"
+    );
+
+    // Semantic backstop for the Dead verdict: the actual netlist mutant
+    // of comp 5 is output-equivalent to the base on every input.
+    let mutant5 = mutate::apply(&c, 5, Fault::InvertBehaviour).expect("fault applies");
+    for v in 0..1u64 << 3 {
+        let bits: Vec<bool> = (0..3).map(|i| v >> i & 1 == 1).collect();
+        assert_eq!(mutant5.eval(&bits), c.eval(&bits), "input {v:03b}");
+    }
+
+    // And the recompile verdict for comp 1 is not spurious: its mutant
+    // really does change an output somewhere.
+    let mutant1 = mutate::apply(&c, 1, Fault::InvertBehaviour).expect("fault applies");
+    assert!(
+        (0..1u64 << 3).any(|v| {
+            let bits: Vec<bool> = (0..3).map(|i| v >> i & 1 == 1).collect();
+            mutant1.eval(&bits) != c.eval(&bits)
+        }),
+        "comp 1 mutant should be observable"
     );
 }
