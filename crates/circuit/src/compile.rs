@@ -41,14 +41,19 @@
 //! `run_into` / `try_*` surface as [`crate::Evaluator`], over any
 //! [`Lane`] type, through the threaded program of [`crate::dispatch`];
 //! [`CompiledEvaluator::run_into_profiled`] walks that same program with
-//! per-op attribution. Equivalence with the interpreter is enforced by
-//! the differential suites (`crates/circuit/tests/differential.rs`, the
-//! workspace-level `tests/compiled_differential.rs` and
-//! `tests/pass_pipeline.rs`) plus the pass manager's own per-pass
-//! differential check.
+//! per-op attribution. A caller that evaluates one tape many times, such
+//! as the sorting service, decodes it once into a [`Decoded`] program and
+//! builds each evaluator on it with [`CompiledEvaluator::with_decoded`].
+//! Equivalence with the interpreter is enforced by the differential
+//! suites (`crates/circuit/tests/differential.rs`, the workspace-level
+//! `tests/compiled_differential.rs` and `tests/pass_pipeline.rs`) plus
+//! the pass manager's own per-pass differential check.
+
+use std::sync::Arc;
 
 use crate::circuit::Circuit;
 use crate::component::Perm4;
+use crate::dispatch::Program;
 use crate::eval::EvalError;
 use crate::lane::Lane;
 use crate::mutate::Fault;
@@ -751,6 +756,48 @@ impl CompiledCircuit {
     }
 }
 
+/// A tape decoded once into its threaded-dispatch form (see
+/// [`crate::dispatch`]), shareable across evaluators and threads: each
+/// [`CompiledEvaluator::with_decoded`] borrows it instead of decoding the
+/// tape again. Cloning shares the program.
+///
+/// The program is a snapshot of the tape it was decoded from. It records
+/// that tape's length and slot count, and an evaluator refuses it for a
+/// tape that differs in either; a tape patched in place since the decode
+/// (`CompiledCircuit::mutant_tape`) needs a fresh decode.
+///
+/// ```
+/// use absort_circuit::compile::Decoded;
+/// use absort_circuit::{Builder, CompiledEvaluator};
+///
+/// let mut b = Builder::new();
+/// let x = b.input();
+/// let y = b.input();
+/// let o = b.or(x, y);
+/// b.outputs(&[o]);
+/// let cc = b.finish().compile();
+///
+/// let prog = Decoded::<u64>::new(&cc);
+/// let mut ev = CompiledEvaluator::with_decoded(&cc, &prog).unwrap();
+/// assert_eq!(ev.run(&[0b0011, 0b0101]), vec![0b0111]);
+/// ```
+#[derive(Clone)]
+pub struct Decoded<V: Lane> {
+    program: Arc<Program<V>>,
+    /// `(tape length, slot count)` of the decoded tape.
+    shape: (usize, usize),
+}
+
+impl<V: Lane> Decoded<V> {
+    /// Decodes `cc`'s tape: linear in the tape.
+    pub fn new(cc: &CompiledCircuit) -> Decoded<V> {
+        Decoded {
+            program: Arc::new(Program::decode(cc)),
+            shape: (cc.tape_len(), cc.n_slots()),
+        }
+    }
+}
+
 /// A reusable evaluation context for one compiled circuit and one lane
 /// type — the compiled twin of [`crate::Evaluator`].
 ///
@@ -772,7 +819,7 @@ impl CompiledCircuit {
 pub struct CompiledEvaluator<'c, V: Lane> {
     cc: &'c CompiledCircuit,
     /// The tape decoded to threaded form (see [`crate::dispatch`]).
-    prog: crate::dispatch::Program<V>,
+    prog: Decoded<V>,
     slots: Vec<V>,
     #[cfg(feature = "telemetry")]
     tel: absort_telemetry::LocalRecorder,
@@ -796,23 +843,40 @@ impl<V: Lane> Drop for CompiledEvaluator<'_, V> {
 impl<'c, V: Lane> CompiledEvaluator<'c, V> {
     /// Creates an evaluator with a zeroed slot buffer. Decodes the tape
     /// into its threaded-dispatch form (see [`crate::dispatch`]) — a
-    /// one-time linear cost over the tape.
+    /// one-time linear cost over the tape — and runs it through
+    /// [`CompiledEvaluator::with_decoded`].
     pub fn new(cc: &'c CompiledCircuit) -> Self {
-        CompiledEvaluator {
+        CompiledEvaluator::with_decoded(cc, &Decoded::new(cc))
+            .expect("a program decoded from this tape fits it")
+    }
+
+    /// Creates an evaluator with a zeroed slot buffer over a program
+    /// already decoded from `cc`, sharing it instead of decoding again.
+    /// Refuses, with [`EvalError::ProgramMismatch`], a program whose
+    /// tape length or slot count differs from `cc`'s.
+    pub fn with_decoded(cc: &'c CompiledCircuit, prog: &Decoded<V>) -> Result<Self, EvalError> {
+        let expected = (cc.tape_len(), cc.n_slots());
+        if prog.shape != expected {
+            return Err(EvalError::ProgramMismatch {
+                expected,
+                got: prog.shape,
+            });
+        }
+        Ok(CompiledEvaluator {
             cc,
-            prog: crate::dispatch::Program::decode(cc),
+            prog: prog.clone(),
             slots: vec![V::ZERO; cc.n_slots()],
             #[cfg(feature = "telemetry")]
             tel: absort_telemetry::LocalRecorder::new(),
             #[cfg(feature = "telemetry")]
             tel_passes: 0,
-        }
+        })
     }
 
     /// Number of decoded instructions one pass dispatches: the tape
     /// length minus what decode fused (switch chains, op pairs).
     pub fn dispatches(&self) -> usize {
-        self.prog.len()
+        self.prog.program.len()
     }
 
     /// Evaluates on the given primary-input values and returns the
@@ -932,12 +996,7 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
     /// One pass: loads `inputs` into their slots, lets `walk` run the
     /// decoded program over the slot buffer, and copies out the outputs.
     #[inline(always)]
-    fn pass(
-        &mut self,
-        inputs: &[V],
-        out: &mut [V],
-        walk: impl FnOnce(&crate::dispatch::Program<V>, &mut [V]),
-    ) {
+    fn pass(&mut self, inputs: &[V], out: &mut [V], walk: impl FnOnce(&Program<V>, &mut [V])) {
         let cc = self.cc;
         assert_eq!(
             inputs.len(),
@@ -951,7 +1010,7 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         for (&s, &v) in cc.input_slots.iter().zip(inputs) {
             w[s as usize] = v;
         }
-        walk(&self.prog, w);
+        walk(&self.prog.program, w);
         for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
             *o = w[s as usize];
         }
@@ -1269,6 +1328,29 @@ mod tests {
             ev.try_run_into(&[false; 4], &mut short),
             Err(EvalError::OutputLen { .. })
         ));
+    }
+
+    #[test]
+    fn shared_program_is_refused_by_another_tape() {
+        let c = kitchen_sink();
+        let cc = c.compile();
+        let other = c.compile_with(&CompileOptions::for_level(crate::passes::OptLevel::O0));
+        assert_ne!(
+            (other.tape_len(), other.n_slots()),
+            (cc.tape_len(), cc.n_slots())
+        );
+        let prog = Decoded::<u64>::new(&other);
+        assert_eq!(
+            CompiledEvaluator::with_decoded(&cc, &prog).err(),
+            Some(EvalError::ProgramMismatch {
+                expected: (cc.tape_len(), cc.n_slots()),
+                got: (other.tape_len(), other.n_slots()),
+            })
+        );
+        let mut shared = CompiledEvaluator::with_decoded(&other, &prog).unwrap();
+        let mut own = CompiledEvaluator::<u64>::new(&other);
+        let words = [0x0123_4567_89ab_cdef, !0, 0xf0f0, 0x5555_5555_0000_ffff];
+        assert_eq!(shared.run(&words), own.run(&words));
     }
 
     #[test]

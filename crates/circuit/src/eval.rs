@@ -58,6 +58,14 @@ pub enum EvalError {
         /// `chunk + threads`, `chunk + 2·threads`, …).
         chunk: usize,
     },
+    /// A shared decoded program was handed to an evaluator of another
+    /// tape (see [`crate::compile::Decoded`]).
+    ProgramMismatch {
+        /// `(tape length, slot count)` of the evaluator's tape.
+        expected: (usize, usize),
+        /// `(tape length, slot count)` the program was decoded from.
+        got: (usize, usize),
+    },
 }
 
 impl std::fmt::Display for EvalError {
@@ -84,6 +92,11 @@ impl std::fmt::Display for EvalError {
                 f,
                 "evaluation worker panicked on chunk {chunk} (retry on a fresh worker also panicked); \
                  run Circuit::validate() on the netlist"
+            ),
+            EvalError::ProgramMismatch { expected, got } => write!(
+                f,
+                "decoded program does not fit the tape: expected (ops, slots) {expected:?}, \
+                 got {got:?}"
             ),
         }
     }
@@ -355,16 +368,16 @@ pub(crate) fn eval_component<V: Lane>(p: &Placed, w: &mut [V]) {
 
 /// Packs up to 64 boolean input vectors (all of length `n_inputs`) into
 /// 64-lane words: result `[i]` holds input `i` across vectors, vector `v`
-/// in bit `v`.
-pub fn pack_lanes(vectors: &[Vec<bool>], n_inputs: usize) -> Vec<u64> {
+/// in bit `v`. Each vector is borrowed as a `[bool]` slice, so callers
+/// pack straight from whatever owns the bits.
+pub fn pack_lanes(vectors: &[impl AsRef<[bool]>], n_inputs: usize) -> Vec<u64> {
     assert!(vectors.len() <= 64, "at most 64 vectors per packed pass");
     let mut packed = vec![0u64; n_inputs];
     for (v, vec) in vectors.iter().enumerate() {
+        let vec = vec.as_ref();
         assert_eq!(vec.len(), n_inputs, "vector {v} has wrong length");
-        for (i, &bit) in vec.iter().enumerate() {
-            if bit {
-                packed[i] |= 1 << v;
-            }
+        for (word, &bit) in packed.iter_mut().zip(vec) {
+            *word |= u64::from(bit) << v;
         }
     }
     packed
@@ -411,10 +424,8 @@ pub fn pack_lanes_wide<const N: usize>(vectors: &[Vec<bool>], n_inputs: usize) -
     for (v, vec) in vectors.iter().enumerate() {
         assert_eq!(vec.len(), n_inputs, "vector {v} has wrong length");
         let (word, bit) = (v / 64, v % 64);
-        for (i, &b) in vec.iter().enumerate() {
-            if b {
-                packed[i][word] |= 1 << bit;
-            }
+        for (lanes, &b) in packed.iter_mut().zip(vec) {
+            lanes[word] |= u64::from(b) << bit;
         }
     }
     packed

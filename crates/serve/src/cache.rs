@@ -1,19 +1,19 @@
 //! LRU cache of compiled circuits with single-flight compilation.
 //!
 //! The daemon serves many widths and networks; compiling a
-//! [`CompiledCircuit`] is milliseconds of work that must not be repeated
-//! per request — nor duplicated when ten connections ask for the same
-//! `(network, n)` at once. Each cache slot is therefore either
-//! `Building` (one thread owns the compile; everyone else waits on a
-//! condvar) or `Ready(Arc<..>)`. A builder that **panics** removes its
-//! `Building` marker via a drop guard and wakes the waiters, so a
-//! poisoned compile degrades to a retry by the next caller instead of a
-//! deadlocked queue.
+//! [`CompiledCircuit`] and decoding its tape is milliseconds of work that
+//! must not be repeated per request or per batch — nor duplicated when
+//! ten connections ask for the same `(network, n)` at once. Each cache
+//! slot is therefore either `Building` (one thread owns the compile;
+//! everyone else waits on a condvar) or `Ready(Arc<..>)`. A builder that
+//! **panics** removes its `Building` marker via a drop guard and wakes
+//! the waiters, so a poisoned compile degrades to a retry by the next
+//! caller instead of a deadlocked queue.
 
 use std::sync::{Arc, Condvar, Mutex};
 
 use absort_circuit::circuit::Circuit;
-use absort_circuit::compile::CompiledCircuit;
+use absort_circuit::compile::{CompiledCircuit, Decoded};
 use absort_circuit::passes::{CompileOptions, OptLevel};
 
 use crate::proto::NetKind;
@@ -29,13 +29,15 @@ pub struct CacheKey {
     pub opt: OptLevel,
 }
 
-/// A circuit ready to serve: the source netlist (scalar fallback path
-/// and oracle) plus its compiled tape (wide batched path).
+/// A circuit ready to serve: its compiled tape, and that tape decoded
+/// once, at cache fill, into the 64-lane program every batch of the key
+/// runs. The netlist is not kept: the solo-retry rung, its only reader,
+/// rebuilds it with [`build_network`].
 pub struct Compiled {
-    /// Source netlist.
-    pub circuit: Circuit,
-    /// Compiled tape for the same netlist.
+    /// Compiled tape of the key's netlist.
     pub tape: CompiledCircuit,
+    /// `tape` decoded for `u64` lanes, shared by every batch.
+    pub(crate) program: Decoded<u64>,
 }
 
 /// Builds the netlist for a cache key. Panics on unsupported widths are
@@ -163,10 +165,12 @@ impl CircuitCache {
                 key,
                 armed: true,
             };
-            // Compile outside the lock: other keys stay servable.
+            // Compile and decode outside the lock: other keys stay
+            // servable.
             let circuit = build_network(key.network, key.n as usize);
             let tape = CompiledCircuit::compile_with(&circuit, opts);
-            let compiled = Arc::new(Compiled { circuit, tape });
+            let program = Decoded::new(&tape);
+            let compiled = Arc::new(Compiled { tape, program });
             guard.armed = false;
 
             let mut entries = self.entries.lock().unwrap();

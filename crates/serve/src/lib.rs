@@ -11,10 +11,13 @@
 //! * [`proto`] — length-prefixed binary protocol, versioned header,
 //!   per-request deadlines, typed [`proto::FrameError`] rejection;
 //! * [`cache`] — LRU of compiled circuits with single-flight compilation;
+//!   each entry holds its tape decoded once, at fill, into a shared
+//!   64-lane program;
 //! * [`server`] — acceptor + thread-per-core workers, request coalescing
-//!   into `[u64; 4]` wide-lane batches, bounded queues with load
-//!   shedding, panic isolation with batched→scalar degradation, and
-//!   SIGTERM graceful drain;
+//!   into batches run as one `u64` pass per 64 requests of a key,
+//!   bounded queues with load shedding, panic isolation with
+//!   batched→scalar degradation (the scalar rung rebuilds the netlist),
+//!   and SIGTERM graceful drain;
 //! * [`client`] — the blocking client used by `bench_serve` and the
 //!   chaos harness;
 //! * [`signal`] — the SIGTERM/SIGINT drain latch.

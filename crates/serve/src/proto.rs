@@ -437,9 +437,7 @@ impl std::error::Error for FrameError {}
 pub fn pack_bits(bits: &[bool]) -> Vec<u8> {
     let mut bytes = vec![0u8; bits.len().div_ceil(8)];
     for (i, &b) in bits.iter().enumerate() {
-        if b {
-            bytes[i / 8] |= 1 << (i % 8);
-        }
+        bytes[i / 8] |= u8::from(b) << (i % 8);
     }
     bytes
 }

@@ -6,11 +6,15 @@
 //! tears the daemon down:
 //!
 //! 1. **Wide batched path** — requests coalesced across connections into
-//!    `[u64; 4]` lane batches (256 requests per tape pass).
+//!    batches of up to [`WIDE_LANES`]. Each key's group runs the program
+//!    its cache entry decoded once, at fill: one `u64` pass per 64
+//!    requests, packed straight from the requests' bits.
 //! 2. **Scalar solo retry** — if a batch evaluation panics, each request
 //!    in the batch is retried alone through the interpreter's
-//!    `try_eval`, so one poisoned request cannot corrupt or fail its
-//!    batch-mates. The panic is caught, counted, and isolated.
+//!    `try_eval`, on the key's netlist rebuilt for the rung (the cache
+//!    keeps only the tape and its program), so one poisoned request
+//!    cannot corrupt or fail its batch-mates. The panic is caught,
+//!    counted, and isolated.
 //! 3. **Typed error reply** — a request that fails its solo retry gets
 //!    `Internal`; a full queue gets `Overloaded` (load shedding, not
 //!    buffering); an expired deadline gets `DeadlineExceeded`; a
@@ -34,18 +38,18 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use absort_circuit::compile::CompiledEvaluator;
-use absort_circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
+use absort_circuit::eval::{pack_lanes, unpack_lanes, EvalError};
 use absort_circuit::passes::{CompileOptions, OptLevel};
 use absort_core::sorter::SorterKind;
 use absort_networks::permuter::RadixPermuter;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
-use crate::cache::{CacheKey, CircuitCache};
+use crate::cache::{build_network, CacheKey, CircuitCache, Compiled};
 use crate::proto::{
     self, FrameError, NetKind, Reply, ReplyPayload, Request, RequestKind, Status, MAX_FRAME,
 };
 
-/// How many requests one `[u64; 4]` wide pass can carry.
+/// How many requests one batch can carry: four 64-lane `u64` passes.
 pub const WIDE_LANES: usize = 256;
 
 /// Server configuration. `Default` is tuned for tests and the smoke CI
@@ -184,6 +188,13 @@ struct Job {
     received: Instant,
     deadline: Option<Instant>,
     reply_tx: Sender<Vec<u8>>,
+}
+
+/// A sort job's input bits, so a group packs straight from its jobs.
+impl AsRef<[bool]> for Job {
+    fn as_ref(&self) -> &[bool] {
+        &self.req.bits
+    }
 }
 
 /// A running daemon. Dropping without [`Server::join`] detaches the
@@ -599,7 +610,12 @@ fn handle_frame(
     job_tx: &Sender<Job>,
     reply_tx: &Sender<Vec<u8>>,
 ) -> bool {
-    let req = match proto::decode_request(body, cfg.max_n) {
+    #[cfg(feature = "telemetry")]
+    let t_decode = stage_clock();
+    let decoded = proto::decode_request(body, cfg.max_n);
+    #[cfg(feature = "telemetry")]
+    stage_record("serve.stage.decode_us", t_decode);
+    let req = match decoded {
         Ok(req) => req,
         Err(e) => {
             // Body-level damage: typed reply, connection survives.
@@ -765,6 +781,21 @@ fn reply_and_count(job: &Job, reply: &Reply, counters: &Counters) {
     let _ = &job.received;
 }
 
+/// Reads the clock for a stage histogram, only while telemetry records.
+#[cfg(feature = "telemetry")]
+fn stage_clock() -> Option<Instant> {
+    absort_telemetry::enabled().then(Instant::now)
+}
+
+/// Records the µs since `t0` (if the clock was read) into the stage
+/// histogram `name`.
+#[cfg(feature = "telemetry")]
+fn stage_record(name: &str, t0: Option<Instant>) {
+    if let Some(t0) = t0 {
+        absort_telemetry::hist_record(name, t0.elapsed().as_micros() as u64);
+    }
+}
+
 fn expired(job: &Job, now: Instant) -> bool {
     job.deadline.is_some_and(|d| d <= now)
 }
@@ -795,6 +826,11 @@ fn process_batch(
     let now = Instant::now();
     let mut groups: HashMap<CacheKey, Vec<Job>> = HashMap::new();
     for job in batch {
+        #[cfg(feature = "telemetry")]
+        absort_telemetry::hist_record(
+            "serve.stage.queue_us",
+            now.saturating_duration_since(job.received).as_micros() as u64,
+        );
         // Deadline check #1: at dequeue.
         if expired(&job, now) {
             reply_deadline(&job, counters);
@@ -870,23 +906,24 @@ fn serve_sort_group(
     let chaos_armed = admitted
         .iter()
         .any(|j| j.req.kind == RequestKind::ChaosPanic);
-    let vectors: Vec<Vec<bool>> = admitted.iter().map(|j| j.req.bits.clone()).collect();
-    let n = key.n as usize;
 
     // Rung 1: the wide batched path.
+    #[cfg(feature = "telemetry")]
+    let t_eval = stage_clock();
     let wide = panic::catch_unwind(AssertUnwindSafe(|| {
         if chaos_armed {
             panic!("chaos: forced worker panic mid-batch");
         }
-        let packed = pack_lanes_wide::<4>(&vectors, n);
-        let mut ev = CompiledEvaluator::<[u64; 4]>::new(&compiled.tape);
-        ev.try_run(&packed)
-            .map(|out| unpack_lanes_wide::<4>(&out, vectors.len()))
+        sort_wide(&compiled, &admitted)
     }));
+    #[cfg(feature = "telemetry")]
+    stage_record("serve.stage.eval_us", t_eval);
 
     let was_panic = wide.is_err();
     match wide {
         Ok(Ok(outputs)) => {
+            #[cfg(feature = "telemetry")]
+            let t_write = stage_clock();
             for (job, out) in admitted.iter().zip(outputs) {
                 counters.replies_ok.fetch_add(1, Ordering::SeqCst);
                 reply_and_count(
@@ -900,6 +937,8 @@ fn serve_sort_group(
                     counters,
                 );
             }
+            #[cfg(feature = "telemetry")]
+            stage_record("serve.stage.write_us", t_write);
         }
         Ok(Err(_)) | Err(_) => {
             // Rung 2: the batch failed as a unit — a panic (chaos or
@@ -911,10 +950,16 @@ fn serve_sort_group(
                 #[cfg(feature = "telemetry")]
                 absort_telemetry::counter_add("serve.panics_isolated", 1);
             }
+            // The cache keeps no netlist. The rung builds it inside a
+            // job's guard, so a failing build also degrades to typed
+            // replies, and reuses it for the rest of the group.
+            let mut circuit = None;
             for job in &admitted {
                 counters.solo_retries.fetch_add(1, Ordering::SeqCst);
                 let solo = panic::catch_unwind(AssertUnwindSafe(|| {
-                    compiled.circuit.try_eval(&job.req.bits)
+                    circuit
+                        .get_or_insert_with(|| build_network(key.network, key.n as usize))
+                        .try_eval(&job.req.bits)
                 }));
                 match solo {
                     Ok(Ok(out)) => {
@@ -960,6 +1005,23 @@ fn serve_sort_group(
             }
         }
     }
+}
+
+/// Rung 1's evaluation: sorts `rows` (each as wide as the key) on the
+/// key's decoded program, one `u64` pass per 64 rows, packing each chunk
+/// straight from the borrowed rows. Outputs come back in row order.
+fn sort_wide(
+    compiled: &Compiled,
+    rows: &[impl AsRef<[bool]>],
+) -> Result<Vec<Vec<bool>>, EvalError> {
+    let n = compiled.tape.n_inputs();
+    let mut ev = CompiledEvaluator::with_decoded(&compiled.tape, &compiled.program)?;
+    let mut outputs = Vec::with_capacity(rows.len());
+    for chunk in rows.chunks(64) {
+        let out = ev.try_run(&pack_lanes(chunk, n))?;
+        outputs.extend(unpack_lanes(&out, chunk.len()));
+    }
+    Ok(outputs)
 }
 
 fn serve_permute(job: Job, counters: &Counters) {
@@ -1028,6 +1090,38 @@ fn serve_permute(job: Job, counters: &Counters) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sorted_oracle;
+    use rand::prelude::*;
+
+    /// Rung 1 on every served key, at group sizes on both sides of one
+    /// and of several 64-lane passes. The socket tests cannot force a
+    /// group size.
+    #[test]
+    fn sort_wide_agrees_with_the_oracle_across_chunk_boundaries() {
+        let opt = ServeConfig::default().opt;
+        let cache = CircuitCache::new(6);
+        let mut rng = StdRng::seed_from_u64(64);
+        for n in [64u32, 1024] {
+            for network in NetKind::ALL {
+                let key = CacheKey { network, n, opt };
+                let compiled = cache.get_or_build(key, &CompileOptions::for_level(opt));
+                for count in [1usize, 63, 64, 65, 128, 256] {
+                    let rows: Vec<Vec<bool>> = (0..count)
+                        .map(|_| (0..n).map(|_| rng.gen()).collect())
+                        .collect();
+                    let outs = sort_wide(&compiled, &rows).unwrap();
+                    assert_eq!(outs.len(), count, "{network} n={n}");
+                    for (j, (row, out)) in rows.iter().zip(&outs).enumerate() {
+                        assert_eq!(
+                            out,
+                            &sorted_oracle(row),
+                            "{network} n={n}: row {j} of {count}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn accepted_connections_disable_nagle_on_both_halves() {

@@ -312,24 +312,32 @@ fn chaos_panic_degrades_to_solo_retry_without_collateral() {
     let mut client = connect(&server);
     let mut rng = StdRng::seed_from_u64(31);
 
-    let n = 64;
     // Pipeline normal sorts around a chaos request so they coalesce into
     // the same wide batch; the forced panic must not corrupt or fail any
-    // batch-mate.
-    let inputs: Vec<Vec<bool>> = (0..50).map(|_| random_bits(&mut rng, n)).collect();
-    for (i, bits) in inputs.iter().enumerate() {
-        let mut req = Request::sort(NetKind::MuxMerger, i as u64, bits);
-        if i == 25 {
-            req.kind = absort_serve::RequestKind::ChaosPanic;
+    // batch-mate. The n = 1024 prefix case makes the solo-retry rung
+    // rebuild the largest served netlist.
+    for (network, n, count) in [(NetKind::MuxMerger, 64, 50), (NetKind::Prefix, 1024, 20)] {
+        let before = server.stats();
+        let inputs: Vec<Vec<bool>> = (0..count).map(|_| random_bits(&mut rng, n)).collect();
+        for (i, bits) in inputs.iter().enumerate() {
+            let mut req = Request::sort(network, i as u64, bits);
+            if i == count / 2 {
+                req.kind = absort_serve::RequestKind::ChaosPanic;
+            }
+            client.send(&req).unwrap();
         }
-        client.send(&req).unwrap();
-    }
-    for (i, bits) in inputs.iter().enumerate() {
-        let rep = client.recv().unwrap();
-        assert_eq!(rep.req_id, i as u64);
-        // Everyone — including the chaos request itself — still gets the
-        // correct sorted answer via the scalar solo retry.
-        assert_sorted(bits, &rep);
+        for (i, bits) in inputs.iter().enumerate() {
+            let rep = client.recv().unwrap();
+            assert_eq!(rep.req_id, i as u64);
+            // Everyone — including the chaos request itself — still gets
+            // the correct sorted answer via the scalar solo retry.
+            assert_sorted(bits, &rep);
+        }
+        let after = server.stats();
+        assert!(
+            after.solo_retries > before.solo_retries,
+            "{network} n={n}: {after:?}"
+        );
     }
 
     let stats = server.join();

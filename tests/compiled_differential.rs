@@ -13,11 +13,16 @@
 //!   compiled walks;
 //! * the decoded dispatch count — decode fuses switch chains and op
 //!   pairs identically for every lane type, at least as far as the
-//!   tape-level fuse pass it replaced did.
+//!   tape-level fuse pass it replaced did;
+//! * shared programs — an evaluator built on a [`Decoded`] program (the
+//!   serving path) is the evaluator `CompiledEvaluator::new` builds.
 
 use absort::analysis::faults::fish_k;
+use absort::circuit::compile::Decoded;
 use absort::circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
-use absort::circuit::{Circuit, CompileOptions, CompiledEvaluator, Evaluator, OptLevel};
+use absort::circuit::{
+    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Evaluator, Lane, OptLevel,
+};
 use absort::core::{fish, muxmerge, nonadaptive, prefix};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -63,6 +68,8 @@ fn exhaustive_equivalence_at_small_n() {
             );
             let mut interp: Evaluator<'_, u64> = Evaluator::new(&circuit);
             let mut comp: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&compiled);
+            let program = Decoded::new(&compiled);
+            let mut shared = CompiledEvaluator::with_decoded(&compiled, &program).unwrap();
             let total = 1u64 << n;
             let mut v = 0u64;
             while v < total {
@@ -71,6 +78,12 @@ fn exhaustive_equivalence_at_small_n() {
                 let want = interp.run(&packed);
                 let got = comp.run(&packed);
                 assert_eq!(got, want, "{name} n={n} vectors {v}..{}", v + lanes as u64);
+                assert_eq!(
+                    shared.run(&packed),
+                    want,
+                    "{name} n={n} vectors {v}..{}: shared program",
+                    v + lanes as u64
+                );
                 v += lanes as u64;
             }
         }
@@ -78,9 +91,11 @@ fn exhaustive_equivalence_at_small_n() {
 }
 
 /// Decode fuses every lane type alike, and at least as far as the
-/// tape-level fuse pass it replaced: `dispatches()` is equal for `bool`
-/// and `[u64; 4]` and at most that pass's fused tape length (the pins).
-/// Decode may also fuse across depth levels, which the pass never did.
+/// tape-level fuse pass it replaced: `dispatches()` is equal for `bool`,
+/// `u64` and `[u64; 4]` and at most that pass's fused tape length (the
+/// pins). Decode may also fuse across depth levels, which the pass never
+/// did. An evaluator on a shared [`Decoded`] program dispatches exactly
+/// what `CompiledEvaluator::new`'s does.
 #[test]
 fn decoded_dispatch_counts_are_pinned() {
     // (network, n, fused tape length at O1, at O2)
@@ -103,10 +118,15 @@ fn decoded_dispatch_counts_are_pinned() {
         };
         for (level, pin) in [(OptLevel::O1, o1), (OptLevel::O2, o2)] {
             let cc = circuit.compile_with(&CompileOptions::for_level(level));
-            let scalar = CompiledEvaluator::<bool>::new(&cc).dispatches();
-            let wide = CompiledEvaluator::<[u64; 4]>::new(&cc).dispatches();
+            let scalar = dispatches::<bool>(&cc, name, n);
+            let wide = dispatches::<[u64; 4]>(&cc, name, n);
             assert_eq!(
                 scalar, wide,
+                "{name} n={n} O{level}: lane types decode apart"
+            );
+            assert_eq!(
+                dispatches::<u64>(&cc, name, n),
+                wide,
                 "{name} n={n} O{level}: lane types decode apart"
             );
             assert!(
@@ -115,6 +135,17 @@ fn decoded_dispatch_counts_are_pinned() {
             );
         }
     }
+}
+
+/// `CompiledEvaluator::new`'s dispatch count, checked equal to that of
+/// an evaluator on a shared program decoded from the same tape.
+fn dispatches<V: Lane>(cc: &CompiledCircuit, name: &str, n: usize) -> usize {
+    let own = CompiledEvaluator::<V>::new(cc).dispatches();
+    let shared = CompiledEvaluator::with_decoded(cc, &Decoded::<V>::new(cc))
+        .unwrap()
+        .dispatches();
+    assert_eq!(shared, own, "{name} n={n}: shared program decodes apart");
+    own
 }
 
 #[test]
