@@ -54,7 +54,9 @@ use absort_circuit::{
 };
 use absort_core::{fish, lang, muxmerge, nonadaptive, prefix};
 use absort_faults::json;
-use absort_faults::{CampaignReport, Degradation, FaultKind, KindReport, NetworkReport};
+use absort_faults::{
+    popcount_planes, CampaignReport, Degradation, FaultKind, KindReport, NetworkReport,
+};
 use absort_networks::hardened::{harden, HardenOptions, HardenedSorter};
 use rand::prelude::*;
 
@@ -272,20 +274,22 @@ fn sample_input(sel: NetworkSel, n: usize, rng: &mut StdRng) -> Vec<bool> {
 }
 
 /// One workload, pre-packed for the sweep hot loop: `[u64; 4]` input
-/// chunks, the packed sorted oracle per 64-lane chunk, and the
-/// valid-lane masks. Packing once here instead of once per faulty
-/// variant removes the dominant allocation churn of the campaign (every
-/// variant used to re-pack every chunk and allocate a fresh output
-/// vector per pass).
+/// chunks, and per 64-lane chunk the packed sorted oracle, the inputs'
+/// popcount planes and the valid-lane mask. Packing once here instead of
+/// once per faulty variant removes the dominant allocation churn of the
+/// campaign (every variant used to re-pack every chunk and allocate a
+/// fresh output vector per pass).
 struct Workload {
     vectors: Vec<Vec<bool>>,
-    ones: Vec<usize>,
     tier: &'static str,
     /// The inputs packed as `[u64; 4]` wide chunks (256 vectors per
     /// chunk; word `k` of wide chunk `wi` is 64-lane chunk `4·wi + k`).
     packed_wide: Vec<Vec<[u64; 4]>>,
     /// Packed oracle outputs, one entry per input chunk.
     packed_oracle: Vec<Vec<u64>>,
+    /// Each lane's input popcount as bit planes
+    /// ([`absort_faults::popcount_planes`]), one entry per input chunk.
+    packed_ones: Vec<Vec<u64>>,
     /// Low-bits mask of the lanes each chunk actually occupies.
     masks: Vec<u64>,
 }
@@ -303,15 +307,15 @@ fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
         }
     };
     let oracle: Vec<Vec<bool>> = vectors.iter().map(|v| lang::sorted_oracle(v)).collect();
-    let ones = vectors
-        .iter()
-        .map(|v| v.iter().filter(|&&b| b).count())
-        .collect();
     let packed_wide = vectors
         .chunks(256)
         .map(|c| pack_lanes_wide::<4>(c, cfg.n))
         .collect();
     let packed_oracle = oracle.chunks(64).map(|c| pack_lanes(c, cfg.n)).collect();
+    let packed_ones = vectors
+        .chunks(64)
+        .map(|c| popcount_planes(&pack_lanes(c, cfg.n)))
+        .collect();
     let masks = vectors
         .chunks(64)
         .map(|c| {
@@ -324,10 +328,10 @@ fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
         .collect();
     Workload {
         vectors,
-        ones,
         tier,
         packed_wide,
         packed_oracle,
+        packed_ones,
         masks,
     }
 }
@@ -352,86 +356,178 @@ const CLEAN: Verdict = Verdict {
     flagged: false,
 };
 
-/// Scores one faulty variant: runs every pre-packed `[u64; 4]` chunk
-/// through `eval_pass` into a reused output buffer, diffs the packed
-/// outputs against the packed oracle, and applies the zero-one checker
-/// only to lanes that differ. `n_eval` is the evaluated circuit's full
-/// output count (data outputs plus the error rail at index `rail`).
-///
-/// Skipping non-differing lanes loses nothing: a lane equal to the
-/// oracle *is* a sorted vector with the conserved popcount, so the
-/// checker (sortedness + token conservation, exactly the oracle's two
-/// defining properties) cannot fire on it. Differing lanes are unpacked
-/// and checked 64-lane chunk by chunk in ascending order, so detection
-/// results and the degradation-observation sequence are identical to a
-/// vector-at-a-time sweep.
-fn score_variant(
-    w: &Workload,
-    n_eval: usize,
-    rail: usize,
-    mut eval_pass: impl FnMut(&[[u64; 4]], &mut [[u64; 4]]),
-    degradation: &mut Degradation,
-) -> Verdict {
-    let mut v = CLEAN;
-    let mut out = vec![[0u64; 4]; n_eval];
-    let mut lane_buf: Vec<bool> = Vec::with_capacity(n_eval);
-    let mut base = 0usize;
-    for (wi, packed) in w.packed_wide.iter().enumerate() {
-        eval_pass(packed, &mut out);
-        for (ci, mask) in w.masks.iter().enumerate().skip(wi * 4).take(4) {
-            let k = ci - wi * 4;
-            check_chunk(
-                w,
-                ci,
-                base,
-                rail,
-                |o| out[o][k],
-                &mut lane_buf,
-                degradation,
-                &mut v,
-            );
-            base += mask.count_ones() as usize;
-        }
-    }
-    v
+/// Adds the time since `t0`, if the clock was read, to `*total` and
+/// returns the time now.
+fn lap(t0: Option<Instant>, total: &mut u64) -> Option<Instant> {
+    let t0 = t0?;
+    let now = Instant::now();
+    *total += u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX);
+    Some(now)
 }
 
-/// Scores the mutant `patches` makes of the compiled `base` tape: patched
-/// in place, skipped as dead, or — where the tape has no faithful image
-/// of a faulted component — recompiled from the netlist `rewrite` builds.
-/// Tallies the outcome in `outcomes` (patched, dead, recompiled).
-#[allow(clippy::too_many_arguments)]
-fn score_mutant(
-    w: &Workload,
-    n_eval: usize,
+/// Scores the faulty variants of one unit against its workload, reusing
+/// the output buffers across variants. While telemetry records, it also
+/// times them: each variant's set-up and sweep into the
+/// `faults.mutant_score_ns` histogram, and the sweeps' engine passes and
+/// scoring into `faults.eval_ns` and `faults.check_ns`. With telemetry
+/// off it never reads the clock.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+struct Sweep<'w> {
+    w: &'w Workload,
+    /// Output index of the error rail; the data outputs come before it.
     rail: usize,
-    base: &mut CompiledCircuit,
-    opt: &CompileOptions,
-    patches: &[(usize, Fault)],
-    rewrite: impl FnOnce() -> Circuit,
-    outcomes: &mut [u64; 3],
-    degradation: &mut Degradation,
-) -> Verdict {
-    let mut score = |cc: &CompiledCircuit| {
-        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(cc);
-        score_variant(w, n_eval, rail, |p, o| ev.run_into(p, o), degradation)
-    };
-    match base.mutant_tape_multi(patches) {
-        MutantTape::Patched(patched) => {
-            outcomes[0] += 1;
-            score(&patched)
+    /// One wide pass's outputs, the rail included.
+    out: Vec<[u64; 4]>,
+    /// One 64-lane chunk's data output words, gathered for scoring.
+    words: Vec<u64>,
+    timing: bool,
+    eval_ns: u64,
+    check_ns: u64,
+    #[cfg(feature = "telemetry")]
+    hist: absort_telemetry::Histogram,
+}
+
+impl<'w> Sweep<'w> {
+    /// A sweep of a circuit with `n_eval` outputs, the rail at `rail`.
+    fn new(w: &'w Workload, n_eval: usize, rail: usize) -> Sweep<'w> {
+        Sweep {
+            w,
+            rail,
+            out: vec![[0u64; 4]; n_eval],
+            words: vec![0u64; rail],
+            #[cfg(feature = "telemetry")]
+            timing: absort_telemetry::enabled(),
+            #[cfg(not(feature = "telemetry"))]
+            timing: false,
+            eval_ns: 0,
+            check_ns: 0,
+            #[cfg(feature = "telemetry")]
+            hist: absort_telemetry::Histogram::new(),
         }
-        // Dead sites: the mutant cannot differ from the base circuit,
-        // which matches the oracle on valid inputs (and a quiet rail —
-        // the checker taps only inputs and data outputs, so dead stays
-        // dead).
-        MutantTape::Dead => {
-            outcomes[1] += 1;
-            CLEAN
+    }
+
+    /// Scores one variant through `score`, timing its set-up and sweep
+    /// into the `faults.mutant_score_ns` histogram.
+    fn timed(&mut self, score: impl FnOnce(&mut Self) -> Verdict) -> Verdict {
+        let t0 = self.timing.then(Instant::now);
+        let v = score(self);
+        let mut ns = 0;
+        if lap(t0, &mut ns).is_some() {
+            #[cfg(feature = "telemetry")]
+            self.hist.record(ns);
         }
-        MutantTape::Unsupported => {
-            outcomes[2] += 1;
-            score(&rewrite().compile_with(opt))
+        v
+    }
+
+    /// Merges the unit's timings into the run's telemetry.
+    #[cfg(feature = "telemetry")]
+    fn record(&self) {
+        if self.timing {
+            absort_telemetry::counter_add_many(&[
+                ("faults.eval_ns", self.eval_ns),
+                ("faults.check_ns", self.check_ns),
+            ]);
+            absort_telemetry::hist_merge("faults.mutant_score_ns", &self.hist);
+        }
+    }
+
+    /// Scores one faulty variant: runs every pre-packed `[u64; 4]` chunk
+    /// through `eval_pass`, diffs the packed outputs against the packed
+    /// oracle, and applies the zero-one checker to the lanes that differ,
+    /// 64 at a time.
+    ///
+    /// Checking only differing lanes loses nothing: a lane equal to the
+    /// oracle *is* a sorted vector with the conserved popcount, so the
+    /// checker (sortedness + token conservation, exactly the oracle's two
+    /// defining properties) cannot fire on it. Max and sum do not depend
+    /// on order, so detection and degradation equal a vector-at-a-time
+    /// sweep's.
+    fn variant(
+        &mut self,
+        mut eval_pass: impl FnMut(&[[u64; 4]], &mut [[u64; 4]]),
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        let mut v = CLEAN;
+        let w = self.w;
+        let mut t = self.timing.then(Instant::now);
+        for (wi, packed) in w.packed_wide.iter().enumerate() {
+            eval_pass(packed, &mut self.out);
+            t = lap(t, &mut self.eval_ns);
+            for ci in (wi * 4..w.masks.len()).take(4) {
+                self.check_chunk(ci, ci - wi * 4, degradation, &mut v);
+            }
+            t = lap(t, &mut self.check_ns);
+        }
+        v
+    }
+
+    /// Scores the mutant `patches` makes of the compiled `base` tape:
+    /// patched in place, skipped as dead, or — where the tape has no
+    /// faithful image of a faulted component — recompiled from the netlist
+    /// `rewrite` builds. Tallies the outcome in `outcomes` (patched, dead,
+    /// recompiled).
+    fn mutant(
+        &mut self,
+        base: &mut CompiledCircuit,
+        opt: &CompileOptions,
+        patches: &[(usize, Fault)],
+        rewrite: impl FnOnce() -> Circuit,
+        outcomes: &mut [u64; 3],
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        let mut score = |cc: &CompiledCircuit| {
+            let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(cc);
+            self.variant(|p, o| ev.run_into(p, o), degradation)
+        };
+        match base.mutant_tape_multi(patches) {
+            MutantTape::Patched(patched) => {
+                outcomes[0] += 1;
+                score(&patched)
+            }
+            // Dead sites: the mutant cannot differ from the base circuit,
+            // which matches the oracle on valid inputs (and a quiet rail —
+            // the checker taps only inputs and data outputs, so dead stays
+            // dead).
+            MutantTape::Dead => {
+                outcomes[1] += 1;
+                CLEAN
+            }
+            MutantTape::Unsupported => {
+                outcomes[2] += 1;
+                score(&rewrite().compile_with(opt))
+            }
+        }
+    }
+
+    /// Diffs word `k` of the last pass (64-lane chunk `ci`) against the
+    /// packed oracle and folds the differing lanes' zero-one verdict into
+    /// `v`. The error rail's word is folded in regardless of the diff —
+    /// concurrent detection is the hardware's own call, not the oracle's.
+    fn check_chunk(&mut self, ci: usize, k: usize, degradation: &mut Degradation, v: &mut Verdict) {
+        let w = self.w;
+        let mask = w.masks[ci];
+        let mut differed = 0u64;
+        for ((word, out), &oracle) in self
+            .words
+            .iter_mut()
+            .zip(&self.out)
+            .zip(&w.packed_oracle[ci])
+        {
+            *word = out[k];
+            differed |= (*word ^ oracle) & mask;
+        }
+        if differed != 0 {
+            v.differed = true;
+            // The deployable checker: no oracle needed, just the zero-one
+            // sort property plus token conservation.
+            if degradation.observe_lanes(&self.words, &w.packed_ones[ci], differed) != 0 {
+                v.detected = true;
+            }
+        }
+        let rail_word = self.out[self.rail][k] & mask;
+        if rail_word != 0 {
+            v.flagged = true;
+            degradation.flagged += rail_word.count_ones() as u64;
         }
     }
 }
@@ -445,53 +541,6 @@ fn count_outcomes(outcomes: &[u64; 3]) {
         ("faults.mutants.dead", outcomes[1]),
         ("faults.mutants.recompiled", outcomes[2]),
     ]);
-}
-
-/// Diffs one 64-lane output chunk (read through `out_word`, which maps an
-/// output index to its packed word) against the packed oracle and applies
-/// the zero-one checker to differing lanes, folding results into `v`.
-/// The error rail's word (output index `rail`) is folded in regardless of
-/// the diff — concurrent detection is the hardware's own call, not the
-/// oracle's.
-#[allow(clippy::too_many_arguments)]
-fn check_chunk(
-    w: &Workload,
-    ci: usize,
-    base: usize,
-    rail: usize,
-    out_word: impl Fn(usize) -> u64,
-    lane_buf: &mut Vec<bool>,
-    degradation: &mut Degradation,
-    v: &mut Verdict,
-) {
-    let mask = w.masks[ci];
-    let n_outputs = w.packed_oracle[ci].len();
-    let mut differed = 0u64;
-    for (o, &oracle) in w.packed_oracle[ci].iter().enumerate() {
-        differed |= (out_word(o) ^ oracle) & mask;
-    }
-    if differed != 0 {
-        v.differed = true;
-        let mut rest = differed;
-        while rest != 0 {
-            let lane = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            lane_buf.clear();
-            lane_buf.extend((0..n_outputs).map(|o| out_word(o) >> lane & 1 == 1));
-            // The deployable checker: no oracle needed, just the
-            // zero-one sort property plus token conservation.
-            let ones = lane_buf.iter().filter(|&&b| b).count();
-            if !lang::is_sorted(lane_buf) || ones != w.ones[base + lane] {
-                v.detected = true;
-                degradation.observe(lane_buf, w.ones[base + lane]);
-            }
-        }
-    }
-    let rail_word = out_word(rail) & mask;
-    if rail_word != 0 {
-        v.flagged = true;
-        degradation.flagged += rail_word.count_ones() as u64;
-    }
 }
 
 /// Folds one variant's verdict into a report cell.
@@ -527,14 +576,7 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     let w = workload(sel, cfg);
 
     let mut kinds: Vec<KindReport> = Vec::new();
-
-    // Per-variant scoring latency (patch + sweep), pooled across fault
-    // kinds locally and merged into the `faults.mutant_score_ns`
-    // histogram once at the end of the run.
-    #[cfg(feature = "telemetry")]
-    let mut score_hist = absort_telemetry::Histogram::new();
-    #[cfg(feature = "telemetry")]
-    let tel_on = absort_telemetry::enabled();
+    let mut sweep = Sweep::new(&w, n_eval, rail);
 
     // Compiled once per network; each mutant below is expressed as an
     // in-place tape patch instead of a full per-mutant lowering (the
@@ -558,13 +600,8 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         };
         for ci in mutate::applicable(&circuit, fault) {
             let hci = hardened.component(ci);
-            #[cfg(feature = "telemetry")]
-            let t0 = tel_on.then(std::time::Instant::now);
-            let v = match &mut base_cc {
-                Some(cc) => score_mutant(
-                    &w,
-                    n_eval,
-                    rail,
+            let v = sweep.timed(|s| match &mut base_cc {
+                Some(cc) => s.mutant(
                     cc,
                     &cfg.opt,
                     &[(hci, fault)],
@@ -575,19 +612,9 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
                 None => {
                     let hm = hardened_mutant(&hardened, hci, fault);
                     let mut ev: Evaluator<'_, [u64; 4]> = Evaluator::new(&hm);
-                    score_variant(
-                        &w,
-                        n_eval,
-                        rail,
-                        |p, o| ev.run_into(p, o),
-                        &mut cell.degradation,
-                    )
+                    s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
                 }
-            };
-            #[cfg(feature = "telemetry")]
-            if let Some(t0) = t0 {
-                score_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
+            });
             tally(&mut cell, v);
         }
         kinds.push(cell);
@@ -609,22 +636,12 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
             FaultKind::StuckAt1 => matches!(s, WireFault::StuckAt { value: true, .. }),
             _ => matches!(s, WireFault::BridgeOr { .. }),
         }) {
-            #[cfg(feature = "telemetry")]
-            let t0 = tel_on.then(std::time::Instant::now);
-            let hf = hardened.fault(site);
-            let mut ev: FaultyEvaluator<'_, [u64; 4]> =
-                FaultyEvaluator::new(&hardened.circuit, &[hf]);
-            let v = score_variant(
-                &w,
-                n_eval,
-                rail,
-                |p, o| ev.run_into(p, o),
-                &mut cell.degradation,
-            );
-            #[cfg(feature = "telemetry")]
-            if let Some(t0) = t0 {
-                score_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
+            let v = sweep.timed(|s| {
+                let hf = hardened.fault(site);
+                let mut ev: FaultyEvaluator<'_, [u64; 4]> =
+                    FaultyEvaluator::new(&hardened.circuit, &[hf]);
+                s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
+            });
             tally(&mut cell, v);
         }
         kinds.push(cell);
@@ -640,31 +657,22 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     for _ in 0..cfg.transient_samples {
         let wire = cone[rng.gen_range(0..cone.len())];
         let vector = rng.gen_range(0..w.vectors.len()) as u64;
-        #[cfg(feature = "telemetry")]
-        let t0 = tel_on.then(std::time::Instant::now);
-        let fault = hardened.fault(WireFault::TransientFlip { wire, vector });
-        // The faulty evaluator counts `V::LANES` vectors per pass, so the
-        // wide walk keeps transient lane targeting exact as long as the
-        // wide chunks are fed in workload order.
-        let mut ev: FaultyEvaluator<'_, [u64; 4]> =
-            FaultyEvaluator::new(&hardened.circuit, &[fault]);
-        let v = score_variant(
-            &w,
-            n_eval,
-            rail,
-            |p, o| ev.run_into(p, o),
-            &mut cell.degradation,
-        );
-        #[cfg(feature = "telemetry")]
-        if let Some(t0) = t0 {
-            score_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        let v = sweep.timed(|s| {
+            let fault = hardened.fault(WireFault::TransientFlip { wire, vector });
+            // The faulty evaluator counts `V::LANES` vectors per pass, so
+            // the wide walk keeps transient lane targeting exact as long
+            // as the wide chunks are fed in workload order.
+            let mut ev: FaultyEvaluator<'_, [u64; 4]> =
+                FaultyEvaluator::new(&hardened.circuit, &[fault]);
+            s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
+        });
         tally(&mut cell, v);
     }
     kinds.push(cell);
 
     #[cfg(feature = "telemetry")]
     {
+        sweep.record();
         let injected: u64 = kinds.iter().map(|k| k.injected).sum();
         let detected: u64 = kinds.iter().map(|k| k.detected).sum();
         absort_telemetry::counter_add_many(&[
@@ -678,7 +686,6 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         if base_cc.is_some() {
             count_outcomes(&outcomes);
         }
-        absort_telemetry::hist_merge("faults.mutant_score_ns", &score_hist);
     }
 
     NetworkReport {
@@ -805,10 +812,7 @@ pub fn run_network_sets(
     let mut outcomes = [0u64; 3];
 
     let mut cell = KindReport::default(); // kind: None → "mixed"
-    #[cfg(feature = "telemetry")]
-    let mut score_hist = absort_telemetry::Histogram::new();
-    #[cfg(feature = "telemetry")]
-    let tel_on = absort_telemetry::enabled();
+    let mut sweep = Sweep::new(&w, n_eval, rail);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(sel.name()) ^ ((k as u64) << 32) ^ 0x5e75);
     for _ in 0..samples {
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
@@ -830,17 +834,12 @@ pub fn run_network_sets(
                 Atom::Wire(site) => wires.push(hardened.fault(site)),
             }
         }
-        #[cfg(feature = "telemetry")]
-        let t0 = tel_on.then(std::time::Instant::now);
         let apply_set = || {
             mutate::apply_set(&hardened.circuit, &patches)
                 .expect("sampled distinct-site set must stay applicable")
         };
-        let v = match &mut base_cc {
-            Some(cc) if wires.is_empty() => score_mutant(
-                &w,
-                n_eval,
-                rail,
+        let v = sweep.timed(|s| match &mut base_cc {
+            Some(cc) if wires.is_empty() => s.mutant(
                 cc,
                 &cfg.opt,
                 &patches,
@@ -854,29 +853,19 @@ pub fn run_network_sets(
                 let rewritten = (!patches.is_empty()).then(apply_set);
                 let target = rewritten.as_ref().unwrap_or(&hardened.circuit);
                 let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(target, &wires);
-                score_variant(
-                    &w,
-                    n_eval,
-                    rail,
-                    |p, o| ev.run_into(p, o),
-                    &mut cell.degradation,
-                )
+                s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
             }
-        };
-        #[cfg(feature = "telemetry")]
-        if let Some(t0) = t0 {
-            score_hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        });
         tally(&mut cell, v);
     }
 
     #[cfg(feature = "telemetry")]
     {
+        sweep.record();
         absort_telemetry::counter_add("faults.multi.sets", samples as u64);
         if base_cc.is_some() {
             count_outcomes(&outcomes);
         }
-        absort_telemetry::hist_merge("faults.mutant_score_ns", &score_hist);
     }
 
     NetworkReport {

@@ -27,6 +27,7 @@
 //! whether the workspace's checkers notice each one.
 
 use crate::circuit::Circuit;
+use crate::component::Placed;
 use crate::eval::eval_component;
 use crate::lane::Lane;
 use crate::wire::Wire;
@@ -117,13 +118,6 @@ impl<'c, V: Lane> FaultyEvaluator<'c, V> {
     pub fn new(circuit: &'c Circuit, faults: &[WireFault]) -> Self {
         let mut effects = vec![WireEffect::default(); circuit.n_wires()];
         let mut bridges = Vec::new();
-        // Map each wire to the component driving it, to place bridges.
-        let mut driver: Vec<Option<usize>> = vec![None; circuit.n_wires()];
-        for (ci, p) in circuit.components().iter().enumerate() {
-            for k in 0..p.comp.n_outputs() {
-                driver[p.out_base as usize + k] = Some(ci);
-            }
-        }
         for f in faults {
             match *f {
                 WireFault::StuckAt { wire, value } => {
@@ -133,7 +127,16 @@ impl<'c, V: Lane> FaultyEvaluator<'c, V> {
                     effects[wire.index()].flip_at = Some(vector);
                 }
                 WireFault::BridgeOr { a, b } => {
-                    let apply_after = driver[a.index()].max(driver[b.index()]);
+                    // The later driver is the last component in
+                    // topological order that drives either wire.
+                    let drives = |p: &Placed, w: Wire| {
+                        (p.out_base as usize..p.out_base as usize + p.comp.n_outputs())
+                            .contains(&w.index())
+                    };
+                    let apply_after = circuit
+                        .components()
+                        .iter()
+                        .rposition(|p| drives(p, a) || drives(p, b));
                     bridges.push((a, b, apply_after));
                 }
             }
@@ -448,6 +451,41 @@ mod tests {
         // (1,0): min=0, max=1, bridged -> both 1
         assert_eq!(ev.run(&[true, false]), vec![true, true]);
         // (0,0): both 0, bridge is invisible
+        assert_eq!(ev.run(&[false, false]), vec![false, false]);
+    }
+
+    #[test]
+    fn bridge_applies_after_the_later_driver() {
+        let mut b = Builder::new();
+        let x = b.input();
+        let y = b.input();
+        let and = b.and(x, y);
+        let _between = b.xor(x, y);
+        let or = b.or(x, y);
+        let reader = b.not(and);
+        b.outputs(&[and, or, reader]);
+        let c = b.finish();
+        let f = [WireFault::BridgeOr { a: and, b: or }];
+        let mut ev: FaultyEvaluator<'_, bool> = FaultyEvaluator::new(&c, &f);
+        // (1,0): and = 0, or = 1. Bridged after the OR gate runs, both
+        // read 1 and the later reader sees the bridged value; bridged any
+        // earlier, the OR gate would overwrite its wire and `and` would
+        // keep its 0.
+        assert_eq!(ev.run(&[true, false]), vec![true, true, false]);
+        assert_eq!(ev.run(&[false, false]), vec![false, false, true]);
+    }
+
+    #[test]
+    fn bridge_between_inputs_applies_at_load() {
+        let c = two_sorter();
+        let f = [WireFault::BridgeOr {
+            a: c.input_wire(0),
+            b: c.input_wire(1),
+        }];
+        let mut ev: FaultyEvaluator<'_, bool> = FaultyEvaluator::new(&c, &f);
+        // Both inputs read 1 | 0 before the comparator runs.
+        assert_eq!(ev.run(&[true, false]), vec![true, true]);
+        assert_eq!(ev.run(&[false, true]), vec![true, true]);
         assert_eq!(ev.run(&[false, false]), vec![false, false]);
     }
 

@@ -159,6 +159,67 @@ impl Degradation {
         }
     }
 
+    /// Bit-sliced [`Degradation::observe`] over 64 lanes at once.
+    ///
+    /// `outputs[i]` holds output `i` of every lane (bit `l` is lane `l`);
+    /// `ones` holds each lane's input popcount as bit planes, least
+    /// significant first, as [`popcount_planes`] packs them. Every lane in
+    /// `lanes` that is unsorted or does not conserve its input's popcount
+    /// is folded in as `observe` folds it; the returned mask names those
+    /// lanes, and the rest of `lanes` (sorted and conserving, which
+    /// `observe` would leave untouched) are not. Max and sum do not depend
+    /// on order, so the result equals a lane-by-lane fold.
+    ///
+    /// One forward scan over the outputs keeps bit-sliced counters of the
+    /// ones seen so far (which end as the output popcount), that count at
+    /// the last zero, the zeros seen after the first one, and the
+    /// inversions (the ones seen, added at every zero). A lane is unsorted
+    /// iff some zero follows a one. Its displacement under
+    /// [`max_displacement`]'s canonical matching is the larger of "ones
+    /// before the last zero" and "zeros after the first one": a zero moves
+    /// left by the ones before it and a one moves right by the zeros after
+    /// it, and both counts are monotone. Per-lane values are read out of
+    /// the planes only as the maximum over the detected lanes.
+    pub fn observe_lanes(&mut self, outputs: &[u64], ones: &[u64], lanes: u64) -> u64 {
+        let n = outputs.len();
+        let cp = bit_len(n as u64);
+        assert_eq!(ones.len(), cp, "popcount planes for {n} outputs");
+        assert!(n <= u32::MAX as usize, "{n} outputs overflow the counters");
+        let ip = bit_len((n as u64 * n as u64) / 4);
+        let mut seen = [0u64; 32];
+        let mut at_last_zero = [0u64; 32];
+        let mut after_first_one = [0u64; 32];
+        let mut inv = [0u64; 64];
+        let (seen, at_last_zero) = (&mut seen[..cp], &mut at_last_zero[..cp]);
+        let (after_first_one, inv) = (&mut after_first_one[..cp], &mut inv[..ip]);
+        let mut any_one = 0u64;
+        let mut unsorted = 0u64;
+        for &x in outputs {
+            let zero = !x;
+            let late_zero = zero & any_one;
+            unsorted |= late_zero;
+            add_bit(after_first_one, late_zero);
+            add_planes(inv, seen.iter().map(|&s| s & zero));
+            for (z, &s) in at_last_zero.iter_mut().zip(seen.iter()) {
+                *z ^= (*z ^ s) & zero;
+            }
+            add_bit(seen, x);
+            any_one |= x;
+        }
+        let unconserved = seen
+            .iter()
+            .zip(ones)
+            .fold(0u64, |acc, (&s, &o)| acc | (s ^ o));
+        let detected = (unsorted | unconserved) & lanes;
+        if detected != 0 {
+            self.max_inversions = self.max_inversions.max(lane_max(inv, detected));
+            let disp = lane_max(at_last_zero, detected).max(lane_max(after_first_one, detected));
+            self.max_displacement = self.max_displacement.max(disp);
+            self.conservation_violations += u64::from((unconserved & detected).count_ones());
+        }
+        detected
+    }
+
     /// Merges another worst case into this one.
     pub fn merge(&mut self, other: &Degradation) {
         self.max_inversions = self.max_inversions.max(other.max_inversions);
@@ -190,6 +251,68 @@ impl Degradation {
             flagged: v.get("flagged").and_then(Value::as_i64).unwrap_or(0) as u64,
         })
     }
+}
+
+/// Bit-sliced popcount of 64-lane words: plane `j` holds bit `j` of each
+/// lane's count of ones across `words`, least significant plane first,
+/// with as many planes as the bit length of `words.len()`. This is the
+/// `ones` argument of [`Degradation::observe_lanes`] for the input words
+/// that produced its outputs.
+pub fn popcount_planes(words: &[u64]) -> Vec<u64> {
+    let mut planes = vec![0u64; bit_len(words.len() as u64)];
+    for &w in words {
+        add_bit(&mut planes, w);
+    }
+    planes
+}
+
+/// Bits needed to hold every count up to `x`.
+fn bit_len(x: u64) -> usize {
+    (u64::BITS - x.leading_zeros()) as usize
+}
+
+/// Adds one bit per lane (`carry`) to a bit-sliced counter. The planes are
+/// sized so the counter cannot overflow.
+fn add_bit(planes: &mut [u64], mut carry: u64) {
+    for p in planes {
+        if carry == 0 {
+            return;
+        }
+        let next = *p & carry;
+        *p ^= carry;
+        carry = next;
+    }
+    debug_assert_eq!(carry, 0, "bit-sliced counter overflowed");
+}
+
+/// Adds a bit-sliced addend, least significant plane first, to a
+/// bit-sliced accumulator with at least as many planes.
+fn add_planes(acc: &mut [u64], addend: impl Iterator<Item = u64>) {
+    let mut carry = 0u64;
+    let mut used = 0;
+    for (a, b) in acc.iter_mut().zip(addend) {
+        let half = *a ^ b;
+        let next = (*a & b) | (half & carry);
+        *a = half ^ carry;
+        carry = next;
+        used += 1;
+    }
+    add_bit(&mut acc[used..], carry);
+}
+
+/// The largest per-lane value of a bit-sliced counter over the lanes in
+/// `lanes` (0 when `lanes` is empty): from the top plane down, keep the
+/// lanes that have the bit whenever any of them does.
+fn lane_max(planes: &[u64], mut lanes: u64) -> u64 {
+    let mut max = 0u64;
+    for (j, &p) in planes.iter().enumerate().rev() {
+        let high = p & lanes;
+        if high != 0 {
+            max |= 1 << j;
+            lanes = high;
+        }
+    }
+    max
 }
 
 // ---------------------------------------------------------------------------
@@ -776,6 +899,34 @@ mod tests {
         )
     }
 
+    /// Per-lane counts packed as bit planes, as `observe_lanes` reads them.
+    fn count_planes(n: usize, counts: &[usize]) -> Vec<u64> {
+        (0..bit_len(n as u64))
+            .map(|j| {
+                counts
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (l, &c)| w | ((c >> j & 1) as u64) << l)
+            })
+            .collect()
+    }
+
+    /// The scalar reference for `observe_lanes`: unpack each lane in
+    /// `lanes`, and observe it when the zero-one checker fires.
+    fn observe_each_lane(outputs: &[u64], ones: &[usize], lanes: u64) -> (Degradation, u64) {
+        let mut d = Degradation::default();
+        let mut detected = 0u64;
+        for lane in (0..64).filter(|&l| lanes >> l & 1 == 1) {
+            let out: Vec<bool> = outputs.iter().map(|w| w >> lane & 1 == 1).collect();
+            let count = out.iter().filter(|&&b| b).count();
+            if !absort_core::lang::is_sorted(&out) || count != ones[lane] {
+                d.observe(&out, ones[lane]);
+                detected |= 1 << lane;
+            }
+        }
+        (d, detected)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -787,6 +938,51 @@ mod tests {
             let sorted = out.windows(2).all(|w| w[0] <= w[1]);
             prop_assert_eq!(inversions(&out) == 0, sorted);
             prop_assert_eq!(max_displacement(&out) == 0, sorted);
+        }
+
+        /// The bit-sliced scorer equals the per-lane loop of `is_sorted`,
+        /// popcount and `observe` at every width from 1 to 70 and at 256.
+        /// Lanes 0–15 stay sorted, lanes 16–39 get sparse flips and lanes
+        /// 40–63 random words; each lane's input popcount is its sorted
+        /// count where `conserve` says so and a random one elsewhere.
+        #[test]
+        fn observe_lanes_matches_per_lane_observe(
+            pool in proptest::collection::vec(any::<u64>(), 3 * 256),
+            draws in proptest::collection::vec(any::<u64>(), 64),
+            conserve in any::<u64>(),
+            (mask, width) in (any::<u64>(), 0u32..=64),
+        ) {
+            let lanes = mask & u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            for n in (1..=70).chain([256]) {
+                let sorted: Vec<usize> = draws.iter().map(|&d| (d % (n as u64 + 1)) as usize).collect();
+                let clean: Vec<u64> = (0..n)
+                    .map(|i| (0..64).fold(0u64, |w, l| w | u64::from(i + sorted[l] >= n) << l))
+                    .collect();
+                let outputs: Vec<u64> = clean
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &c)| {
+                        let (a, b, r) = (pool[i], pool[256 + i], pool[512 + i]);
+                        c ^ (a & b & r & 0x0000_00ff_ffff_0000) ^ (r & 0xffff_ff00_0000_0000)
+                    })
+                    .collect();
+                let ones: Vec<usize> = (0..64)
+                    .map(|l| if conserve >> l & 1 == 1 { sorted[l] } else { (draws[l] >> 32) as usize % (n + 1) })
+                    .collect();
+                let planes = count_planes(n, &ones);
+
+                let mut got = Degradation::default();
+                let detected = got.observe_lanes(&outputs, &planes, lanes);
+                prop_assert_eq!((got, detected), observe_each_lane(&outputs, &ones, lanes), "n = {}", n);
+
+                // All lanes sorted and conserving: nothing to observe.
+                let mut quiet = Degradation::default();
+                prop_assert_eq!(quiet.observe_lanes(&clean, &count_planes(n, &sorted), u64::MAX), 0);
+                prop_assert_eq!(quiet, Degradation::default());
+
+                let counts: Vec<usize> = (0..64).map(|l| outputs.iter().filter(|&&w| w >> l & 1 == 1).count()).collect();
+                prop_assert_eq!(popcount_planes(&outputs), count_planes(n, &counts));
+            }
         }
 
         /// No element of an n-bit output can be displaced by more than n

@@ -564,7 +564,8 @@ fn o1_campaign_tapes_patch_or_kill_every_mutant() {
 
 /// The campaign counts its compiled-engine mutant outcomes in the run
 /// manifest: at n = 8 every mutant of the four networks is patched in
-/// place or dead.
+/// place or dead. The manifest also splits the sweeps' time into engine
+/// evaluation and scoring.
 #[cfg(feature = "telemetry")]
 #[test]
 fn default_campaign_manifest_counts_mutant_outcomes() {
@@ -597,6 +598,23 @@ fn default_campaign_manifest_counts_mutant_outcomes() {
             counter("faults.mutants.recompiled"),
         ],
         [260, 19, 0]
+    );
+    assert!(counter("faults.eval_ns") > 0);
+    assert!(counter("faults.check_ns") > 0);
+}
+
+/// The n = 8 campaign with single faults and 2-fault sets, pinned byte for
+/// byte: every count and degradation cell of the four networks.
+#[test]
+fn n8_multi2_campaign_matches_golden_report() {
+    let opts = CampaignOptions {
+        multi: 2,
+        ..CampaignOptions::default()
+    };
+    let report = run_campaign_with(&NetworkSel::ALL, &small_cfg(8), &opts);
+    assert_eq!(
+        report.to_json().to_pretty(),
+        include_str!("golden/faults_n8_multi2.json")
     );
 }
 
