@@ -18,6 +18,7 @@ use absort::circuit::{
 use absort::core::{lang, muxmerge, nonadaptive, prefix, SorterKind};
 use absort::networks::concentrator::Concentrator;
 use absort::networks::permuter::RadixPermuter;
+use absort::serve::ServeConfig;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -146,7 +147,7 @@ fn enum_flag_error(flag: &str, got: Option<&String>, valid: &str) -> ! {
 }
 
 /// Valid `--passes` tokens, quoted back at the user on a parse error.
-const VALID_PASSES: &str = "const-prologue, const-prop, cse, rewrite, dce, none";
+const VALID_PASSES: &str = "const-prologue, const-prop, cse, dce, none";
 
 fn parse_kind(s: &str) -> SorterKind {
     match s {
@@ -185,7 +186,9 @@ struct Args {
     checkpoint: Option<String>,
     resume: bool,
     faults_timeout_secs: Option<u64>,
-    opt_level: OptLevel,
+    /// `--opt-level`, if given; `serve` otherwise compiles at the
+    /// daemon's default tier.
+    opt_level: Option<OptLevel>,
     addr: Option<String>,
     workers: Option<usize>,
     queue: Option<usize>,
@@ -219,7 +222,7 @@ fn parse_args(argv: &[String]) -> Args {
         checkpoint: None,
         resume: false,
         faults_timeout_secs: None,
-        opt_level: OptLevel::default(),
+        opt_level: None,
         addr: None,
         workers: None,
         queue: None,
@@ -256,7 +259,7 @@ fn parse_args(argv: &[String]) -> Args {
                     .and_then(|v| OptLevel::parse(v))
                     .unwrap_or_else(|| enum_flag_error("--opt-level", v, "0, 1, 2"));
                 a.opt.passes = level.passes();
-                a.opt_level = level;
+                a.opt_level = Some(level);
                 a.opt_given = true;
             }
             "--passes" => {
@@ -571,12 +574,6 @@ fn cmd_inspect(a: &Args) {
             s.removed()
         );
     }
-    if !cc.rewrite_hits().is_empty() {
-        println!("rewrite rule hits:");
-        for (rule, hits) in cc.rewrite_hits() {
-            println!("  {rule:<20} {hits:>6}");
-        }
-    }
     println!(
         "  tape: {} ops, {} slots (vs {} wires, {:.1}% saved)",
         cc.tape_len(),
@@ -852,13 +849,12 @@ fn cmd_eval(a: &Args) {
     println!("{}", lang::show(&circuit.eval(&bits), 0));
 }
 
-/// Runs the fault-tolerant sorting daemon (`absort serve`): binds,
-/// serves until SIGTERM/SIGINT, then drains gracefully — stops
-/// accepting, flushes in-flight requests, prints the final stats, and
-/// exits 0.
-fn cmd_serve(a: &Args) {
-    use absort::serve::{signal, ServeConfig, Server};
-    let cfg = ServeConfig {
+/// The daemon's configuration: the serve flags over
+/// [`ServeConfig::default`], whose compiler tier holds unless
+/// `--opt-level` is given.
+fn serve_config(a: &Args) -> ServeConfig {
+    let defaults = ServeConfig::default();
+    ServeConfig {
         addr: a
             .addr
             .clone()
@@ -870,9 +866,18 @@ fn cmd_serve(a: &Args) {
             .max_n
             .map_or(absort::serve::proto::DEFAULT_MAX_N, |n| n as u32),
         chaos: a.chaos,
-        opt: a.opt_level,
-        ..ServeConfig::default()
-    };
+        opt: a.opt_level.unwrap_or(defaults.opt),
+        ..defaults
+    }
+}
+
+/// Runs the fault-tolerant sorting daemon (`absort serve`): binds,
+/// serves until SIGTERM/SIGINT, then drains gracefully — stops
+/// accepting, flushes in-flight requests, prints the final stats, and
+/// exits 0.
+fn cmd_serve(a: &Args) {
+    use absort::serve::{signal, Server};
+    let cfg = serve_config(a);
     signal::install_handlers();
     let server = Server::start(cfg.clone()).unwrap_or_else(|e| {
         eprintln!("error: cannot bind {}: {e}", cfg.addr);
@@ -1318,4 +1323,19 @@ fn main() {
         );
     }
     run_command(cmd, &rest);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        parse_args(&argv.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn serve_follows_the_daemon_default_opt_level() {
+        assert_eq!(serve_config(&args(&[])).opt, ServeConfig::default().opt);
+        assert_eq!(serve_config(&args(&["--opt-level", "2"])).opt, OptLevel::O2);
+    }
 }

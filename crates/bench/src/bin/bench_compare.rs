@@ -13,13 +13,16 @@
 //!   fault-campaign section missing from the fresh document; a serve
 //!   report missing a required column or completing zero requests).
 //!   Missing size rows alone can be waived with `--allow-missing-sizes`
-//!   (for `--quick` CI runs diffed against a full baseline). A v4 row
-//!   whose `rules_on_tape_len` exceeds its `rules_off_tape_len` also
-//!   fails hard: the rewrite pass must never grow the tape.
+//!   (for `--quick` CI runs diffed against a full baseline). A v5 row
+//!   must carry every opt-level tier in `opt_levels`, and a tier whose
+//!   tape is longer than the tier below it also fails hard: a pass
+//!   must never grow the tape.
 //! - **WARN** (exit 0, or exit 3 with `--strict`): `lanes_speedup`
 //!   dropping more than 10% below the baseline on any common size, the
-//!   fault-campaign `speedup` doing the same, or a serve report's
-//!   `throughput_rps` doing the same on a comparable workload.
+//!   fault-campaign `speedup` doing the same, a row's O2 wide walk
+//!   (`compiled_wide_ms`) running more than 10% above its O1 walk, or
+//!   a serve report's `throughput_rps` dropping more than 10% on a
+//!   comparable workload.
 //!
 //! Usage:
 //!   bench_compare <fresh.json> <baseline.json> [--strict] [--allow-missing-sizes]
@@ -45,16 +48,10 @@ const REQUIRED_SIZE_METRICS: &[&str] = &[
 /// must be reported for the tape it benchmarked).
 const V3_REQUIRED_SIZE_METRICS: &[&str] = &["compile.pass.fuse.fused"];
 
-/// Metrics the v4 schema added: the rules-on/off column pair isolating
-/// the rewrite pass. Required on every fresh size row once
-/// the fresh document declares v4 or newer; additionally, rules-on
-/// must never carry a longer tape than rules-off (hard failure).
-const V4_REQUIRED_SIZE_METRICS: &[&str] = &[
-    "rules_on_tape_len",
-    "rules_off_tape_len",
-    "rules_on_wide_ms",
-    "rules_off_wide_ms",
-];
+/// Opt-level tiers every fresh size row must carry in `opt_levels` once
+/// the fresh document declares v5 or newer, each with its `tape_len`
+/// and `compiled_wide_ms`.
+const V5_REQUIRED_TIERS: [i64; 3] = [0, 1, 2];
 
 /// Metrics that are only present on some rows (e.g. `emitted_scalar_ms`
 /// exists only where a committed golden exists): required on a fresh row
@@ -64,7 +61,7 @@ const CARRY_FORWARD_SIZE_METRICS: &[&str] = &["emitted_scalar_ms"];
 
 const SCHEMA_PREFIX: &str = "absort-bench-eval/";
 const SCHEMA_V3: &str = "absort-bench-eval/v3";
-const SCHEMA_V4: &str = "absort-bench-eval/v4";
+const SCHEMA_V5: &str = "absort-bench-eval/v5";
 const SERVE_SCHEMA_PREFIX: &str = "absort-bench-serve/";
 
 /// Columns every serve report must carry; dropping one is coverage loss.
@@ -155,6 +152,63 @@ fn check_speedup(label: &str, fresh: f64, base: f64, out: &mut Outcome) {
     }
 }
 
+/// One `opt_levels` entry of a size row.
+struct Tier {
+    level: i64,
+    tape_len: f64,
+    wide_ms: f64,
+}
+
+/// The row's `opt_levels` entries that carry a level, a tape length and
+/// a wide-walk time, ascending by level.
+fn opt_tiers(row: &Value) -> Vec<Tier> {
+    let mut tiers: Vec<Tier> = row
+        .get("opt_levels")
+        .and_then(Value::as_arr)
+        .into_iter()
+        .flatten()
+        .filter_map(|t| {
+            Some(Tier {
+                level: t.get("level").and_then(Value::as_i64)?,
+                tape_len: t.get("tape_len").and_then(Value::as_f64)?,
+                wide_ms: t.get("compiled_wide_ms").and_then(Value::as_f64)?,
+            })
+        })
+        .collect();
+    tiers.sort_by_key(|t| t.level);
+    tiers
+}
+
+/// The per-tier gate. Tape length is deterministic, so a tier whose tape
+/// is longer than the tier below it fails hard; wall clock is noisy, so
+/// an O2 wide walk more than [`SPEEDUP_DROP_THRESHOLD`] above O1's only
+/// warns.
+fn check_tiers(n: i64, tiers: &[Tier], out: &mut Outcome) {
+    for pair in tiers.windows(2) {
+        let (lo, hi) = (&pair[0], &pair[1]);
+        if hi.tape_len > lo.tape_len {
+            out.failures.push(format!(
+                "opt-level regression: n={n} O{} tape ({} ops) is longer than O{} ({} ops)",
+                hi.level, hi.tape_len, lo.level, lo.tape_len
+            ));
+        } else {
+            out.notes.push(format!(
+                "n={n} O{} -> O{} tape: {} -> {} ops (ok)",
+                lo.level, hi.level, lo.tape_len, hi.tape_len
+            ));
+        }
+    }
+    let wide = |level| tiers.iter().find(|t| t.level == level).map(|t| t.wide_ms);
+    if let (Some(o1), Some(o2)) = (wide(1), wide(2)) {
+        if o1 > 0.0 && (o2 - o1) / o1 > SPEEDUP_DROP_THRESHOLD {
+            out.warnings.push(format!(
+                "n={n}: O2 wide walk {o2:.3} ms is more than {:.0}% above O1's {o1:.3} ms",
+                SPEEDUP_DROP_THRESHOLD * 100.0
+            ));
+        }
+    }
+}
+
 fn compare_docs(fresh: &Value, baseline: &Value, opts: &Options) -> Outcome {
     let mut out = Outcome::default();
 
@@ -201,43 +255,18 @@ fn compare_docs(fresh: &Value, baseline: &Value, opts: &Options) -> Outcome {
                 }
             }
         }
-        if fresh_schema.is_some_and(|s| s >= SCHEMA_V4) {
-            for &metric in V4_REQUIRED_SIZE_METRICS {
-                if fresh_row.get(metric).and_then(Value::as_f64).is_none() {
-                    out.failures
-                        .push(format!("coverage loss: n={n} lacks v4 metric `{metric}`"));
-                }
-            }
-            // The rewrite pass is gated on monotonicity, not noise: a
-            // rules-on tape longer than rules-off is a hard failure.
-            if let (Some(on), Some(off)) = (
-                fresh_row.get("rules_on_tape_len").and_then(Value::as_f64),
-                fresh_row.get("rules_off_tape_len").and_then(Value::as_f64),
-            ) {
-                if on > off {
+        let tiers = opt_tiers(fresh_row);
+        if fresh_schema.is_some_and(|s| s >= SCHEMA_V5) {
+            for level in V5_REQUIRED_TIERS {
+                if !tiers.iter().any(|t| t.level == level) {
                     out.failures.push(format!(
-                        "rewrite regression: n={n} rules-on tape ({on} ops) is larger \
-                         than rules-off ({off} ops)"
-                    ));
-                } else {
-                    out.notes
-                        .push(format!("n={n} rewrite rules: {off} -> {on} ops (ok)"));
-                }
-            }
-            // Wall-clock is noisy, so the latency side only warns.
-            if let (Some(on_ms), Some(off_ms)) = (
-                fresh_row.get("rules_on_wide_ms").and_then(Value::as_f64),
-                fresh_row.get("rules_off_wide_ms").and_then(Value::as_f64),
-            ) {
-                if off_ms > 0.0 && (on_ms - off_ms) / off_ms > SPEEDUP_DROP_THRESHOLD {
-                    out.warnings.push(format!(
-                        "n={n}: rules-on wide walk {on_ms:.3} ms is more than {:.0}% \
-                         above rules-off {off_ms:.3} ms",
-                        SPEEDUP_DROP_THRESHOLD * 100.0
+                        "coverage loss: n={n} lacks v5 `opt_levels` tier O{level} \
+                         (with `tape_len` and `compiled_wide_ms`)"
                     ));
                 }
             }
         }
+        check_tiers(*n, &tiers, &mut out);
         for &metric in CARRY_FORWARD_SIZE_METRICS {
             if base_row.get(metric).and_then(Value::as_f64).is_some()
                 && fresh_row.get(metric).and_then(Value::as_f64).is_none()
@@ -625,35 +654,46 @@ mod tests {
         );
     }
 
-    /// A v4 row: the v3 extras plus the rules-on/off column pair.
-    /// `(n, rules_on_ops, rules_off_ops, rules_on_ms)`; rules-off wall
-    /// clock is pinned at 1.0 ms so `rules_on_ms` sets the ratio.
-    fn doc_v4(rows: &[(i64, i64, i64, f64)]) -> Value {
+    /// A v5 row: the v3 extras plus the three opt-level tiers.
+    /// `(n, [O0, O1, O2] tape lengths, O2 wide ms)`; the O0 and O1 wide
+    /// walks are pinned at 1.0 ms, so the O2 time sets the ratio.
+    fn doc_v5(rows: &[(i64, [i64; 3], f64)]) -> Value {
         let sizes: Vec<String> = rows
             .iter()
-            .map(|(n, on, off, on_ms)| {
+            .map(|(n, tapes, o2_ms)| {
+                let tiers: Vec<String> = tapes
+                    .iter()
+                    .zip([1.0, 1.0, *o2_ms])
+                    .enumerate()
+                    .map(|(level, (tape, ms))| {
+                        format!(
+                            "{{\"level\": {level}, \"tape_len\": {tape}, \
+                             \"compiled_wide_ms\": {ms}}}"
+                        )
+                    })
+                    .collect();
                 format!(
                     "{{\"n\": {n}, \"compile_ms\": 1.0, \"interp_lanes_ms\": 2.0, \
                      \"compiled_wide_ms\": 1.0, \"lanes_speedup\": 2.6, \
                      \"scalar_speedup\": 1.1, \"compile.pass.fuse.fused\": 175, \
-                     \"rules_on_tape_len\": {on}, \"rules_off_tape_len\": {off}, \
-                     \"rules_on_wide_ms\": {on_ms}, \"rules_off_wide_ms\": 1.0}}"
+                     \"opt_levels\": [{}]}}",
+                    tiers.join(", ")
                 )
             })
             .collect();
         parse(&format!(
-            "{{\"schema\": \"absort-bench-eval/v4\", \"sizes\": [{}]}}",
+            "{{\"schema\": \"absort-bench-eval/v5\", \"sizes\": [{}]}}",
             sizes.join(", ")
         ))
         .unwrap()
     }
 
     #[test]
-    fn v4_fresh_must_carry_rules_columns() {
+    fn v5_fresh_must_carry_opt_levels() {
         let base = doc_v3(&[(64, 1.1, true, false)]);
-        // A document that claims v4 but lacks the rules columns.
+        // A document that claims v5 but lacks the opt-level tiers.
         let missing = parse(
-            "{\"schema\": \"absort-bench-eval/v4\", \"sizes\": [{\"n\": 64, \
+            "{\"schema\": \"absort-bench-eval/v5\", \"sizes\": [{\"n\": 64, \
              \"compile_ms\": 1.0, \"interp_lanes_ms\": 2.0, \"compiled_wide_ms\": 1.0, \
              \"lanes_speedup\": 2.6, \"scalar_speedup\": 1.1, \
              \"compile.pass.fuse.fused\": 175}]}",
@@ -661,52 +701,50 @@ mod tests {
         .unwrap();
         let out = compare_docs(&missing, &base, &Options::default());
         let text = out.failures.join("\n");
-        assert!(text.contains("rules_on_tape_len"), "{text}");
-        assert!(text.contains("rules_off_wide_ms"), "{text}");
+        assert!(text.contains("tier O0"), "{text}");
+        assert!(text.contains("tier O2"), "{text}");
 
-        let present = doc_v4(&[(64, 700, 800, 1.0)]);
+        let present = doc_v5(&[(64, [800, 700, 700], 1.0)]);
         let out = compare_docs(&present, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         assert!(out.notes.iter().any(|n| n.contains("schema upgraded")));
     }
 
     #[test]
-    fn v4_rules_on_tape_growth_fails() {
-        // The injected-regression bite: rules-on growing past rules-off
-        // must fail hard even when every column is present.
-        let base = doc_v4(&[(64, 700, 800, 1.0)]);
-        let grown = doc_v4(&[(64, 810, 800, 1.0)]);
+    fn v5_tier_tape_growth_fails() {
+        // The injected-regression bite: an O2 tape longer than O1's must
+        // fail hard even when every column is present.
+        let base = doc_v5(&[(64, [800, 700, 700], 1.0)]);
+        let grown = doc_v5(&[(64, [800, 700, 710], 1.0)]);
         let out = compare_docs(&grown, &base, &Options::default());
         assert!(
             out.failures
                 .iter()
-                .any(|f| f.contains("rewrite regression")),
+                .any(|f| f.contains("opt-level regression") && f.contains("O2")),
             "{:?}",
             out.failures
         );
-        // Equality is fine: a network the rewrite pass cannot improve.
-        let equal = doc_v4(&[(64, 800, 800, 1.0)]);
+        // Equality is fine: a network the higher tier cannot improve.
+        let equal = doc_v5(&[(64, [700, 700, 700], 1.0)]);
         let out = compare_docs(&equal, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]
-    fn v4_rules_latency_blowup_warns_but_does_not_fail() {
-        let base = doc_v4(&[(64, 700, 800, 1.0)]);
-        let slow = doc_v4(&[(64, 700, 800, 1.5)]);
+    fn v5_o2_latency_blowup_warns_but_does_not_fail() {
+        let base = doc_v5(&[(64, [800, 700, 700], 1.0)]);
+        let slow = doc_v5(&[(64, [800, 700, 700], 1.5)]);
         let out = compare_docs(&slow, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         assert!(
-            out.warnings
-                .iter()
-                .any(|w| w.contains("rules-on wide walk")),
+            out.warnings.iter().any(|w| w.contains("O2 wide walk")),
             "{:?}",
             out.warnings
         );
 
-        let close = doc_v4(&[(64, 700, 800, 1.05)]);
+        let close = doc_v5(&[(64, [800, 700, 700], 1.05)]);
         let out = compare_docs(&close, &base, &Options::default());
-        assert!(out.warnings.is_empty(), "5% above rules-off must not warn");
+        assert!(out.warnings.is_empty(), "5% above O1 must not warn");
     }
 
     fn serve_doc(schema: &str, mode: &str, n: i64, rps: f64, completed: i64) -> Value {

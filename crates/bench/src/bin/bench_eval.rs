@@ -28,7 +28,7 @@ use absort_bench::bench_bits;
 use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 #[cfg(feature = "telemetry")]
 use absort_circuit::{Circuit, CompiledCircuit};
-use absort_circuit::{CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassName};
+use absort_circuit::{CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel};
 use absort_core::muxmerge;
 
 const WORKLOAD: usize = 256;
@@ -225,27 +225,6 @@ fn size_row(n: usize, reps: usize) -> String {
         wout[0][0]
     });
 
-    // Rules on/off column pair (schema v4): the default tape above
-    // already runs the rewrite pass at O2; the off tape keeps every
-    // other pass so the delta isolates the rewrite pass.
-    let rules_off = {
-        let mut opts = CompileOptions::default();
-        opts.passes = opts.passes.without(PassName::Rewrite);
-        circuit.compile_with(&opts)
-    };
-    let rules_off_wide_s = {
-        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&rules_off);
-        min_of(reps, 100, || {
-            ev.run_into(&wide, &mut wout);
-            wout[0][0]
-        })
-    };
-    eprintln!(
-        "  rewrite rules: off {} ops -> on {} ops",
-        rules_off.tape_len(),
-        compiled.tape_len(),
-    );
-
     let interp_par4_s = min_of(reps, 1, || circuit.eval_batch_parallel(&vectors, 4));
 
     // Histogram-backed per-vector latency percentiles (untimed pass).
@@ -326,10 +305,6 @@ fn size_row(n: usize, reps: usize) -> String {
             "      \"n\": {n},\n",
             "      \"compile_ms\": {compile},\n",
             "      \"tape_len\": {tape_len},\n",
-            "      \"rules_on_tape_len\": {ron_t},\n",
-            "      \"rules_off_tape_len\": {roff_t},\n",
-            "      \"rules_on_wide_ms\": {ron_w},\n",
-            "      \"rules_off_wide_ms\": {roff_w},\n",
             "      \"levels\": {levels},\n",
             "      \"n_slots\": {n_slots},\n",
             "      \"n_wires\": {n_wires},\n",
@@ -364,10 +339,6 @@ fn size_row(n: usize, reps: usize) -> String {
         n = n,
         compile = ms(compile_s),
         tape_len = compiled.tape_len(),
-        ron_t = compiled.tape_len(),
-        roff_t = rules_off.tape_len(),
-        ron_w = ms(compiled_wide.min),
-        roff_w = ms(rules_off_wide_s),
         levels = compiled.n_levels(),
         n_slots = compiled.n_slots(),
         n_wires = circuit.n_wires(),
@@ -481,7 +452,7 @@ fn main() {
     let doc = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"absort-bench-eval/v4\",\n",
+            "  \"schema\": \"absort-bench-eval/v5\",\n",
             "  \"network\": \"mux-merger\",\n",
             "  \"reps\": {reps},\n",
             "  \"workload_vectors\": {workload},\n",

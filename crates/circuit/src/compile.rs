@@ -13,7 +13,7 @@
 //! [`CompiledCircuit::compile`] runs the staged pipeline
 //! `Circuit → CompileIr → PassManager → regalloc → CompiledCircuit`:
 //! lowering lives in [`crate::ir`], every transform (constant prologue,
-//! constant propagation, CSE, the rewrites, DCE) is a named pass in
+//! constant propagation, CSE, DCE) is a named pass in
 //! [`crate::passes`], and slot allocation plus tape emission live in
 //! [`crate::regalloc`]. [`CompiledCircuit::compile_with`] exposes the
 //! pass set (`--opt-level` / `--passes` on the CLI); per-pass op counts
@@ -356,10 +356,6 @@ pub struct CompiledCircuit {
     pub(crate) source_components: u32,
     /// Per-pass before/after op counts recorded by the pass manager.
     pub(crate) pass_stats: Vec<PassStats>,
-    /// Per-rule application counts recorded by the `rewrite` pass
-    /// (rule name → hits), empty when the pass did not run or matched
-    /// nothing. Surfaced by `absort inspect` and telemetry.
-    pub(crate) rewrite_hits: Vec<(String, u32)>,
 }
 
 /// [`CompiledCircuit::comp_pos`] sentinel: component eliminated as dead
@@ -697,12 +693,12 @@ impl CompiledCircuit {
         &self.pass_stats
     }
 
-    /// Per-rule hit counts from the `rewrite` pass (rule name → number
-    /// of applications), in first-fired order. Empty when the pass was
-    /// disabled or matched nothing.
+    /// Always empty: the rewrite pass that recorded per-rule hits is
+    /// gone. Kept only because the repo benchmark's `compile` workload
+    /// (`perfbench/`) still calls it; it goes once that call does.
     #[inline]
     pub fn rewrite_hits(&self) -> &[(String, u32)] {
-        &self.rewrite_hits
+        &[]
     }
 
     /// Wire count of the source circuit.
@@ -1569,10 +1565,7 @@ mod tests {
         let c = kitchen_sink();
         let cc = c.compile();
         let names: Vec<&str> = cc.pass_stats().iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            vec!["const-prologue", "const-prop", "cse", "rewrite", "dce"]
-        );
+        assert_eq!(names, vec!["const-prologue", "const-prop", "cse", "dce"]);
         let removed_by = |n: &str| {
             cc.pass_stats()
                 .iter()

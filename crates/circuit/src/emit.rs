@@ -17,7 +17,6 @@
 //! multi-output op can read its sources "before" writing destinations
 //! that alias them, exactly like the tape evaluator does.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::compile::{shares_controls, CompiledCircuit, MicroOp};
@@ -65,18 +64,12 @@ pub fn emit_rust(cc: &CompiledCircuit, fn_name: &str, standalone: bool) -> Strin
     // switch of the run reads them instead of re-deriving.
     let mut masks: Option<[String; 4]> = None;
     let mut mctr = 0u32;
-    // Bindings known to hold a constant (the rewrite pass routes the
-    // canonical consts into half-adder 4×4 switches); switch emission
-    // folds them so the straight-line source stays near tape size.
-    let mut konst: HashMap<String, bool> = HashMap::new();
     let mut prev: Option<&MicroOp> = None;
     for op in cc.tape() {
         if !prev.is_some_and(|p| shares_controls(p, op)) {
             masks = None;
         }
-        emit_op(
-            &mut out, cc, op, &mut ver, &mut masks, &mut mctr, &mut konst, &rd,
-        );
+        emit_op(&mut out, cc, op, &mut ver, &mut masks, &mut mctr, &rd);
         prev = Some(op);
     }
 
@@ -91,7 +84,6 @@ pub fn emit_rust(cc: &CompiledCircuit, fn_name: &str, standalone: bool) -> Strin
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_op(
     out: &mut String,
     cc: &CompiledCircuit,
@@ -99,7 +91,6 @@ fn emit_op(
     ver: &mut [u32],
     masks: &mut Option<[String; 4]>,
     mctr: &mut u32,
-    konst: &mut HashMap<String, bool>,
     rd: &dyn Fn(u32, &[u32]) -> String,
 ) {
     fn wr(s: u32, ver: &mut [u32]) -> String {
@@ -110,9 +101,7 @@ fn emit_op(
     // then all destinations are bound — destinations may alias sources.
     match *op {
         MicroOp::Const { d, v } => {
-            let name = wr(d, ver);
-            konst.insert(name.clone(), v);
-            let _ = writeln!(out, "    let {name} = {v};");
+            let _ = writeln!(out, "    let {} = {v};", wr(d, ver));
         }
         MicroOp::Not { d, a } => {
             let rhs = format!("!{}", rd(a, ver));
@@ -190,16 +179,19 @@ fn emit_op(
                 rd(ins[2], ver),
                 rd(ins[3], ver),
             ];
-            if iv.iter().all(|v| konst.contains_key(v)) {
-                // A LUT-backed switch (every data input constant): each
-                // output is a two-input boolean function of the selects
-                // — emit it directly, no mask temporaries.
-                emit_lut_outs(out, &rd(s1, ver), &rd(s0, ver), &d, &iv, pm, ver, konst);
-            } else {
-                let m = masks
-                    .get_or_insert_with(|| emit_masks(out, rd(s1, ver), rd(s0, ver), mctr))
-                    .clone();
-                emit_switch4_outs(out, &m, &d, &iv, pm, ver, konst);
+            let m = masks.get_or_insert_with(|| emit_masks(out, rd(s1, ver), rd(s0, ver), mctr));
+            // Output j is the OR, over select combinations c, of mask c
+            // AND the input that c's permutation routes to output j.
+            let rhs: Vec<String> = (0..4)
+                .map(|j| {
+                    (0..4)
+                        .map(|c| format!("({} & {})", m[c], iv[pm[c][j] as usize]))
+                        .collect::<Vec<_>>()
+                        .join(" | ")
+                })
+                .collect();
+            for (&dj, r) in d.iter().zip(&rhs) {
+                let _ = writeln!(out, "    let {} = {r};", wr(dj, ver));
             }
         }
     }
@@ -220,119 +212,6 @@ fn emit_masks(out: &mut String, s1: String, s0: String, mctr: &mut u32) -> [Stri
     let _ = writeln!(out, "    let {} = {s1} & !{s0};", m[2]);
     let _ = writeln!(out, "    let {} = {s1} & {s0};", m[3]);
     m
-}
-
-/// Emits the four outputs of one 4×4 switch given its mask temporaries.
-/// Inputs bound to a known constant fold per mask term: `m & false`
-/// drops, `m & true` becomes the bare mask, all-true becomes `true`
-/// (the masks partition), none left becomes `false`.
-fn emit_switch4_outs(
-    out: &mut String,
-    m: &[String; 4],
-    d: &[u32; 4],
-    iv: &[String; 4],
-    pm: &[crate::component::Perm4; 4],
-    ver: &mut [u32],
-    konst: &mut HashMap<String, bool>,
-) {
-    let rhs: Vec<String> = (0..4)
-        .map(|j| {
-            let mut terms = Vec::new();
-            let mut n_true = 0usize;
-            for c in 0..4 {
-                let src = &iv[pm[c][j] as usize];
-                match konst.get(src) {
-                    Some(false) => {}
-                    Some(true) => {
-                        n_true += 1;
-                        terms.push(m[c].clone());
-                    }
-                    None => terms.push(format!("({} & {})", m[c], src)),
-                }
-            }
-            if terms.is_empty() {
-                "false".to_string()
-            } else if n_true == 4 {
-                "true".to_string()
-            } else {
-                terms.join(" | ")
-            }
-        })
-        .collect();
-    bind_outs(out, d, &rhs, ver, konst);
-}
-
-/// Emits the four outputs of a LUT-backed 4×4 switch (all data inputs
-/// constant) as direct two-input boolean functions of the selects —
-/// the form the rewrite pass's half-adder switches take. No mask
-/// temporaries.
-#[allow(clippy::too_many_arguments)]
-fn emit_lut_outs(
-    out: &mut String,
-    s1: &str,
-    s0: &str,
-    d: &[u32; 4],
-    iv: &[String; 4],
-    pm: &[crate::component::Perm4; 4],
-    ver: &mut [u32],
-    konst: &mut HashMap<String, bool>,
-) {
-    let rhs: Vec<String> = (0..4)
-        .map(|j| {
-            // Truth-table bit c (selects s1=c>>1, s0=c&1) is the const
-            // routed to output j under combination c's permutation.
-            let mut tt = 0u8;
-            for c in 0..4 {
-                if konst[&iv[pm[c][j] as usize]] {
-                    tt |= 1 << c;
-                }
-            }
-            lut_expr(tt, s1, s0)
-        })
-        .collect();
-    bind_outs(out, d, &rhs, ver, konst);
-}
-
-/// Binds the four switch outputs, recording any that reduced to a
-/// constant so downstream LUT switches keep folding.
-fn bind_outs(
-    out: &mut String,
-    d: &[u32; 4],
-    rhs: &[String],
-    ver: &mut [u32],
-    konst: &mut HashMap<String, bool>,
-) {
-    for (j, r) in rhs.iter().enumerate() {
-        ver[d[j] as usize] += 1;
-        let name = format!("s{}_{}", d[j], ver[d[j] as usize]);
-        if let Ok(v) = r.parse::<bool>() {
-            konst.insert(name.clone(), v);
-        }
-        let _ = writeln!(out, "    let {name} = {r};");
-    }
-}
-
-/// The minimal `& | ^ !` expression for a 2-input truth table; bit `c`
-/// of `tt` is the function value at `a = c>>1, b = c&1`.
-fn lut_expr(tt: u8, a: &str, b: &str) -> String {
-    match tt & 0xF {
-        0b0000 => "false".into(),
-        0b0001 => format!("!({a} | {b})"),
-        0b0010 => format!("!{a} & {b}"),
-        0b0011 => format!("!{a}"),
-        0b0100 => format!("{a} & !{b}"),
-        0b0101 => format!("!{b}"),
-        0b0110 => format!("{a} ^ {b}"),
-        0b0111 => format!("!({a} & {b})"),
-        0b1000 => format!("{a} & {b}"),
-        0b1001 => format!("!({a} ^ {b})"),
-        0b1010 => b.into(),
-        0b1011 => format!("!{a} | {b}"),
-        0b1100 => a.into(),
-        0b1101 => format!("{a} | !{b}"),
-        0b1110 => format!("{a} | {b}"),
-        _ => "true".into(),
-    }
 }
 
 #[cfg(test)]

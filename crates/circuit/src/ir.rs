@@ -238,10 +238,6 @@ pub struct CompileIr {
     pub comp_fate: Vec<CompFate>,
     /// Wire count of the source circuit (for slot-savings reporting).
     pub source_wires: u32,
-    /// Per-rule application counts recorded by the `rewrite` pass
-    /// (rule name → number of sites rewritten), surfaced by
-    /// `CompiledCircuit::rewrite_hits` and `absort inspect`.
-    pub rewrite_hits: Vec<(String, u32)>,
 }
 
 /// Lowers a netlist into the IR: two canonical constant ops first (so
@@ -343,7 +339,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
         const_true,
         comp_fate: vec![CompFate::Live; comps.len()],
         source_wires: c.n_wires() as u32,
-        rewrite_hits: Vec::new(),
     }
 }
 

@@ -1,5 +1,5 @@
-//! A flat open-addressed index from a 64-bit tag to an op index, shared
-//! by CSE and the rewrite pass (DESIGN.md §3.7, "Compile cost").
+//! A flat open-addressed index from a 64-bit tag to an op index, CSE's
+//! table of first occurrences (DESIGN.md §3.7, "Compile cost").
 //!
 //! The table is sized once, to the next power of two at least twice the
 //! entry count, so it never grows and probe runs stay short. The home
@@ -43,31 +43,17 @@ impl OpIndex {
         &mut self,
         tag: u64,
         op: u32,
-        eq: impl FnMut(u32) -> bool,
+        mut eq: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
-        match self.probe(tag, eq) {
-            Ok(found) => Some(found),
-            Err(at) => {
-                self.slots[at] = (tag, op);
-                None
-            }
-        }
-    }
-
-    /// The first op under `tag` that `eq` accepts.
-    pub(crate) fn find(&self, tag: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        self.probe(tag, eq).ok()
-    }
-
-    /// Walks `tag`'s probe run: `Ok` with the first op `eq` accepts, or
-    /// `Err` with the empty slot that ends the run.
-    fn probe(&self, tag: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut at = (tag.wrapping_mul(GOLDEN) >> self.shift) as usize;
         loop {
             match self.slots[at] {
-                (_, EMPTY) => return Err(at),
-                (t, o) if t == tag && eq(o) => return Ok(o),
+                (_, EMPTY) => {
+                    self.slots[at] = (tag, op);
+                    return None;
+                }
+                (t, o) if t == tag && eq(o) => return Some(o),
                 _ => at = (at + 1) & mask,
             }
         }
@@ -88,8 +74,13 @@ mod tests {
             .map(|op| index.find_or_insert(42, op, |o| keys[o as usize] == keys[op as usize]))
             .collect();
         assert_eq!(found, [None, None, Some(0), None, Some(1), Some(0)]);
-        assert_eq!(index.find(42, |o| keys[o as usize] == 7), Some(3));
-        assert_eq!(index.find(42, |_| false), None);
-        assert_eq!(index.find(43, |_| true), None);
+        assert_eq!(
+            index.find_or_insert(42, 6, |o| keys[o as usize] == 7),
+            Some(3)
+        );
+        // A miss inserts: a new key under the shared tag, then a new tag.
+        assert_eq!(index.find_or_insert(42, 6, |_| false), None);
+        assert_eq!(index.find_or_insert(43, 7, |_| true), None);
+        assert_eq!(index.find_or_insert(43, 8, |o| o == 7), Some(7));
     }
 }

@@ -8,9 +8,7 @@
 //!    [`PassName::ConstProp`] (constant propagation through gates and
 //!    switches — a switch with a known select lowers to wires),
 //!    [`PassName::Cse`] (structural hashing / common-subexpression
-//!    elimination), [`PassName::Rewrite`] (half-adder fusion and the
-//!    idempotence rewrites — see `rewrite`), [`PassName::Dce`]
-//!    (dead-code elimination);
+//!    elimination), [`PassName::Dce`] (dead-code elimination);
 //! 2. the **schedule** stage (always on): levelize and stable-sort ops
 //!    so constants form the prologue and component ops are grouped by
 //!    depth level.
@@ -30,7 +28,6 @@ pub mod const_prop;
 pub mod cse;
 pub mod dce;
 mod index;
-pub mod rewrite;
 pub mod schedule;
 
 use crate::circuit::Circuit;
@@ -58,21 +55,16 @@ pub enum PassName {
     /// Structural hashing: merge ops computing the same function of
     /// the same values.
     Cse,
-    /// Fuse each and/xor pair over the same operands into one 4×4
-    /// half-adder switch, and fold `a & a`, `a | a`, `a ^ a` (every
-    /// applied round shrinks the op list).
-    Rewrite,
     /// Drop ops no output observes.
     Dce,
 }
 
 impl PassName {
     /// Every pass, in canonical run order.
-    pub const ALL: [PassName; 5] = [
+    pub const ALL: [PassName; 4] = [
         PassName::ConstPrologue,
         PassName::ConstProp,
         PassName::Cse,
-        PassName::Rewrite,
         PassName::Dce,
     ];
 
@@ -82,7 +74,6 @@ impl PassName {
             PassName::ConstPrologue => "const-prologue",
             PassName::ConstProp => "const-prop",
             PassName::Cse => "cse",
-            PassName::Rewrite => "rewrite",
             PassName::Dce => "dce",
         }
     }
@@ -98,7 +89,6 @@ impl PassName {
             PassName::ConstPrologue => 1,
             PassName::ConstProp => 1 << 1,
             PassName::Cse => 1 << 2,
-            PassName::Rewrite => 1 << 5,
             PassName::Dce => 1 << 3,
         }
     }
@@ -121,7 +111,7 @@ impl PassSet {
     pub const EMPTY: PassSet = PassSet(0);
 
     /// Every pass (opt-level 2).
-    pub const ALL: PassSet = PassSet(0b10_1111);
+    pub const ALL: PassSet = PassSet(0b1111);
 
     /// Whether `p` is enabled.
     #[inline]
@@ -297,7 +287,6 @@ fn pass_impl(p: PassName) -> &'static dyn Pass {
         PassName::ConstPrologue => &const_prologue::ConstPrologue,
         PassName::ConstProp => &const_prop::ConstProp,
         PassName::Cse => &cse::Cse,
-        PassName::Rewrite => &rewrite::Rewrite,
         PassName::Dce => &dce::Dce,
     }
 }

@@ -213,6 +213,5 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
         source_wires: ir.source_wires,
         source_components: ir.source_components() as u32,
         pass_stats: Vec::new(),
-        rewrite_hits: ir.rewrite_hits.clone(),
     }
 }

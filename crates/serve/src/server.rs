@@ -86,7 +86,9 @@ pub struct ServeConfig {
     pub drain_grace: Duration,
     /// Honor `ChaosPanic` requests (forced worker panic mid-batch).
     pub chaos: bool,
-    /// Compiler tier for cached tapes.
+    /// Compiler tier for cached tapes (default O1: for every served key
+    /// O2 yields the same tape, so CSE and const-prop would only slow
+    /// each cache fill).
     pub opt: OptLevel,
 }
 
@@ -105,7 +107,7 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_millis(2000),
             drain_grace: Duration::from_millis(250),
             chaos: false,
-            opt: OptLevel::O2,
+            opt: OptLevel::O1,
         }
     }
 }

@@ -188,6 +188,25 @@ fn opt_level_and_passes_reject_unknown_values_with_menus() {
         "{err}"
     );
     assert!(err.contains("const-prop"), "{err}");
+
+    // The retired rewrite pass is an unknown token, answered with the
+    // four-pass menu.
+    let out = run(&[
+        "verify",
+        "--network",
+        "prefix",
+        "--n",
+        "8",
+        "--passes",
+        "rewrite",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("\"rewrite\"")
+            && err.contains("(valid: const-prologue, const-prop, cse, dce, none)"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -197,17 +216,15 @@ fn inspect_reports_pass_stats() {
     let s = stdout(&out);
     assert!(s.contains("compiled tape"), "{s}");
     assert!(s.contains("decoded: "), "{s}");
-    for pass in ["const-prologue", "const-prop", "cse", "rewrite", "dce"] {
+    for pass in ["const-prologue", "const-prop", "cse", "dce"] {
         assert!(
             s.lines().any(|l| l.trim_start().starts_with(pass)),
             "missing {pass} row: {s}"
         );
     }
-    // One half-adder fusion per adder bit of the popcount prefix adder.
     assert!(
-        s.lines()
-            .any(|l| l.split_whitespace().eq(["pair-and-xor", "35"])),
-        "missing pair-and-xor hit line: {s}"
+        !s.lines().any(|l| l.trim_start().starts_with("rewrite")),
+        "the rewrite pass is gone, yet inspect reports it: {s}"
     );
     assert!(s.contains("slots"), "{s}");
 

@@ -348,7 +348,6 @@ fn metrics_run_emits_trace_and_histograms() {
             "compile/pass/const-prop",
             "compile/pass/cse",
             "compile/pass/dce",
-            "compile/pass/rewrite",
             "compile/regalloc",
             "compile/schedule",
         ]

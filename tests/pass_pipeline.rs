@@ -9,7 +9,7 @@
 //! unobservable, folded sites fall back to per-mutant recompiles; a
 //! crafted CSE merge pins the split site by site).
 
-use absort::analysis::faults::{self as fc, fish_k, NetworkSel};
+use absort::analysis::faults::{self as fc, fish_k, run_campaign, CampaignConfig, NetworkSel};
 use absort::circuit::compile::MutantTape;
 use absort::circuit::ir::lower;
 use absort::circuit::mutate::{self, Fault};
@@ -17,7 +17,6 @@ use absort::circuit::passes::const_prologue::ConstPrologue;
 use absort::circuit::passes::const_prop::ConstProp;
 use absort::circuit::passes::cse::Cse;
 use absort::circuit::passes::dce::Dce;
-use absort::circuit::passes::rewrite::Rewrite;
 use absort::circuit::passes::schedule::schedule;
 use absort::circuit::passes::Pass;
 use absort::circuit::{
@@ -121,10 +120,6 @@ fn every_configuration_matches_interpreter_exhaustively() {
     }
 }
 
-/// Optimization must shrink, never grow, the tape — and the default
-/// (O2) pipeline must show a measured reduction over O0 on the hardened
-/// catalog (CSE merges checker structure, const-prop folds the fish
-/// merger's constant padding).
 /// The schedule stage's counting sort on level yields exactly the order
 /// a stable comparison sort yields, on the post-pass IR of every catalog
 /// network at n = 8…256 and of the duplicate-hardened wrappers at n = 8.
@@ -138,7 +133,7 @@ fn schedule_order_is_the_stable_sort_by_level() {
     });
     for (name, c) in circuits {
         let mut ir = lower(&c);
-        let passes: [&dyn Pass; 5] = [&ConstPrologue, &ConstProp, &Cse, &Rewrite, &Dce];
+        let passes: [&dyn Pass; 4] = [&ConstPrologue, &ConstProp, &Cse, &Dce];
         for p in passes {
             p.run(&mut ir);
         }
@@ -159,6 +154,10 @@ fn schedule_order_is_the_stable_sort_by_level() {
     }
 }
 
+/// Optimization must shrink, never grow, the tape — and the default
+/// (O2) pipeline must show a measured reduction over O1 on the hardened
+/// catalog (CSE merges checker structure, const-prop folds the fish
+/// merger's constant padding).
 #[test]
 fn higher_opt_levels_never_grow_the_tape() {
     let mut o2_won_somewhere = false;
@@ -276,13 +275,7 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
     b.outputs(&[x, y]);
     let c = b.finish();
 
-    // O2 minus the rewrite pass: after CSE merges g1/g2 into one value
-    // v, its `syn-xor-x-x` rewrite would fold comp 3 (v ^ v -> false)
-    // and obscure the CSE split this test pins; the rewrite interaction
-    // is asserted separately below.
-    let mut opts = CompileOptions::default();
-    opts.passes = opts.passes.without(PassName::Rewrite);
-    let mut cc = c.compile_with(&opts);
+    let mut cc = c.compile();
     for comp in [0usize, 1, 2] {
         assert!(
             matches!(
@@ -292,6 +285,8 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
             "comp {comp}: merged sites must force the recompile fallback"
         );
     }
+    // Comp 3 reads the merged value twice (v ^ v); no pass folds that,
+    // so it stays a live gate the tape patches in place.
     for comp in [3usize, 4] {
         assert!(
             matches!(
@@ -304,19 +299,6 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
     assert!(
         matches!(cc.mutant_tape(5, Fault::InvertBehaviour), MutantTape::Dead),
         "comp 5: dead code must score Dead without recompiling"
-    );
-
-    // With the rewrite pass back on (full default O2), `syn-xor-x-x`
-    // folds comp 3's v ^ v to a constant; the site is Folded, so
-    // mutants fall back to the recompile path rather than patching a
-    // tape that no longer holds the gate.
-    let mut cc_o2 = c.compile();
-    assert!(
-        matches!(
-            cc_o2.mutant_tape(3, Fault::InvertBehaviour),
-            MutantTape::Unsupported
-        ),
-        "comp 3: rewritten x^x site must not claim an in-place patch"
     );
 
     // Semantic backstop for the Dead verdict: the actual netlist mutant
@@ -336,5 +318,25 @@ fn cse_merge_sites_pin_the_dead_patched_recompiled_split() {
             mutant1.eval(&bits) != c.eval(&bits)
         }),
         "comp 1 mutant should be observable"
+    );
+}
+
+/// Passes change the tape, never the fault report: byte-identical
+/// campaign JSON between the unoptimized tape and the full O2 pipeline,
+/// over all four networks at n = 8.
+#[test]
+fn fault_campaign_report_is_byte_identical_across_opt_levels() {
+    let cfg = |level: OptLevel| CampaignConfig {
+        n: 8,
+        engine: Engine::Compiled,
+        opt: CompileOptions::for_level(level),
+        ..CampaignConfig::default()
+    };
+    let o0 = run_campaign(&NetworkSel::ALL, &cfg(OptLevel::O0));
+    let o2 = run_campaign(&NetworkSel::ALL, &cfg(OptLevel::O2));
+    assert_eq!(
+        o0.to_json().to_pretty(),
+        o2.to_json().to_pretty(),
+        "campaign report must be bit-identical between O0 and O2"
     );
 }
