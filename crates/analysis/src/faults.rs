@@ -26,9 +26,13 @@
 //!   ([`absort_faults::Degradation`]).
 //!
 //! Component-granularity faults (behaviour inversion, stuck selects) are
-//! injected by netlist rewriting (`absort_circuit::mutate`); wire
-//! stuck-ats, bridges, and transient upsets are injected at evaluation
-//! time (`absort_circuit::faulty`). Valid inputs are the network's
+//! netlist rewrites (`absort_circuit::mutate`); wire stuck-ats, bridges,
+//! and transient upsets are injected at evaluation time
+//! (`absort_circuit::faulty`). The compiled engine decodes each network's
+//! base tape once into an [`absort_circuit::VariantTape`] and runs every
+//! component mutant and stuck-at variant as an in-place patch of it;
+//! bridges, transients and the interpreter engine run on the
+//! interpreting [`FaultyEvaluator`], the reference. Valid inputs are the network's
 //! contract: all `2^n` vectors for the sorters, the k-sorted sequences
 //! (Definition 4) for the merger. Beyond `max_exhaustive` vectors the
 //! checker drops to a seeded random sample and the report's `tier` says
@@ -49,8 +53,8 @@ use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort_circuit::faulty::{observable_wires, permanent_fault_sites, FaultyEvaluator};
 use absort_circuit::mutate::{self, Fault};
 use absort_circuit::{
-    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Engine, Evaluator, MutantTape,
-    OptLevel, WireFault,
+    Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, MutantTape, OptLevel,
+    VariantTape, Wire, WireFault,
 };
 use absort_core::{fish, lang, muxmerge, nonadaptive, prefix};
 use absort_faults::json;
@@ -117,19 +121,20 @@ pub struct CampaignConfig {
     pub max_exhaustive: usize,
     /// Transient (wire, vector) upsets injected per network.
     pub transient_samples: usize,
-    /// Evaluation engine for the netlist-rewrite (mutant) sweeps. Each
-    /// mutant is evaluated over the whole workload, so the one-time
-    /// lowering pass amortizes immediately; the compiled tape is the
-    /// default. Wire-granularity faults (stuck-ats, bridges, transients)
-    /// always run on the interpreting [`FaultyEvaluator`] — the compiled
-    /// tape reuses slots and has no per-wire identity to inject into.
+    /// Evaluation engine for the component-mutant and stuck-at sweeps.
+    /// The compiled default decodes each network's base tape once and
+    /// patches every variant into it in place (see
+    /// [`absort_circuit::VariantTape`]); a stuck-at the tape cannot
+    /// express, OR-bridges and transients run on the interpreting
+    /// [`FaultyEvaluator`], as does everything under [`Engine::Interp`].
     pub engine: Engine,
     /// Compilation options for every tape the compiled engine builds
     /// (base and per-mutant recompiles). The pass pipeline's provenance
     /// contract guarantees report cells are bit-identical across opt
     /// levels; only the sweep speed changes. The default is O1: it folds
-    /// and merges nothing, so every mutant is patched in place or dead
-    /// and none recompiles.
+    /// and merges nothing, so every mutant is patched in place or dead,
+    /// none recompiles, and stuck-ats patch too. At O2 a tape with a
+    /// folded component sends every stuck-at to the [`FaultyEvaluator`].
     pub opt: CompileOptions,
     /// Which concurrent checks the self-checking wrapper carries. The
     /// default (monotonicity + conservation) matches the paper's cheap
@@ -461,30 +466,26 @@ impl<'w> Sweep<'w> {
         v
     }
 
-    /// Scores the mutant `patches` makes of the compiled `base` tape:
-    /// patched in place, skipped as dead, or — where the tape has no
-    /// faithful image of a faulted component — recompiled from the netlist
-    /// `rewrite` builds. Tallies the outcome in `outcomes` (patched, dead,
-    /// recompiled).
-    fn mutant(
+    /// Scores the variant that the component faults `comps` and the
+    /// stuck-at wires `stuck` make of the compiled `base`: patched in
+    /// place, skipped as dead, or — where the tape has no faithful image
+    /// of some fault — scored by `fallback`. Tallies the outcome in
+    /// `outcomes` (patched, dead, fallback).
+    fn patched(
         &mut self,
-        base: &mut CompiledCircuit,
-        opt: &CompileOptions,
-        patches: &[(usize, Fault)],
-        rewrite: impl FnOnce() -> Circuit,
+        base: &mut VariantTape<[u64; 4]>,
+        comps: &[(usize, Fault)],
+        stuck: &[(Wire, bool)],
+        fallback: impl FnOnce(&mut Self, &mut Degradation) -> Verdict,
         outcomes: &mut [u64; 3],
         degradation: &mut Degradation,
     ) -> Verdict {
-        let mut score = |cc: &CompiledCircuit| {
-            let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(cc);
-            self.variant(|p, o| ev.run_into(p, o), degradation)
-        };
-        match base.mutant_tape_multi(patches) {
-            MutantTape::Patched(patched) => {
+        match base.patch(comps, stuck) {
+            MutantTape::Patched(mut variant) => {
                 outcomes[0] += 1;
-                score(&patched)
+                self.variant(|p, o| variant.run_into(p, o), degradation)
             }
-            // Dead sites: the mutant cannot differ from the base circuit,
+            // Dead sites: the variant cannot differ from the base circuit,
             // which matches the oracle on valid inputs (and a quiet rail —
             // the checker taps only inputs and data outputs, so dead stays
             // dead).
@@ -494,9 +495,33 @@ impl<'w> Sweep<'w> {
             }
             MutantTape::Unsupported => {
                 outcomes[2] += 1;
-                score(&rewrite().compile_with(opt))
+                fallback(self, degradation)
             }
         }
+    }
+
+    /// Scores the mutant netlist `mutant`, compiled with `opt`.
+    fn recompiled(
+        &mut self,
+        mutant: &Circuit,
+        opt: &CompileOptions,
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        let cc = mutant.compile_with(opt);
+        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
+        self.variant(|p, o| ev.run_into(p, o), degradation)
+    }
+
+    /// Scores `circuit` with the wire faults `faults` injected by the
+    /// interpreting faulty evaluator.
+    fn faulty(
+        &mut self,
+        circuit: &Circuit,
+        faults: &[WireFault],
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(circuit, faults);
+        self.variant(|p, o| ev.run_into(p, o), degradation)
     }
 
     /// Diffs word `k` of the last pass (64-lane chunk `ci`) against the
@@ -532,14 +557,18 @@ impl<'w> Sweep<'w> {
     }
 }
 
-/// Adds one unit's compiled-engine mutant outcomes to the
-/// `faults.mutants.{patched,dead,recompiled}` counters.
+/// Adds one unit's compiled-engine outcomes to the counters: component
+/// mutants to `faults.mutants.{patched,dead,recompiled}`, and variants
+/// with stuck-at wires to `faults.wire.{patched,dead,fallback}`.
 #[cfg(feature = "telemetry")]
-fn count_outcomes(outcomes: &[u64; 3]) {
+fn count_outcomes(mutants: &[u64; 3], wires: &[u64; 3]) {
     absort_telemetry::counter_add_many(&[
-        ("faults.mutants.patched", outcomes[0]),
-        ("faults.mutants.dead", outcomes[1]),
-        ("faults.mutants.recompiled", outcomes[2]),
+        ("faults.mutants.patched", mutants[0]),
+        ("faults.mutants.dead", mutants[1]),
+        ("faults.mutants.recompiled", mutants[2]),
+        ("faults.wire.patched", wires[0]),
+        ("faults.wire.dead", wires[1]),
+        ("faults.wire.fallback", wires[2]),
     ]);
 }
 
@@ -578,14 +607,14 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     let mut kinds: Vec<KindReport> = Vec::new();
     let mut sweep = Sweep::new(&w, n_eval, rail);
 
-    // Compiled once per network; each mutant below is expressed as an
-    // in-place tape patch instead of a full per-mutant lowering (the
-    // dominant cost of compiled campaigns at small `n`).
-    let mut base_cc = match cfg.engine {
-        Engine::Compiled => Some(hardened.circuit.compile_with(&cfg.opt)),
+    // Compiled and decoded once per network; each mutant and stuck-at
+    // below is an in-place patch of tape and program instead of a
+    // per-variant lowering or decode.
+    let mut base = match cfg.engine {
+        Engine::Compiled => Some(VariantTape::compile(&hardened.circuit, &cfg.opt)),
         Engine::Interp => None,
     };
-    let mut outcomes = [0u64; 3];
+    let (mut mutant_outcomes, mut wire_outcomes) = ([0u64; 3], [0u64; 3]);
 
     // --- component-granularity faults via netlist rewriting -------------
     for fault in Fault::ALL {
@@ -600,13 +629,13 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         };
         for ci in mutate::applicable(&circuit, fault) {
             let hci = hardened.component(ci);
-            let v = sweep.timed(|s| match &mut base_cc {
-                Some(cc) => s.mutant(
-                    cc,
-                    &cfg.opt,
+            let v = sweep.timed(|s| match &mut base {
+                Some(base) => s.patched(
+                    base,
                     &[(hci, fault)],
-                    || hardened_mutant(&hardened, hci, fault),
-                    &mut outcomes,
+                    &[],
+                    |s, d| s.recompiled(&hardened_mutant(&hardened, hci, fault), &cfg.opt, d),
+                    &mut mutant_outcomes,
                     &mut cell.degradation,
                 ),
                 None => {
@@ -620,7 +649,8 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         kinds.push(cell);
     }
 
-    // --- wire-granularity permanent faults via the faulty evaluator -----
+    // --- wire-granularity permanent faults: stuck-ats patched, bridges
+    // on the faulty evaluator -------------------------------------------
     let sites = permanent_fault_sites(&circuit, &w.vectors);
     for kind in [
         FaultKind::StuckAt0,
@@ -636,11 +666,17 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
             FaultKind::StuckAt1 => matches!(s, WireFault::StuckAt { value: true, .. }),
             _ => matches!(s, WireFault::BridgeOr { .. }),
         }) {
-            let v = sweep.timed(|s| {
-                let hf = hardened.fault(site);
-                let mut ev: FaultyEvaluator<'_, [u64; 4]> =
-                    FaultyEvaluator::new(&hardened.circuit, &[hf]);
-                s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
+            let hf = hardened.fault(site);
+            let v = sweep.timed(|s| match (&mut base, hf) {
+                (Some(base), WireFault::StuckAt { wire, value }) => s.patched(
+                    base,
+                    &[],
+                    &[(wire, value)],
+                    |s, d| s.faulty(&hardened.circuit, &[hf], d),
+                    &mut wire_outcomes,
+                    &mut cell.degradation,
+                ),
+                _ => s.faulty(&hardened.circuit, &[hf], &mut cell.degradation),
             });
             tally(&mut cell, v);
         }
@@ -657,15 +693,11 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     for _ in 0..cfg.transient_samples {
         let wire = cone[rng.gen_range(0..cone.len())];
         let vector = rng.gen_range(0..w.vectors.len()) as u64;
-        let v = sweep.timed(|s| {
-            let fault = hardened.fault(WireFault::TransientFlip { wire, vector });
-            // The faulty evaluator counts `V::LANES` vectors per pass, so
-            // the wide walk keeps transient lane targeting exact as long
-            // as the wide chunks are fed in workload order.
-            let mut ev: FaultyEvaluator<'_, [u64; 4]> =
-                FaultyEvaluator::new(&hardened.circuit, &[fault]);
-            s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
-        });
+        // The faulty evaluator counts `V::LANES` vectors per pass, so the
+        // wide walk keeps transient lane targeting exact as long as the
+        // wide chunks are fed in workload order.
+        let fault = hardened.fault(WireFault::TransientFlip { wire, vector });
+        let v = sweep.timed(|s| s.faulty(&hardened.circuit, &[fault], &mut cell.degradation));
         tally(&mut cell, v);
     }
     kinds.push(cell);
@@ -683,8 +715,8 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
                 injected * w.vectors.len() as u64,
             ),
         ]);
-        if base_cc.is_some() {
-            count_outcomes(&outcomes);
+        if base.is_some() {
+            count_outcomes(&mutant_outcomes, &wire_outcomes);
         }
     }
 
@@ -805,11 +837,11 @@ pub fn run_network_sets(
         );
     }
 
-    let mut base_cc = match cfg.engine {
-        Engine::Compiled => Some(hardened.circuit.compile_with(&cfg.opt)),
+    let mut base = match cfg.engine {
+        Engine::Compiled => Some(VariantTape::compile(&hardened.circuit, &cfg.opt)),
         Engine::Interp => None,
     };
-    let mut outcomes = [0u64; 3];
+    let (mut mutant_outcomes, mut wire_outcomes) = ([0u64; 3], [0u64; 3]);
 
     let mut cell = KindReport::default(); // kind: None → "mixed"
     let mut sweep = Sweep::new(&w, n_eval, rail);
@@ -838,23 +870,39 @@ pub fn run_network_sets(
             mutate::apply_set(&hardened.circuit, &patches)
                 .expect("sampled distinct-site set must stay applicable")
         };
-        let v = sweep.timed(|s| match &mut base_cc {
-            Some(cc) if wires.is_empty() => s.mutant(
-                cc,
-                &cfg.opt,
+        // The reference: the faulty evaluator over the netlist with the
+        // component members rewritten in.
+        let faulty = |s: &mut Sweep, d: &mut Degradation| {
+            let rewritten = (!patches.is_empty()).then(apply_set);
+            s.faulty(rewritten.as_ref().unwrap_or(&hardened.circuit), &wires, d)
+        };
+        let stuck: Option<Vec<(Wire, bool)>> = wires
+            .iter()
+            .map(|&f| match f {
+                WireFault::StuckAt { wire, value } => Some((wire, value)),
+                _ => None,
+            })
+            .collect();
+        let v = sweep.timed(|s| match (&mut base, stuck) {
+            (Some(base), Some(stuck)) if stuck.is_empty() => s.patched(
+                base,
                 &patches,
-                apply_set,
-                &mut outcomes,
+                &[],
+                |s, d| s.recompiled(&apply_set(), &cfg.opt, d),
+                &mut mutant_outcomes,
                 &mut cell.degradation,
             ),
-            // Wire members run on the interpreting faulty evaluator, over
-            // the netlist with the component members rewritten in.
-            _ => {
-                let rewritten = (!patches.is_empty()).then(apply_set);
-                let target = rewritten.as_ref().unwrap_or(&hardened.circuit);
-                let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(target, &wires);
-                s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
-            }
+            // Component and stuck-at members patch together; a set with
+            // a bridge runs on the faulty evaluator.
+            (Some(base), Some(stuck)) => s.patched(
+                base,
+                &patches,
+                &stuck,
+                faulty,
+                &mut wire_outcomes,
+                &mut cell.degradation,
+            ),
+            _ => faulty(s, &mut cell.degradation),
         });
         tally(&mut cell, v);
     }
@@ -863,8 +911,8 @@ pub fn run_network_sets(
     {
         sweep.record();
         absort_telemetry::counter_add("faults.multi.sets", samples as u64);
-        if base_cc.is_some() {
-            count_outcomes(&outcomes);
+        if base.is_some() {
+            count_outcomes(&mutant_outcomes, &wire_outcomes);
         }
     }
 
@@ -1238,43 +1286,29 @@ mod tests {
         assert_eq!(again.to_json().to_pretty(), report.to_json().to_pretty());
     }
 
+    /// Both engines report sampled k-fault sets identically; the compiled
+    /// engine patches their component and stuck-at members together.
     #[test]
     fn multi_fault_engines_agree() {
-        for engine in Engine::ALL {
-            let cfg = CampaignConfig {
-                n: 4,
-                engine,
-                ..Default::default()
-            };
-            let r = run_network_sets(NetworkSel::MuxMerger, &cfg, 2, 16);
-            let cell = &r.kinds[0];
-            assert_eq!(cell.injected, 16, "{}", engine.name());
+        for sel in NetworkSel::ALL {
+            for (n, k) in [(4, 2), (8, 2), (8, 3)] {
+                let [interp, compiled] = Engine::ALL.map(|engine| {
+                    let cfg = CampaignConfig {
+                        n,
+                        engine,
+                        ..Default::default()
+                    };
+                    run_network_sets(sel, &cfg, k, 32)
+                });
+                assert_eq!(compiled.kinds[0].injected, 32);
+                assert_eq!(
+                    interp.to_json().to_pretty(),
+                    compiled.to_json().to_pretty(),
+                    "{} n={n} k={k}: multi-fault engines diverged",
+                    sel.name()
+                );
+            }
         }
-        let interp = run_network_sets(
-            NetworkSel::MuxMerger,
-            &CampaignConfig {
-                n: 4,
-                engine: Engine::Interp,
-                ..Default::default()
-            },
-            2,
-            16,
-        );
-        let compiled = run_network_sets(
-            NetworkSel::MuxMerger,
-            &CampaignConfig {
-                n: 4,
-                engine: Engine::Compiled,
-                ..Default::default()
-            },
-            2,
-            16,
-        );
-        assert_eq!(
-            interp.to_json().to_pretty(),
-            compiled.to_json().to_pretty(),
-            "multi-fault engines diverged"
-        );
     }
 
     #[test]

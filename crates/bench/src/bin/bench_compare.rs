@@ -16,7 +16,8 @@
 //!   (for `--quick` CI runs diffed against a full baseline). A v5 row
 //!   must carry every opt-level tier in `opt_levels`, and a tier whose
 //!   tape is longer than the tier below it also fails hard: a pass
-//!   must never grow the tape.
+//!   must never grow the tape. So does a fresh fault-campaign `speedup`
+//!   below 1.0: the compiled engine must beat the interpreter.
 //! - **WARN** (exit 0, or exit 3 with `--strict`): `lanes_speedup`
 //!   dropping more than 10% below the baseline on any common size, the
 //!   fault-campaign `speedup` doing the same, a row's O2 wide walk
@@ -33,6 +34,10 @@ use absort_telemetry::json::{parse, Value};
 
 /// Fractional speedup drop below baseline that triggers a warning.
 const SPEEDUP_DROP_THRESHOLD: f64 = 0.10;
+
+/// A fresh fault-campaign `speedup` (interp over compiled) below this
+/// fails hard.
+const MIN_CAMPAIGN_SPEEDUP: f64 = 1.0;
 
 /// Headline metrics every common size row must carry (coverage check).
 const REQUIRED_SIZE_METRICS: &[&str] = &[
@@ -286,6 +291,16 @@ fn compare_docs(fresh: &Value, baseline: &Value, opts: &Options) -> Outcome {
         }
     }
 
+    let campaign_speedup = fresh
+        .get("fault_campaign")
+        .and_then(|fc| fc.get("speedup"))
+        .and_then(Value::as_f64);
+    if let Some(s) = campaign_speedup.filter(|&s| s < MIN_CAMPAIGN_SPEEDUP) {
+        out.failures.push(format!(
+            "fault_campaign: speedup {s:.2} < {MIN_CAMPAIGN_SPEEDUP:.1}: the compiled engine \
+             is slower than the interpreter"
+        ));
+    }
     match (fresh.get("fault_campaign"), baseline.get("fault_campaign")) {
         (None, Some(_)) => out
             .failures
@@ -539,6 +554,23 @@ mod tests {
         assert_eq!(out.warnings.len(), 2, "{:?}", out.warnings);
         assert!(out.warnings[0].contains("n=64"));
         assert!(out.warnings[1].contains("fault_campaign"));
+    }
+
+    #[test]
+    fn campaign_slower_than_the_interpreter_fails() {
+        let base = doc("absort-bench-eval/v2", &[(64, 2.6)], Some(1.03));
+        let fresh = doc("absort-bench-eval/v2", &[(64, 2.6)], Some(0.98));
+        let out = compare_docs(&fresh, &base, &Options::default());
+        assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+        assert!(
+            out.failures[0].contains("fault_campaign"),
+            "{:?}",
+            out.failures
+        );
+        // At parity or better it passes, whatever the baseline read.
+        let fresh = doc("absort-bench-eval/v2", &[(64, 2.6)], Some(1.0));
+        let out = compare_docs(&fresh, &base, &Options::default());
+        assert!(out.failures.is_empty(), "{:?}", out.failures);
     }
 
     #[test]

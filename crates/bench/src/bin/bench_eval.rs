@@ -6,7 +6,9 @@
 //! workload), the one-time lowering
 //! pass, and the full `--network all` fault campaign, and writes the
 //! results as JSON. Each headline `*_ms` figure is the minimum over
-//! `--reps` wall-clock samples; a per-size `spread` object carries the
+//! `--reps` wall-clock samples (the campaign runs in at least nine
+//! alternating interp/compiled pairs, and its `speedup` is the median
+//! per-pair ratio); a per-size `spread` object carries the
 //! min/median/max of the key measurements so downstream comparisons
 //! (`bench_compare`) can tell a regression from run-to-run noise. A
 //! separate untimed telemetry pass records per-vector latency
@@ -59,25 +61,33 @@ impl Sample {
     }
 }
 
+impl Sample {
+    /// The min/median/max of `secs` (not empty).
+    fn of(mut secs: Vec<f64>) -> Sample {
+        secs.sort_by(f64::total_cmp);
+        Sample {
+            min: secs[0],
+            median: secs[secs.len() / 2],
+            max: secs[secs.len() - 1],
+        }
+    }
+}
+
 /// Times `reps` samples of `iters` back-to-back calls of `f` (batched
 /// so that microsecond-scale routines still get a clean reading) and
 /// returns the per-call min/median/max.
 fn sample<R>(reps: usize, iters: u32, mut f: impl FnMut() -> R) -> Sample {
-    let mut secs: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            t.elapsed().as_secs_f64() / f64::from(iters)
-        })
-        .collect();
-    secs.sort_by(f64::total_cmp);
-    Sample {
-        min: secs[0],
-        median: secs[secs.len() / 2],
-        max: secs[secs.len() - 1],
-    }
+    Sample::of(
+        (0..reps.max(1))
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..iters {
+                    black_box(f());
+                }
+                t.elapsed().as_secs_f64() / f64::from(iters)
+            })
+            .collect(),
+    )
 }
 
 /// Minimum wall-clock seconds per call — the headline number.
@@ -370,22 +380,46 @@ fn size_row(n: usize, reps: usize) -> String {
     )
 }
 
+/// Fewest alternating interp/compiled pairs the campaign row is timed in.
+const CAMPAIGN_PAIRS: usize = 9;
+
+/// Times the `--network all` campaign under both engines in at least
+/// [`CAMPAIGN_PAIRS`] pairs, alternating which engine runs first. The
+/// `*_ms` columns are each engine's minimum; `speedup` is the median of
+/// the per-pair interp/compiled ratios, which host drift between the
+/// two halves of one pair moves far less than it moves two minima taken
+/// at different times.
 fn campaign_section(n: usize, reps: usize) -> String {
-    let time_engine = |engine: Engine| {
+    let time = |engine: Engine| {
         let cfg = CampaignConfig {
             n,
             engine,
             ..CampaignConfig::default()
         };
-        sample(reps, 1, || run_campaign(&NetworkSel::ALL, &cfg))
+        let t = Instant::now();
+        black_box(run_campaign(&NetworkSel::ALL, &cfg));
+        t.elapsed().as_secs_f64()
     };
-    let interp = time_engine(Engine::Interp);
-    let compiled = time_engine(Engine::Compiled);
+    let pairs: Vec<(f64, f64)> = (0..reps.max(CAMPAIGN_PAIRS))
+        .map(|i| {
+            if i % 2 == 0 {
+                let interp = time(Engine::Interp);
+                (interp, time(Engine::Compiled))
+            } else {
+                let compiled = time(Engine::Compiled);
+                (time(Engine::Interp), compiled)
+            }
+        })
+        .collect();
+    let interp = Sample::of(pairs.iter().map(|p| p.0).collect());
+    let compiled = Sample::of(pairs.iter().map(|p| p.1).collect());
+    let speedup = Sample::of(pairs.iter().map(|(i, c)| i / c).collect()).median;
     eprintln!(
-        "fault campaign n={n} --network all: interp {} ms -> compiled {} ms ({}x)",
+        "fault campaign n={n} --network all: interp {} ms -> compiled {} ms \
+         ({speedup:.2}x, median of {} pairs)",
         ms(interp.min),
         ms(compiled.min),
-        ratio(interp.min, compiled.min),
+        pairs.len(),
     );
     format!(
         concat!(
@@ -404,7 +438,7 @@ fn campaign_section(n: usize, reps: usize) -> String {
         n = n,
         i = ms(interp.min),
         c = ms(compiled.min),
-        s = ratio(interp.min, compiled.min),
+        s = format!("{speedup:.2}"),
         sp_i = interp.spread_json(),
         sp_c = compiled.spread_json(),
     )

@@ -44,6 +44,9 @@
 //! per-op attribution. A caller that evaluates one tape many times, such
 //! as the sorting service, decodes it once into a [`Decoded`] program and
 //! builds each evaluator on it with [`CompiledEvaluator::with_decoded`].
+//! A fault campaign decodes its base tape once into a [`VariantTape`],
+//! whose [`VariantTape::patch`] applies each faulty variant — component
+//! mutants and stuck-at wires — to tape and program in place.
 //! Equivalence with the interpreter is enforced by the differential
 //! suites (`crates/circuit/tests/differential.rs`, the workspace-level
 //! `tests/compiled_differential.rs` and `tests/pass_pipeline.rs`) plus
@@ -53,12 +56,13 @@ use std::sync::Arc;
 
 use crate::circuit::Circuit;
 use crate::component::Perm4;
-use crate::dispatch::Program;
+use crate::dispatch::{Program, Saved};
 use crate::eval::EvalError;
 use crate::lane::Lane;
 use crate::mutate::Fault;
 use crate::passes::{CompileOptions, PassManager, PassStats};
 use crate::regalloc::intern_perms;
+use crate::wire::Wire;
 
 /// Which evaluation engine a driver should use. Sweep drivers (exhaustive
 /// verification, fault campaigns, batch sorting) default to
@@ -216,8 +220,8 @@ pub enum MicroOp {
         b: u32,
     },
     /// `d0 = a`, `d1 = b` — a fixed two-way route. Lowering never emits
-    /// this; [`CompiledCircuit::mutant_tape`] uses it to express a 2×2
-    /// switch whose control line is stuck at a constant.
+    /// this; a mutant patch uses it to express a 2×2 switch whose control
+    /// line is stuck at a constant.
     Route2 {
         /// Upper output slot.
         d0: u32,
@@ -281,6 +285,45 @@ pub(crate) fn shares_controls(prev: &MicroOp, op: &MicroOp) -> bool {
 impl MicroOp {
     /// Number of distinct profiling kinds: one per variant.
     pub const NUM_KINDS: usize = 14;
+
+    /// Visits every source-slot operand, in the order the op's source
+    /// component lists its inputs (`Component::for_each_input`).
+    pub(crate) fn for_each_src(&mut self, mut f: impl FnMut(&mut u32)) {
+        match self {
+            MicroOp::Const { .. } => {}
+            MicroOp::Not { a, .. } => f(a),
+            MicroOp::And { a, b, .. }
+            | MicroOp::Or { a, b, .. }
+            | MicroOp::Xor { a, b, .. }
+            | MicroOp::Nand { a, b, .. }
+            | MicroOp::Nor { a, b, .. }
+            | MicroOp::Xnor { a, b, .. }
+            | MicroOp::Route2 { a, b, .. }
+            | MicroOp::BitCompare { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            MicroOp::Mux { s, a1, a0, .. } => {
+                f(s);
+                f(a0);
+                f(a1);
+            }
+            MicroOp::Demux { s, x, .. } => {
+                f(s);
+                f(x);
+            }
+            MicroOp::Switch2 { s, a, b, .. } => {
+                f(s);
+                f(a);
+                f(b);
+            }
+            MicroOp::Switch4 { s1, s0, ins, .. } => {
+                f(s1);
+                f(s0);
+                ins.iter_mut().for_each(f);
+            }
+        }
+    }
 
     /// Dense stable index of this op's kind, `0..NUM_KINDS`.
     pub fn kind_index(&self) -> usize {
@@ -365,37 +408,54 @@ pub(crate) const COMP_DEAD: u32 = u32::MAX;
 /// or CSE-merged — in-place patching is unsound, recompile instead.
 pub(crate) const COMP_FOLDED: u32 = u32::MAX - 1;
 
-/// Outcome of [`CompiledCircuit::mutant_tape`] and
-/// [`CompiledCircuit::mutant_tape_multi`].
-pub enum MutantTape<'a> {
+/// Outcome of [`CompiledCircuit::mutant_tape`] and [`VariantTape::patch`];
+/// `G` is the guard holding the patches ([`PatchGuard`] on a bare tape,
+/// [`VariantGuard`] on a tape with its decoded program).
+pub enum MutantTape<G> {
     /// Every live patch is applied in place; dropping the guard restores
     /// the base tape (and permutation table) exactly.
-    Patched(PatchGuard<'a>),
-    /// Every faulted component was eliminated as dead code (or the patch
-    /// set was empty), so the mutant is output-equivalent to the base
-    /// circuit: no evaluation needed.
+    Patched(G),
+    /// Every faulted component was eliminated as dead code and no live op
+    /// or output reads a stuck wire (or the patch set was empty), so the
+    /// variant is output-equivalent to the base circuit: no evaluation
+    /// needed.
     Dead,
-    /// Some `(component, fault)` pair has no in-place encoding; any
-    /// patches already applied were rolled back. Callers fall back to
-    /// compiling the rewritten netlist.
+    /// Some fault has no in-place encoding; any patches already applied
+    /// were rolled back. Callers fall back to compiling the rewritten
+    /// netlist, or to the interpreting `FaultyEvaluator` for a variant
+    /// with stuck-at wires.
     Unsupported,
 }
 
-/// Everything needed to undo one in-place tape patch.
-struct PatchRecord {
-    pos: usize,
-    saved: MicroOp,
-    /// Permutation-table length before the patch; sets the patch
-    /// interned are dropped on restore.
-    perm_len: usize,
+/// Everything needed to undo one in-place patch.
+enum PatchRecord {
+    /// Tape op `pos` as it was, and the permutation-table length before
+    /// the patch (sets the patch interned are dropped on restore).
+    Op {
+        pos: usize,
+        saved: MicroOp,
+        perm_len: usize,
+    },
+    /// Output `index` as it was: the slot it read.
+    Output { index: usize, slot: u32 },
 }
 
-/// Undoes patches in reverse application order, restoring the tape and
-/// the permutation table to their state before the first patch.
+/// Undoes patches in reverse application order, restoring the tape, the
+/// permutation table and the output slots to their state before the
+/// first patch.
 fn undo_patches(cc: &mut CompiledCircuit, recs: &[PatchRecord]) {
     for rec in recs.iter().rev() {
-        cc.tape[rec.pos] = rec.saved;
-        cc.perm_sets.truncate(rec.perm_len);
+        match *rec {
+            PatchRecord::Op {
+                pos,
+                saved,
+                perm_len,
+            } => {
+                cc.tape[pos] = saved;
+                cc.perm_sets.truncate(perm_len);
+            }
+            PatchRecord::Output { index, slot } => cc.output_slots[index] = slot,
+        }
     }
 }
 
@@ -432,6 +492,247 @@ impl std::ops::Deref for PatchGuard<'_> {
 impl Drop for PatchGuard<'_> {
     fn drop(&mut self) {
         undo_patches(self.cc, &self.recs);
+    }
+}
+
+/// The permutation set `p` of a 4×4 switch whose select bit `bit` (2 for
+/// `s1`, 1 for `s0`) is tied to `value`: entry `i` holds the permutation
+/// select value `i` reaches with that bit forced, so the switch ignores
+/// the tied control while still reading it.
+fn fold(p: [Perm4; 4], bit: usize, value: bool) -> [Perm4; 4] {
+    let tied = if value { bit } else { 0 };
+    std::array::from_fn(|i| p[i & !bit | tied])
+}
+
+/// Where each wire of a tape's source circuit is read, so a stuck-at
+/// patch finds its readers without a scan.
+struct WireReaders {
+    /// `(wire, tape position, slot)` for every operand of every live op,
+    /// the slot being where that op reads the wire; sorted by wire.
+    reads: Vec<(u32, u32, u32)>,
+    /// Wires some op reads from a slot it also reads another wire from
+    /// (constants const-prologue merged onto one canonical slot):
+    /// redirecting that slot would fault the other wire too.
+    shared: Vec<bool>,
+    /// The source circuit's output wires, in output order.
+    outputs: Vec<Wire>,
+    /// The first constant wire of each polarity (`false`, `true`): the
+    /// tie `mutate::apply_set` wires a stuck select to.
+    ties: [Option<Wire>; 2],
+}
+
+impl WireReaders {
+    /// Maps `circuit`'s wires onto the operands of `cc`, compiled from it,
+    /// by one scan of its components' tape positions. `None` when some
+    /// component is folded: CSE can make one slot carry several wires.
+    fn new(circuit: &Circuit, cc: &CompiledCircuit) -> Option<WireReaders> {
+        let mut shared = vec![false; circuit.n_wires()];
+        let mut reads: Vec<(u32, u32, u32)> = Vec::new();
+        for (placed, &pos) in circuit.components().iter().zip(&cc.comp_pos) {
+            match pos {
+                COMP_DEAD => continue,
+                COMP_FOLDED => return None,
+                _ => {}
+            }
+            let mut slots = [0u32; 6];
+            let mut k = 0;
+            let mut op = cc.tape[pos as usize];
+            op.for_each_src(|&mut slot| {
+                slots[k] = slot;
+                k += 1;
+            });
+            let first = reads.len();
+            let mut k = 0;
+            placed.comp.for_each_input(|w| {
+                reads.push((w.index() as u32, pos, slots[k]));
+                k += 1;
+            });
+            let op_reads = &reads[first..];
+            for (i, &(w, _, slot)) in op_reads.iter().enumerate() {
+                for &(v, _, other) in &op_reads[i + 1..] {
+                    if slot == other && w != v {
+                        shared[w as usize] = true;
+                        shared[v as usize] = true;
+                    }
+                }
+            }
+        }
+        reads.sort_unstable();
+        let tie = |v: bool| {
+            let mut consts = circuit.const_wires().iter();
+            consts.find(|&&(_, c)| c == v).map(|&(w, _)| w)
+        };
+        Some(WireReaders {
+            reads,
+            shared,
+            outputs: circuit.output_wires().to_vec(),
+            ties: [tie(false), tie(true)],
+        })
+    }
+
+    /// `fault` as `mutate::apply_set` wires it next to the stuck-at faults
+    /// `stuck`: a stuck select reads its tie, so a stuck-at on the tie
+    /// re-ties it to the stuck value.
+    fn retie(&self, fault: Fault, stuck: &[(Wire, bool)]) -> Fault {
+        let tie = match fault {
+            Fault::InvertBehaviour => return fault,
+            Fault::StuckSelectLow => self.ties[0],
+            Fault::StuckSelectHigh => self.ties[1],
+        };
+        match stuck.iter().find(|&&(w, _)| Some(w) == tie) {
+            Some(&(_, true)) => Fault::StuckSelectHigh,
+            Some(&(_, false)) => Fault::StuckSelectLow,
+            None => fault,
+        }
+    }
+}
+
+/// A compiled base tape, its program decoded once, and a map of where
+/// each wire is read: the form a fault campaign evaluates every variant
+/// of one network in. [`VariantTape::patch`] applies a variant to tape
+/// and program in place, so no variant decodes, and the program never
+/// leaves the guard, so no caller can pair a patched tape with a stale
+/// program.
+pub struct VariantTape<V: Lane> {
+    cc: CompiledCircuit,
+    prog: Program<V>,
+    /// `None` when the tape has a folded component: stuck-ats are then
+    /// unsupported.
+    readers: Option<WireReaders>,
+    slots: Slots<V>,
+}
+
+impl<V: Lane> VariantTape<V> {
+    /// Compiles `circuit` with `opts`, decodes the tape and maps where
+    /// each wire is read: linear in the netlist, once per base tape.
+    pub fn compile(circuit: &Circuit, opts: &CompileOptions) -> VariantTape<V> {
+        let cc = CompiledCircuit::compile_with(circuit, opts);
+        VariantTape {
+            readers: WireReaders::new(circuit, &cc),
+            prog: Program::decode(&cc),
+            slots: Slots::new(&cc),
+            cc,
+        }
+    }
+
+    /// Applies the variant of the source circuit with the component
+    /// faults `comps` (as [`crate::mutate::apply_set`] rewrites them) and
+    /// the wires in `stuck` stuck at their values (as
+    /// [`crate::faulty::FaultyEvaluator`] injects them) to the tape and
+    /// its program, in place.
+    ///
+    /// A stuck-at is a tape patch: every live op that reads the wire reads
+    /// one of the two constant registers past the tape's slots instead,
+    /// and so does every output that is the wire, except that a
+    /// 4×4 switch reading it as a control folds its permutation table and
+    /// keeps its control slots. Component patches go first — a fold does
+    /// not commute with the reversed table of an inverted switch — and a
+    /// stuck-at matches the reads of the patched op, so a stuck select no
+    /// longer sees its old control wire. Every patch keeps its op in its
+    /// fusion class, so the program is refreshed by re-decoding only the
+    /// instructions covering the patched ops.
+    ///
+    /// [`MutantTape::Unsupported`] when a component has no in-place
+    /// encoding (see [`CompiledCircuit::mutant_tape`]), when a stuck wire
+    /// shares its slot with another wire at some reader, or when the tape
+    /// has a folded component and `stuck` is not empty.
+    pub fn patch(
+        &mut self,
+        comps: &[(usize, Fault)],
+        stuck: &[(Wire, bool)],
+    ) -> MutantTape<VariantGuard<'_, V>> {
+        let mut recs = Vec::new();
+        if !self.apply(comps, stuck, &mut recs) {
+            undo_patches(&mut self.cc, &recs);
+            return MutantTape::Unsupported;
+        }
+        if recs.is_empty() {
+            return MutantTape::Dead;
+        }
+        let saved = recs
+            .iter()
+            .filter_map(|rec| match *rec {
+                PatchRecord::Op { pos, .. } => Some(self.prog.redecode(&self.cc, pos)),
+                PatchRecord::Output { .. } => None,
+            })
+            .collect();
+        MutantTape::Patched(VariantGuard {
+            tape: PatchGuard {
+                cc: &mut self.cc,
+                recs,
+            },
+            prog: &mut self.prog,
+            slots: &mut self.slots,
+            saved,
+        })
+    }
+
+    /// Patches `comps`, then `stuck`, into the tape, recording each patch
+    /// in `recs`; `false` at the first fault with no in-place encoding.
+    fn apply(
+        &mut self,
+        comps: &[(usize, Fault)],
+        stuck: &[(Wire, bool)],
+        recs: &mut Vec<PatchRecord>,
+    ) -> bool {
+        for &(ci, fault) in comps {
+            let fault = self
+                .readers
+                .as_ref()
+                .map_or(fault, |r| r.retie(fault, stuck));
+            match self.cc.patch_one(ci, fault) {
+                PatchStep::Applied(rec) => recs.push(rec),
+                PatchStep::Dead => {}
+                PatchStep::Unsupported => return false,
+            }
+        }
+        let Some(readers) = &self.readers else {
+            return stuck.is_empty();
+        };
+        stuck
+            .iter()
+            .all(|&(wire, value)| self.cc.patch_stuck(readers, wire, value, recs))
+    }
+}
+
+/// A [`VariantTape`] with one variant applied to its tape and program.
+/// Dereferences to the patched tape, and [`VariantGuard::run_into`] runs
+/// the patched program; dropping the guard restores both exactly.
+pub struct VariantGuard<'a, V: Lane> {
+    tape: PatchGuard<'a>,
+    prog: &'a mut Program<V>,
+    slots: &'a mut Slots<V>,
+    saved: Vec<Saved<V>>,
+}
+
+impl<V: Lane> VariantGuard<'_, V> {
+    /// Evaluates the variant on `inputs` into `out`, like
+    /// [`CompiledEvaluator::run_into`], through the patched program and
+    /// the base tape's one slot buffer: nothing is decoded or allocated.
+    pub fn run_into(&mut self, inputs: &[V], out: &mut [V]) {
+        self.slots.run(&self.tape, self.prog, inputs, out);
+    }
+
+    /// Number of decoded instructions one pass of the patched program
+    /// dispatches (see [`CompiledEvaluator::dispatches`]).
+    pub fn dispatches(&self) -> usize {
+        self.prog.len()
+    }
+}
+
+impl<V: Lane> std::ops::Deref for VariantGuard<'_, V> {
+    type Target = CompiledCircuit;
+    fn deref(&self) -> &CompiledCircuit {
+        &self.tape
+    }
+}
+
+impl<V: Lane> Drop for VariantGuard<'_, V> {
+    fn drop(&mut self) {
+        // The program here; the tape restores itself when `tape` drops.
+        while let Some(saved) = self.saved.pop() {
+            self.prog.restore(saved);
+        }
     }
 }
 
@@ -491,38 +792,89 @@ impl CompiledCircuit {
     /// list, the wire table, and every data dependency: behaviour
     /// inversions permute an op's existing operands or flip its opcode,
     /// and stuck selects *remove* a dependency (the faulted op reads a
-    /// subset of its old sources). Levelization, liveness, and the slot
-    /// assignment of the base tape therefore remain valid; only the one
-    /// op's encoding changes. The tape carries no cross-op hints:
-    /// decode re-derives switch chains from the patched tape, so a
-    /// switch whose controls a patch rewires leaves its run by itself.
-    pub fn mutant_tape(&mut self, component: usize, fault: Fault) -> MutantTape<'_> {
-        self.mutant_tape_multi(&[(component, fault)])
+    /// subset of its old sources, or ignores a control it still reads).
+    /// Levelization, liveness, and the slot assignment of the base tape
+    /// therefore remain valid; only the one op's encoding changes, and it
+    /// stays in its fusion class: pair-fusible ops stay pair-fusible and a
+    /// 4×4 switch keeps its control slots, so decode brackets the patched
+    /// tape exactly as the base (see `crate::dispatch`).
+    pub fn mutant_tape(&mut self, component: usize, fault: Fault) -> MutantTape<PatchGuard<'_>> {
+        match self.patch_one(component, fault) {
+            PatchStep::Applied(rec) => MutantTape::Patched(PatchGuard {
+                cc: self,
+                recs: vec![rec],
+            }),
+            PatchStep::Dead => MutantTape::Dead,
+            PatchStep::Unsupported => MutantTape::Unsupported,
+        }
     }
 
-    /// The k-fault generalisation of [`CompiledCircuit::mutant_tape`]:
-    /// applies every `(component, fault)` patch in order and returns one
-    /// guard restoring all of them. Dead-code components are skipped (they
-    /// cannot affect outputs); if *any* pair is unsupported the patches
-    /// already applied are rolled back and the whole set reports
-    /// [`MutantTape::Unsupported`], so callers re-lower the rewritten
-    /// netlist exactly as in the single-fault path.
-    pub fn mutant_tape_multi(&mut self, patches: &[(usize, Fault)]) -> MutantTape<'_> {
-        let mut recs: Vec<PatchRecord> = Vec::with_capacity(patches.len());
-        for &(ci, fault) in patches {
-            match self.patch_one(ci, fault) {
-                PatchStep::Applied(rec) => recs.push(rec),
-                PatchStep::Dead => {}
-                PatchStep::Unsupported => {
-                    undo_patches(self, &recs);
-                    return MutantTape::Unsupported;
+    /// Patches a stuck-at fault on `wire` (see [`VariantTape::patch`]),
+    /// recording each patch in `recs`. `false`, patching nothing, when
+    /// some reader reads the wire from a slot it shares with another wire.
+    fn patch_stuck(
+        &mut self,
+        readers: &WireReaders,
+        wire: Wire,
+        value: bool,
+        recs: &mut Vec<PatchRecord>,
+    ) -> bool {
+        let w = wire.index();
+        if readers.shared[w] {
+            return false;
+        }
+        let konst = self.n_slots + u32::from(value);
+        let first = readers.reads.partition_point(|r| (r.0 as usize) < w);
+        for &(_, pos, slot) in readers.reads[first..]
+            .iter()
+            .take_while(|r| r.0 as usize == w)
+        {
+            let pos = pos as usize;
+            let (saved, perm_len) = (self.tape[pos], self.perm_sets.len());
+            let redirect = |s: &mut u32| {
+                if *s == slot {
+                    *s = konst;
                 }
+            };
+            let mut op = saved;
+            match &mut op {
+                // A control folds the table instead, so the switch keeps
+                // the control slots its chain shares.
+                MicroOp::Switch4 {
+                    s1, s0, ins, pidx, ..
+                } => {
+                    let mut p = self.perm_sets[*pidx as usize];
+                    if *s1 == slot {
+                        p = fold(p, 2, value);
+                    }
+                    if *s0 == slot {
+                        p = fold(p, 1, value);
+                    }
+                    *pidx = intern_perms(&mut self.perm_sets, p);
+                    ins.iter_mut().for_each(redirect);
+                }
+                op => op.for_each_src(redirect),
             }
+            self.tape[pos] = op;
+            recs.push(PatchRecord::Op {
+                pos,
+                saved,
+                perm_len,
+            });
         }
-        if recs.is_empty() {
-            return MutantTape::Dead;
+        for (index, _) in readers
+            .outputs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &o)| o == wire)
+        {
+            recs.push(PatchRecord::Output {
+                index,
+                slot: self.output_slots[index],
+            });
+            self.output_slots[index] = konst;
         }
-        MutantTape::Patched(PatchGuard { cc: self, recs })
+        true
     }
 
     fn patch_one(&mut self, component: usize, fault: Fault) -> PatchStep {
@@ -598,25 +950,22 @@ impl CompiledCircuit {
             (
                 Fault::StuckSelectLow | Fault::StuckSelectHigh,
                 MicroOp::Switch4 {
-                    d, ins, s1, pidx, ..
+                    d,
+                    ins,
+                    s1,
+                    s0,
+                    pidx,
                 },
             ) => {
-                // `s0` tied to a constant: rewire `s0 := s1` so only the
-                // equal-controls decodes (mask indices 0 and 3) remain
-                // reachable, and route them to the perms the tied decode
-                // selects (`s1·2 + tie`).
-                let p = self.perm_sets[pidx as usize];
-                let q = match fault {
-                    Fault::StuckSelectLow => [p[0], p[0], p[2], p[2]],
-                    _ => [p[1], p[1], p[3], p[3]],
-                };
-                let pid = intern_perms(&mut self.perm_sets, q);
+                // `s0` tied to a constant: fold the table on it.
+                let tie = fault == Fault::StuckSelectHigh;
+                let q = fold(self.perm_sets[pidx as usize], 1, tie);
                 MicroOp::Switch4 {
                     d,
                     ins,
                     s1,
-                    s0: s1,
-                    pidx: pid,
+                    s0,
+                    pidx: intern_perms(&mut self.perm_sets, q),
                 }
             }
             // Remaining pairs (e.g. a stuck demultiplexer select, which
@@ -625,7 +974,7 @@ impl CompiledCircuit {
             _ => return PatchStep::Unsupported,
         };
         self.tape[pos] = patched;
-        PatchStep::Applied(PatchRecord {
+        PatchStep::Applied(PatchRecord::Op {
             pos,
             saved,
             perm_len,
@@ -760,7 +1109,8 @@ impl CompiledCircuit {
 /// The program is a snapshot of the tape it was decoded from. It records
 /// that tape's length and slot count, and an evaluator refuses it for a
 /// tape that differs in either; a tape patched in place since the decode
-/// (`CompiledCircuit::mutant_tape`) needs a fresh decode.
+/// (`CompiledCircuit::mutant_tape`) needs a fresh decode. A
+/// [`VariantTape`] instead patches its own program along with its tape.
 ///
 /// ```
 /// use absort_circuit::compile::Decoded;
@@ -816,22 +1166,107 @@ pub struct CompiledEvaluator<'c, V: Lane> {
     cc: &'c CompiledCircuit,
     /// The tape decoded to threaded form (see [`crate::dispatch`]).
     prog: Decoded<V>,
-    slots: Vec<V>,
+    slots: Slots<V>,
+}
+
+/// The mutable state of evaluating one tape: its slot buffer and pass
+/// telemetry. Past the tape's own slots the buffer holds two constant
+/// registers, slot `n_slots` all zeros and `n_slots + 1` all ones, that
+/// stuck-at patches ([`VariantTape::patch`]) redirect reads to. No op
+/// writes them, so they are set once, here; every other slot is written
+/// before it is read in each pass, so one buffer serves every pass, and
+/// every variant of a [`VariantTape`].
+struct Slots<V: Lane> {
+    w: Vec<V>,
     #[cfg(feature = "telemetry")]
     tel: absort_telemetry::LocalRecorder,
     #[cfg(feature = "telemetry")]
     tel_passes: u64,
+    /// Tape ops per pass (patches keep the tape's length).
+    #[cfg(feature = "telemetry")]
+    tel_ops: u64,
 }
 
 #[cfg(feature = "telemetry")]
-impl<V: Lane> Drop for CompiledEvaluator<'_, V> {
+impl<V: Lane> Drop for Slots<V> {
     fn drop(&mut self) {
         if self.tel_passes != 0 {
-            let ops = self.cc.tape.len() as u64;
             self.tel.add("eval.compiled_passes", self.tel_passes);
-            self.tel.add("eval.compiled_ops", self.tel_passes * ops);
+            self.tel
+                .add("eval.compiled_ops", self.tel_passes * self.tel_ops);
             self.tel
                 .add("eval.compiled_lanes", self.tel_passes * u64::from(V::LANES));
+        }
+    }
+}
+
+impl<V: Lane> Slots<V> {
+    fn new(cc: &CompiledCircuit) -> Slots<V> {
+        let mut w = vec![V::ZERO; cc.n_slots() + 2];
+        w[cc.n_slots() + 1] = V::ONES;
+        Slots {
+            w,
+            #[cfg(feature = "telemetry")]
+            tel: absort_telemetry::LocalRecorder::new(),
+            #[cfg(feature = "telemetry")]
+            tel_passes: 0,
+            #[cfg(feature = "telemetry")]
+            tel_ops: cc.tape.len() as u64,
+        }
+    }
+
+    /// One pass of `prog`, decoded from `cc`: the body of
+    /// [`CompiledEvaluator::run_into`].
+    fn run(&mut self, cc: &CompiledCircuit, prog: &Program<V>, inputs: &[V], out: &mut [V]) {
+        // One bool test when telemetry is off; when on, the pass is
+        // timed and folded into the per-vector latency histogram below.
+        #[cfg(feature = "telemetry")]
+        let t0 = self.tel.is_active().then(std::time::Instant::now);
+
+        // Threaded-code dispatch: the tape was decoded once (operands
+        // resolved, switch chains and op pairs fused); each instruction
+        // is now a single indirect call. See `crate::dispatch`.
+        self.pass(cc, inputs, out, |w| prog.exec(w));
+
+        // The histogram sample is the pass wall-clock divided by lane
+        // width: per-*vector* latency, comparable across lane types.
+        #[cfg(feature = "telemetry")]
+        {
+            self.tel_passes += 1;
+            if let Some(t0) = t0 {
+                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                self.tel
+                    .record_ns("eval.compiled.vector_ns", ns / u64::from(V::LANES));
+            }
+        }
+    }
+
+    /// One pass over `cc`'s interface: loads `inputs` into their slots,
+    /// lets `walk` run a decoded program over the slot buffer, and copies
+    /// out the outputs.
+    #[inline(always)]
+    fn pass(
+        &mut self,
+        cc: &CompiledCircuit,
+        inputs: &[V],
+        out: &mut [V],
+        walk: impl FnOnce(&mut [V]),
+    ) {
+        assert_eq!(
+            inputs.len(),
+            cc.n_inputs(),
+            "expected {} inputs, got {}",
+            cc.n_inputs(),
+            inputs.len()
+        );
+        assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
+        let w = &mut self.w;
+        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
+            w[s as usize] = v;
+        }
+        walk(w);
+        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
+            *o = w[s as usize];
         }
     }
 }
@@ -861,11 +1296,7 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         Ok(CompiledEvaluator {
             cc,
             prog: prog.clone(),
-            slots: vec![V::ZERO; cc.n_slots()],
-            #[cfg(feature = "telemetry")]
-            tel: absort_telemetry::LocalRecorder::new(),
-            #[cfg(feature = "telemetry")]
-            tel_passes: 0,
+            slots: Slots::new(cc),
         })
     }
 
@@ -912,28 +1343,7 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
     /// Replays the tape into a caller-provided output slice (no
     /// allocation).
     pub fn run_into(&mut self, inputs: &[V], out: &mut [V]) {
-        // One bool test when telemetry is off; when on, the pass is
-        // timed and folded into the per-vector latency histogram below.
-        #[cfg(feature = "telemetry")]
-        let t0 = self.tel.is_active().then(std::time::Instant::now);
-
-        // Threaded-code dispatch: the tape was decoded once at evaluator
-        // construction (operands resolved, switch chains and op pairs
-        // fused); each instruction is now a single indirect call. See
-        // `crate::dispatch`.
-        self.pass(inputs, out, |prog, w| prog.exec(w));
-
-        // The histogram sample is the pass wall-clock divided by lane
-        // width: per-*vector* latency, comparable across lane types.
-        #[cfg(feature = "telemetry")]
-        {
-            self.tel_passes += 1;
-            if let Some(t0) = t0 {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.tel
-                    .record_ns("eval.compiled.vector_ns", ns / u64::from(V::LANES));
-            }
-        }
+        self.slots.run(self.cc, &self.prog.program, inputs, out);
     }
 
     /// Replays the tape like [`CompiledEvaluator::run_into`] while
@@ -961,7 +1371,8 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
         let mut seg = 0usize;
         let mut seg_end = cc.prologue_len as usize;
         let mut prev_kind: Option<usize> = None;
-        self.pass(inputs, out, |prog, w| {
+        let prog = &self.prog.program;
+        self.slots.pass(cc, inputs, out, |w| {
             let mut last = Instant::now();
             prog.exec_profiled(w, |ops| {
                 let now = Instant::now();
@@ -987,29 +1398,6 @@ impl<'c, V: Lane> CompiledEvaluator<'c, V> {
             });
         });
         prof.passes += 1;
-    }
-
-    /// One pass: loads `inputs` into their slots, lets `walk` run the
-    /// decoded program over the slot buffer, and copies out the outputs.
-    #[inline(always)]
-    fn pass(&mut self, inputs: &[V], out: &mut [V], walk: impl FnOnce(&Program<V>, &mut [V])) {
-        let cc = self.cc;
-        assert_eq!(
-            inputs.len(),
-            cc.n_inputs(),
-            "expected {} inputs, got {}",
-            cc.n_inputs(),
-            inputs.len()
-        );
-        assert_eq!(out.len(), cc.n_outputs(), "output slice has wrong length");
-        let w = &mut self.slots;
-        for (&s, &v) in cc.input_slots.iter().zip(inputs) {
-            w[s as usize] = v;
-        }
-        walk(&self.prog.program, w);
-        for (o, &s) in out.iter_mut().zip(&cc.output_slots) {
-            *o = w[s as usize];
-        }
     }
 }
 
@@ -1389,7 +1777,7 @@ mod tests {
 
     /// Three back-to-back 4×4 switches on one control pair: decode runs
     /// them as one chain, so stuck-select patches land at the head, the
-    /// middle and the tail of a chain whose shared controls they rewire.
+    /// middle and the tail of a chain, which keeps its shared controls.
     fn switch_chain() -> Circuit {
         let mut b = Builder::new();
         let s1 = b.input();
@@ -1417,6 +1805,47 @@ mod tests {
         b.finish()
     }
 
+    /// Two constant-0 wires, a gate reading both, and a mux and a 4×4
+    /// switch whose stuck selects tie to the first of them: at O1 the two
+    /// constants share one slot, and a stuck-at on the tie re-ties a
+    /// stuck select.
+    fn tied_selects() -> Circuit {
+        let mut b = Builder::new();
+        let ins = b.input_bus(4);
+        let z = b.constant(false);
+        let z2 = b.input();
+        let g = b.xor(z, z2);
+        let m = b.mux2(ins[0], ins[1], ins[2]);
+        let o = b.switch4(
+            ins[3],
+            m,
+            [ins[0], ins[1], g, z],
+            [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+        );
+        b.outputs(&[g, m, o[0], o[1], o[2], o[3]]);
+        let c = b.finish();
+        // The builder keeps one constant per polarity; a composed netlist
+        // need not, so `z2` becomes a second constant-0 wire.
+        let mut consts = c.const_wires().to_vec();
+        consts.push((z2, false));
+        Circuit::from_parts(
+            c.components().to_vec(),
+            c.n_wires(),
+            ins,
+            c.output_wires().to_vec(),
+            consts,
+            c.scopes().clone(),
+        )
+    }
+
+    /// 256 lanes spread from the 64 packed in `inputs`.
+    fn widen(inputs: &[u64]) -> Vec<[u64; 4]> {
+        inputs
+            .iter()
+            .map(|&x| [x, !x, x.rotate_left(17), x ^ 0x5555_5555_5555_5555])
+            .collect()
+    }
+
     /// Outputs of `cc` on the 64 vectors packed in `inputs` through
     /// every decode flavour: the 64-lane and 256-lane walks (wide) and
     /// each vector on its own (scalar).
@@ -1425,11 +1854,7 @@ mod tests {
         inputs: &[u64],
     ) -> (Vec<u64>, Vec<[u64; 4]>, Vec<Vec<bool>>) {
         let lanes = CompiledEvaluator::<u64>::new(cc).run(inputs);
-        let wide: Vec<[u64; 4]> = inputs
-            .iter()
-            .map(|&x| [x, !x, x.rotate_left(17), x ^ 0x5555_5555_5555_5555])
-            .collect();
-        let wide = CompiledEvaluator::<[u64; 4]>::new(cc).run(&wide);
+        let wide = CompiledEvaluator::<[u64; 4]>::new(cc).run(&widen(inputs));
         let mut ev = CompiledEvaluator::<bool>::new(cc);
         let scalar = (0..64)
             .map(|lane| {
@@ -1584,20 +2009,20 @@ mod tests {
     }
 
     /// Every 2-fault mutant expressible as in-place patches must evaluate
-    /// exactly like the fully re-lowered `apply_set` netlist, and the
-    /// multi-patch guard must restore the base tape bit for bit on drop —
-    /// including two patches inside one decoded chain of `switch_chain`.
+    /// exactly like the fully re-lowered `apply_set` netlist, through the
+    /// refreshed program and a fresh decode alike, and dropping the guard
+    /// must restore the base tape bit for bit — including two patches
+    /// inside one decoded chain of `switch_chain`.
     #[test]
-    fn mutant_tape_multi_matches_recompiled_fault_sets() {
+    fn variant_fault_sets_match_recompiled_fault_sets() {
         let o1 = CompileOptions::for_level(crate::passes::OptLevel::O1);
         for c in [kitchen_sink(), switch_chain()] {
-            let mut base = c.compile_with(&o1);
-            let baseline_tape = base.tape.clone();
-            let baseline_perms = base.perm_sets.clone();
+            let mut base = VariantTape::<[u64; 4]>::compile(&c, &o1);
+            let (baseline_tape, baseline_perms) = (base.cc.tape.clone(), base.cc.perm_sets.clone());
             let inputs: Vec<u64> = (0..c.n_inputs())
                 .map(|i| 0xA5A5_5A5A_0F0F_F0F0u64.rotate_left(7 * i as u32))
                 .collect();
-            let base_out = run_every_lane_type(&base, &inputs);
+            let base_out = run_every_lane_type(&base.cc, &inputs);
             let mut patched_seen = 0usize;
             for f1 in Fault::ALL {
                 for f2 in Fault::ALL {
@@ -1611,13 +2036,19 @@ mod tests {
                             let set = [(ci, f1), (cj, f2)];
                             let m = crate::mutate::apply_set(&c, &set).expect("both apply");
                             let reference = run_every_lane_type(&m.compile(), &inputs);
-                            match base.mutant_tape_multi(&set) {
-                                MutantTape::Patched(patched) => {
-                                    assert!(patched.n_patches() >= 1);
+                            match base.patch(&set, &[]) {
+                                MutantTape::Patched(mut patched) => {
+                                    assert!(patched.tape.n_patches() >= 1);
                                     assert_eq!(
                                         run_every_lane_type(&patched, &inputs),
                                         reference,
                                         "{f1:?}@{ci} + {f2:?}@{cj}"
+                                    );
+                                    let mut wide = vec![[0u64; 4]; c.n_outputs()];
+                                    patched.run_into(&widen(&inputs), &mut wide);
+                                    assert_eq!(
+                                        wide, reference.1,
+                                        "{f1:?}@{ci} + {f2:?}@{cj} through the refreshed program"
                                     );
                                     patched_seen += 1;
                                 }
@@ -1627,15 +2058,102 @@ mod tests {
                                 MutantTape::Unsupported => {}
                             }
                             assert_eq!(
-                                base.tape, baseline_tape,
+                                base.cc.tape, baseline_tape,
                                 "tape not restored after {f1:?}@{ci}+{f2:?}@{cj}"
                             );
-                            assert_eq!(base.perm_sets, baseline_perms, "perm table not restored");
+                            assert_eq!(
+                                base.cc.perm_sets, baseline_perms,
+                                "perm table not restored"
+                            );
                         }
                     }
                 }
             }
             assert!(patched_seen > 0, "no multi-patched mutants exercised");
         }
+    }
+
+    /// Every stuck-at-0 and -1 on every wire, alone and after each
+    /// component fault, patched into a [`VariantTape`] at O0 and O1: the
+    /// variant's outputs equal [`crate::faulty::FaultyEvaluator`] over the
+    /// `apply_set` netlist on all 256 lanes, its refreshed program
+    /// dispatches and computes exactly like a fresh decode of the patched
+    /// tape, and dropping the guard restores tape, permutation table,
+    /// output slots and program. A variant is unsupported only when its
+    /// component fault is, or its wire shares a slot at some reader.
+    #[test]
+    fn stuck_at_variants_match_the_faulty_evaluator_and_a_fresh_decode() {
+        use crate::faulty::{FaultyEvaluator, WireFault};
+        use crate::passes::OptLevel;
+        let mut shared_seen = 0usize;
+        for level in [OptLevel::O0, OptLevel::O1] {
+            for c in [kitchen_sink(), switch_chain(), fusible(), tied_selects()] {
+                let mut vt =
+                    VariantTape::<[u64; 4]>::compile(&c, &CompileOptions::for_level(level));
+                let base = vt.cc.clone();
+                let inputs = widen(
+                    &(0..c.n_inputs())
+                        .map(|i| 0x0F1E_2D3C_4B5A_6978u64.rotate_left(13 * i as u32))
+                        .collect::<Vec<_>>(),
+                );
+                let mut fresh_base = CompiledEvaluator::<[u64; 4]>::new(&base);
+                let base_out = fresh_base.run(&inputs);
+                let mut sets: Vec<Vec<(usize, Fault)>> = vec![Vec::new()];
+                for fault in Fault::ALL {
+                    for ci in crate::mutate::applicable(&c, fault) {
+                        sets.push(vec![(ci, fault)]);
+                    }
+                }
+                let mut patched_seen = 0usize;
+                for set in &sets {
+                    let m = crate::mutate::apply_set(&c, set).expect("applicable");
+                    for wire in (0..c.n_wires()).map(Wire::from_index) {
+                        for value in [false, true] {
+                            let what = format!("{level:?} {set:?} + w{}={value}", wire.index());
+                            let fault = WireFault::StuckAt { wire, value };
+                            let want = FaultyEvaluator::new(&m, &[fault]).run(&inputs);
+                            let unsupported = match vt.patch(set, &[(wire, value)]) {
+                                MutantTape::Patched(mut v) => {
+                                    let mut fresh = CompiledEvaluator::<[u64; 4]>::new(&v);
+                                    let fresh = (fresh.dispatches(), fresh.run(&inputs));
+                                    assert_eq!(v.dispatches(), fresh.0, "{what}");
+                                    let mut got = vec![[0u64; 4]; c.n_outputs()];
+                                    v.run_into(&inputs, &mut got);
+                                    assert_eq!(got, fresh.1, "{what}");
+                                    assert_eq!(got, want, "{what}");
+                                    patched_seen += 1;
+                                    false
+                                }
+                                MutantTape::Dead => {
+                                    assert_eq!(base_out, want, "{what}");
+                                    false
+                                }
+                                MutantTape::Unsupported => true,
+                            };
+                            if unsupported {
+                                let shared = vt.readers.as_ref().unwrap().shared[wire.index()];
+                                shared_seen += usize::from(shared);
+                                assert!(
+                                    shared || matches!(vt.patch(set, &[]), MutantTape::Unsupported),
+                                    "{what}"
+                                );
+                            }
+                            assert_eq!(vt.cc.tape, base.tape, "{what}");
+                            assert_eq!(vt.cc.perm_sets, base.perm_sets, "{what}");
+                            assert_eq!(vt.cc.output_slots, base.output_slots, "{what}");
+                            assert_eq!(vt.prog.len(), fresh_base.dispatches(), "{what}");
+                            let mut restored = vec![[0u64; 4]; c.n_outputs()];
+                            vt.slots.run(&vt.cc, &vt.prog, &inputs, &mut restored);
+                            assert_eq!(restored, base_out, "{what}");
+                        }
+                    }
+                }
+                assert!(patched_seen > 0, "no stuck-at patched at {level:?}");
+            }
+        }
+        assert!(
+            shared_seen > 0,
+            "the merged constants of tied_selects must fall back"
+        );
     }
 }

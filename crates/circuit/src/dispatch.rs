@@ -19,13 +19,17 @@
 //!   once for the whole run: one swapper column steered by one control
 //!   pair;
 //! * **pairs** — two adjacent pair-fusible ops (gates, bit comparators,
-//!   2×2 switches, muxes) become one instruction.
+//!   2×2 switches and routes, muxes) become one instruction.
 //!
 //! Both rewrites are pure re-bracketing: the program executes exactly
 //! the tape's slot reads and writes in tape order, it just pays fewer
 //! dispatches. Because they are re-derived from the tape on every
 //! decode, an in-place mutant patch (`CompiledCircuit::mutant_tape`)
-//! only ever rewrites its own op.
+//! only ever rewrites its own op. Every patch keeps its op in its fusion
+//! class — pair-fusible ops stay pair-fusible, a switch keeps its
+//! control slots — so the bracketing never changes, and
+//! [`Program::redecode`] refreshes a decoded program after a patch by
+//! rewriting just the instruction (or chain item) covering the op.
 //!
 //! Two decode policies exist per switch:
 //!
@@ -48,6 +52,7 @@ use crate::compile::{shares_controls, CompiledCircuit, MicroOp};
 use crate::lane::Lane;
 
 /// One decoded 4×4 switch of a chain: permutation bytes inline.
+#[derive(Clone, Copy)]
 pub(crate) struct ChainItem {
     d: [u32; 4],
     ins: [u32; 4],
@@ -59,6 +64,7 @@ pub(crate) struct ChainItem {
 /// pair it is two 5-slot sub-op windows); `perm` holds a lone 4×4
 /// switch's permutation set inline so execution never touches
 /// [`CompiledCircuit::perm_sets`].
+#[derive(Clone, Copy)]
 pub(crate) struct Instr<V: Lane> {
     f: OpFn<V>,
     a: [u32; 10],
@@ -99,12 +105,6 @@ fn op_demux<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
     w[s(i.a[1])] = sv.and(xv);
 }
 
-fn op_route2<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
-    let (av, bv) = (w[s(i.a[2])], w[s(i.a[3])]);
-    w[s(i.a[0])] = av;
-    w[s(i.a[1])] = bv;
-}
-
 // ---- pair-fusible sub-ops -------------------------------------------------
 //
 // The ops decode may pack two-per-dispatch, executed through a
@@ -114,9 +114,10 @@ fn op_route2<V: Lane>(w: &mut [V], _it: &[ChainItem], i: &Instr<V>) {
 //   bitcompare (6):     [d0, d1, a, b]
 //   switch2 (7):        [d0, d1, s, a, b]
 //   mux (8):            [d, s, a1, a0]
+//   route2 (9):         [d0, d1, a, b]
 
 /// Number of pair-fusible kind codes (see [`pair_code`]).
-const N_PAIR_KINDS: u8 = 9;
+const N_PAIR_KINDS: u8 = 10;
 
 /// The pair-fusible kind code and 5-slot operand window of `op`, if
 /// decode may pack it into a pair.
@@ -131,6 +132,7 @@ fn pair_code(op: &MicroOp) -> Option<(u8, [u32; 5])> {
         MicroOp::BitCompare { d0, d1, a, b } => (6, [d0, d1, a, b, 0]),
         MicroOp::Switch2 { d0, d1, s, a, b } => (7, [d0, d1, s, a, b]),
         MicroOp::Mux { d, s, a1, a0 } => (8, [d, s, a1, a0, 0]),
+        MicroOp::Route2 { d0, d1, a, b } => (9, [d0, d1, a, b, 0]),
         _ => return None,
     })
 }
@@ -174,9 +176,14 @@ fn sub_op<V: Lane, const K: u8>(w: &mut [V], c: &[u32]) {
             w[s(c[0])] = V::select(sv, bv, av);
             w[s(c[1])] = V::select(sv, av, bv);
         }
-        _ => {
+        8 => {
             let (sv, x1, x0) = (w[s(c[1])], w[s(c[2])], w[s(c[3])]);
             w[s(c[0])] = V::select(sv, x1, x0);
+        }
+        _ => {
+            let (x, y) = (w[s(c[2])], w[s(c[3])]);
+            w[s(c[0])] = x;
+            w[s(c[1])] = y;
         }
     }
 }
@@ -202,7 +209,8 @@ fn single_fn<V: Lane>(k: u8) -> OpFn<V> {
         5 => op_single::<V, 5>,
         6 => op_single::<V, 6>,
         7 => op_single::<V, 7>,
-        _ => op_single::<V, 8>,
+        8 => op_single::<V, 8>,
+        _ => op_single::<V, 9>,
     }
 }
 
@@ -219,7 +227,8 @@ fn pair_fn<V: Lane>(k1: u8, k2: u8) -> OpFn<V> {
                 5 => op_pair::<V, $k1, 5>,
                 6 => op_pair::<V, $k1, 6>,
                 7 => op_pair::<V, $k1, 7>,
-                _ => op_pair::<V, $k1, 8>,
+                8 => op_pair::<V, $k1, 8>,
+                _ => op_pair::<V, $k1, 9>,
             }
         };
     }
@@ -232,7 +241,8 @@ fn pair_fn<V: Lane>(k1: u8, k2: u8) -> OpFn<V> {
         5 => row!(5),
         6 => row!(6),
         7 => row!(7),
-        _ => row!(8),
+        8 => row!(8),
+        _ => row!(9),
     }
 }
 
@@ -310,13 +320,29 @@ fn op_chain_scalar<V: Lane>(w: &mut [V], it: &[ChainItem], i: &Instr<V>) {
 
 // ---- decode ---------------------------------------------------------------
 
+/// What [`Program::redecode`] overwrote: the instruction (or, inside a
+/// chain, the one chain item) as it was before, for [`Program::restore`].
+pub(crate) enum Saved<V: Lane> {
+    Instr(usize, Instr<V>),
+    Item(usize, ChainItem),
+}
+
+/// The chain item of the 4×4 switch `op`.
+fn chain_item(cc: &CompiledCircuit, op: &MicroOp) -> ChainItem {
+    match *op {
+        MicroOp::Switch4 { d, ins, pidx, .. } => ChainItem {
+            d,
+            ins,
+            perm: cc.perm_sets()[s(pidx)],
+        },
+        _ => unreachable!("chains hold only 4×4 switches"),
+    }
+}
+
 impl<V: Lane> Program<V> {
     /// Decodes a compiled tape into its threaded form, fusing switch
-    /// chains and op pairs (see the module docs). `O(tape)`; done once
-    /// per evaluator, so per-mutant evaluators in fault campaigns pay it
-    /// on tapes of a few hundred ops at most.
+    /// chains and op pairs (see the module docs). `O(tape)`.
     pub(crate) fn decode(cc: &CompiledCircuit) -> Program<V> {
-        let scalar = V::LANES == 1;
         let tape = cc.tape();
         let mut prog = Program {
             instrs: Vec::with_capacity(tape.len()),
@@ -326,90 +352,127 @@ impl<V: Lane> Program<V> {
         let mut i = 0;
         while i < tape.len() {
             prog.first_op.push(i as u32);
-            let mut a = [0u32; 10];
-            let mut perm = [[0u8; 4]; 4];
-            let mut next = i + 1;
-            let f: OpFn<V> = match tape[i] {
-                MicroOp::Const { d, v } => {
-                    a[0] = d;
-                    a[1] = u32::from(v);
-                    op_const
+            let mut end = i + 1;
+            while end < tape.len() && shares_controls(&tape[end - 1], &tape[end]) {
+                end += 1;
+            }
+            let instr = if end - i > 1 {
+                let MicroOp::Switch4 { s1, s0, .. } = tape[i] else {
+                    unreachable!("only 4×4 switches share controls")
+                };
+                let mut a = [0u32; 10];
+                a[..4].copy_from_slice(&[s1, s0, prog.items.len() as u32, (end - i) as u32]);
+                prog.items
+                    .extend(tape[i..end].iter().map(|op| chain_item(cc, op)));
+                let f: OpFn<V> = if V::LANES == 1 {
+                    op_chain_scalar
+                } else {
+                    op_chain
+                };
+                Instr {
+                    f,
+                    a,
+                    perm: [[0; 4]; 4],
                 }
-                MicroOp::Not { d, a: x } => {
-                    a[0] = d;
-                    a[1] = x;
-                    op_not
-                }
-                MicroOp::Demux { d0, d1, s, x } => {
-                    a[..4].copy_from_slice(&[d0, d1, s, x]);
-                    op_demux
-                }
-                MicroOp::Route2 { d0, d1, a: x, b } => {
-                    a[..4].copy_from_slice(&[d0, d1, x, b]);
-                    op_route2
-                }
-                MicroOp::Switch4 {
-                    d,
-                    ins,
-                    s1,
-                    s0,
-                    pidx,
-                } => {
-                    while next < tape.len() && shares_controls(&tape[next - 1], &tape[next]) {
-                        next += 1;
-                    }
-                    if next - i == 1 {
-                        a[..4].copy_from_slice(&d);
-                        a[4..8].copy_from_slice(&ins);
-                        a[8] = s1;
-                        a[9] = s0;
-                        perm = cc.perm_sets()[s(pidx)];
-                        if scalar {
-                            op_switch4_scalar
-                        } else {
-                            op_switch4
-                        }
-                    } else {
-                        a[..4].copy_from_slice(&[
-                            s1,
-                            s0,
-                            prog.items.len() as u32,
-                            (next - i) as u32,
-                        ]);
-                        for op in &tape[i..next] {
-                            if let MicroOp::Switch4 { d, ins, pidx, .. } = *op {
-                                prog.items.push(ChainItem {
-                                    d,
-                                    ins,
-                                    perm: cc.perm_sets()[s(pidx)],
-                                });
-                            }
-                        }
-                        if scalar {
-                            op_chain_scalar
-                        } else {
-                            op_chain
-                        }
-                    }
-                }
-                ref op => {
-                    let (k1, c1) = pair_code(op).expect("unhandled micro-op kind");
-                    a[..5].copy_from_slice(&c1);
-                    match tape.get(next).and_then(pair_code) {
-                        Some((k2, c2)) => {
-                            a[5..].copy_from_slice(&c2);
-                            next += 1;
-                            pair_fn(k1, k2)
-                        }
-                        None => single_fn(k1),
-                    }
-                }
+            } else {
+                let (instr, next) = Self::instr_at(cc, i);
+                end = next;
+                instr
             };
-            prog.instrs.push(Instr { f, a, perm });
-            i = next;
+            prog.instrs.push(instr);
+            i = end;
         }
         prog.first_op.push(tape.len() as u32);
         prog
+    }
+
+    /// Decodes the instruction starting at tape op `i` that is not a
+    /// switch chain: a lone op, or a pair. Returns it with the position
+    /// of the next undecoded op.
+    fn instr_at(cc: &CompiledCircuit, i: usize) -> (Instr<V>, usize) {
+        let tape = cc.tape();
+        let mut a = [0u32; 10];
+        let mut perm = [[0u8; 4]; 4];
+        let mut next = i + 1;
+        let f: OpFn<V> = match tape[i] {
+            MicroOp::Const { d, v } => {
+                a[0] = d;
+                a[1] = u32::from(v);
+                op_const
+            }
+            MicroOp::Not { d, a: x } => {
+                a[0] = d;
+                a[1] = x;
+                op_not
+            }
+            MicroOp::Demux { d0, d1, s, x } => {
+                a[..4].copy_from_slice(&[d0, d1, s, x]);
+                op_demux
+            }
+            MicroOp::Switch4 {
+                d,
+                ins,
+                s1,
+                s0,
+                pidx,
+            } => {
+                a[..4].copy_from_slice(&d);
+                a[4..8].copy_from_slice(&ins);
+                a[8] = s1;
+                a[9] = s0;
+                perm = cc.perm_sets()[s(pidx)];
+                if V::LANES == 1 {
+                    op_switch4_scalar
+                } else {
+                    op_switch4
+                }
+            }
+            ref op => {
+                let (k1, c1) = pair_code(op).expect("unhandled micro-op kind");
+                a[..5].copy_from_slice(&c1);
+                match tape.get(next).and_then(pair_code) {
+                    Some((k2, c2)) => {
+                        a[5..].copy_from_slice(&c2);
+                        next += 1;
+                        pair_fn(k1, k2)
+                    }
+                    None => single_fn(k1),
+                }
+            }
+        };
+        (Instr { f, a, perm }, next)
+    }
+
+    /// Re-decodes, in place, the part of the program covering tape op
+    /// `pos` of `cc` — its instruction, or its item when the op sits in a
+    /// switch chain — after an in-place patch of that op, and returns
+    /// what it overwrote. Sound only for a patch that kept the op in its
+    /// fusion class (see the module docs), so that a fresh decode of the
+    /// patched tape would bracket it exactly as before.
+    pub(crate) fn redecode(&mut self, cc: &CompiledCircuit, pos: usize) -> Saved<V> {
+        let j = self.first_op.partition_point(|&f| s(f) <= pos) - 1;
+        let (lo, hi) = (s(self.first_op[j]), s(self.first_op[j + 1]));
+        let tape = cc.tape();
+        if hi - lo > 1 && matches!(tape[lo], MicroOp::Switch4 { .. }) {
+            debug_assert!(
+                (lo..hi - 1).all(|k| shares_controls(&tape[k], &tape[k + 1])),
+                "a patch moved a switch out of its chain"
+            );
+            let k = s(self.instrs[j].a[2]) + pos - lo;
+            let old = std::mem::replace(&mut self.items[k], chain_item(cc, &tape[pos]));
+            return Saved::Item(k, old);
+        }
+        let (instr, next) = Self::instr_at(cc, lo);
+        debug_assert_eq!(next, hi, "a patch changed an op's fusion class");
+        Saved::Instr(j, std::mem::replace(&mut self.instrs[j], instr))
+    }
+
+    /// Puts back what [`Program::redecode`] overwrote.
+    pub(crate) fn restore(&mut self, saved: Saved<V>) {
+        match saved {
+            Saved::Instr(j, old) => self.instrs[j] = old,
+            Saved::Item(k, old) => self.items[k] = old,
+        }
     }
 
     /// Number of decoded instructions.

@@ -60,7 +60,7 @@ pub mod wire;
 
 pub use builder::Builder;
 pub use circuit::{Circuit, MissingScope};
-pub use compile::{CompiledCircuit, CompiledEvaluator, Engine, MutantTape};
+pub use compile::{CompiledCircuit, CompiledEvaluator, Engine, MutantTape, VariantTape};
 pub use component::{Component, GateOp, Perm4};
 pub use cost::{CostReport, KindCounts};
 pub use eval::{EvalError, Evaluator};

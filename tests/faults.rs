@@ -13,10 +13,12 @@ use absort::analysis::faults::{
     build_network, fish_k, run_campaign, run_campaign_with, run_network, run_network_sets,
     CampaignConfig, CampaignOptions, NetworkSel,
 };
-use absort::circuit::eval::pack_lanes;
+use absort::circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort::circuit::faulty::{observable_wires, permanent_fault_sites, FaultyEvaluator};
 use absort::circuit::mutate::{self, Fault};
-use absort::circuit::{Circuit, MutantTape, Wire, WireFault};
+use absort::circuit::{
+    Circuit, CompileOptions, CompiledEvaluator, MutantTape, OptLevel, VariantTape, Wire, WireFault,
+};
 use absort::faults::FaultKind;
 use absort::networks::hardened::{harden, streaming_sorter, HardenOptions};
 use absort_telemetry::json;
@@ -562,10 +564,70 @@ fn o1_campaign_tapes_patch_or_kill_every_mutant() {
     }
 }
 
-/// The campaign counts its compiled-engine mutant outcomes in the run
-/// manifest: at n = 8 every mutant of the four networks is patched in
-/// place or dead. The manifest also splits the sweeps' time into engine
-/// evaluation and scoring.
+/// Every stuck-at-0 and -1 on every observable wire of the four campaign networks
+/// at n = 4 and 8, bare and inside both self-checking wrappers, patched
+/// into the base tape at O0, O1 and O2: on all 2^n inputs the patched
+/// program computes what [`FaultyEvaluator`] computes, and what a fresh
+/// decode of the patched tape computes, in as many dispatches. Only a
+/// tape with a folded component (O2) may send a stuck-at back to the
+/// faulty evaluator.
+#[test]
+fn stuck_at_patches_match_the_faulty_evaluator() {
+    for n in [4, 8] {
+        let vectors: Vec<Vec<bool>> = (0u32..1 << n)
+            .map(|v| (0..n).map(|b| v >> b & 1 == 1).collect())
+            .collect();
+        let inputs = pack_lanes_wide::<4>(&vectors, n);
+        for sel in NetworkSel::ALL {
+            let circuit = build_network(sel, n);
+            let wrapped = hardenings().map(|h| harden(&circuit, &h).circuit);
+            for (c, wrap) in [
+                (&circuit, "bare"),
+                (&wrapped[0], "default"),
+                (&wrapped[1], "duplicate"),
+            ] {
+                let base_out = FaultyEvaluator::<[u64; 4]>::new(c, &[]).run(&inputs);
+                for level in OptLevel::ALL {
+                    let mut vt =
+                        VariantTape::<[u64; 4]>::compile(c, &CompileOptions::for_level(level));
+                    let mut patched = 0usize;
+                    for wire in observable_wires(c) {
+                        for value in [false, true] {
+                            let what =
+                                format!("{} n={n} {wrap} {level:?} {wire:?}={value}", sel.name());
+                            let fault = WireFault::StuckAt { wire, value };
+                            let want = FaultyEvaluator::<[u64; 4]>::new(c, &[fault]).run(&inputs);
+                            match vt.patch(&[], &[(wire, value)]) {
+                                MutantTape::Patched(mut v) => {
+                                    let mut fresh = CompiledEvaluator::<[u64; 4]>::new(&v);
+                                    let fresh = (fresh.dispatches(), fresh.run(&inputs));
+                                    assert_eq!(v.dispatches(), fresh.0, "{what}");
+                                    let mut got = vec![[0u64; 4]; c.n_outputs()];
+                                    v.run_into(&inputs, &mut got);
+                                    assert_eq!(got, want, "{what}");
+                                    assert_eq!(got, fresh.1, "{what}");
+                                    patched += 1;
+                                }
+                                MutantTape::Dead => assert_eq!(want, base_out, "{what}"),
+                                MutantTape::Unsupported => {
+                                    assert_eq!(level, OptLevel::O2, "{what}");
+                                }
+                            }
+                        }
+                    }
+                    if level != OptLevel::O2 {
+                        assert!(patched > 0, "{} n={n} {wrap} {level:?}", sel.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The campaign counts its compiled-engine outcomes in the run manifest:
+/// at n = 8 every component mutant and every stuck-at site of the four
+/// networks is patched in place or dead. The manifest also splits the
+/// sweeps' time into engine evaluation and scoring.
 #[cfg(feature = "telemetry")]
 #[test]
 fn default_campaign_manifest_counts_mutant_outcomes() {
@@ -598,6 +660,14 @@ fn default_campaign_manifest_counts_mutant_outcomes() {
             counter("faults.mutants.recompiled"),
         ],
         [260, 19, 0]
+    );
+    assert_eq!(
+        [
+            counter("faults.wire.patched"),
+            counter("faults.wire.dead"),
+            counter("faults.wire.fallback"),
+        ],
+        [665, 0, 0]
     );
     assert!(counter("faults.eval_ns") > 0);
     assert!(counter("faults.check_ns") > 0);
