@@ -86,8 +86,8 @@ fn usage() -> ! {
                                  mutant needs a per-mutant recompile)\n\
            --passes <list>       explicit comma-separated pass list for the\n\
                                  compiled engine, overriding --opt-level\n\
-                                 (const-prologue, const-prop, cse, rewrite,\n\
-                                 dce; \"none\" disables all)\n\
+                                 (const-prologue, const-prop, cse, dce;\n\
+                                 \"none\" disables all)\n\
            --harden-duplicate    add duplicate-and-compare to the fault\n\
                                  campaign's self-checking wrapper; the\n\
                                  summary prices the extra hardware next to\n\
@@ -553,7 +553,6 @@ fn cmd_inspect(a: &Args) {
     println!("  {}", c.cost());
     println!("  depth: {}", c.depth());
     let stats = c.stats();
-    #[cfg(feature = "telemetry")]
     record_circuit_section(&a.network, n, &stats);
     println!(
         "  components: {}   wires: {}   mean fanout: {:.2}",
@@ -913,7 +912,6 @@ fn cmd_serve(a: &Args) {
 /// Stashes the inspected circuit's structural numbers as a manifest
 /// section, so a `--metrics` run records *what* was measured alongside
 /// where the time went.
-#[cfg(feature = "telemetry")]
 fn record_circuit_section(network: &str, n: usize, stats: &absort::circuit::Stats) {
     use absort_telemetry::json::Value;
     absort_telemetry::add_section(
@@ -1064,26 +1062,10 @@ fn cmd_faults(a: &Args) {
         .faults_out
         .clone()
         .unwrap_or_else(|| format!("results/faults/campaign-{}.json", unix_ms()));
-    let write_result = {
-        #[cfg(feature = "telemetry")]
-        {
-            // The report rides in the run manifest (spans and counters of
-            // the campaign included) via the telemetry manifest writer.
-            absort_telemetry::add_section("faults", report.to_json());
-            absort_telemetry::write_manifest(std::path::Path::new(&path))
-        }
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let p = std::path::Path::new(&path);
-            if let Some(parent) = p.parent() {
-                if !parent.as_os_str().is_empty() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-            }
-            std::fs::write(p, report.to_json().to_pretty())
-        }
-    };
-    match write_result {
+    // The report rides in the run manifest (spans and counters of the
+    // campaign included) via the telemetry manifest writer.
+    absort_telemetry::add_section("faults", report.to_json());
+    match absort_telemetry::write_manifest(std::path::Path::new(&path)) {
         Ok(()) => println!("fault report: {path}"),
         Err(e) => {
             eprintln!("error: cannot write fault report {path}: {e}");
@@ -1097,7 +1079,6 @@ fn cmd_faults(a: &Args) {
 /// engines over a deterministic 64-lane workload with instrumentation
 /// on, so the manifest carries populated eval-latency histograms (and
 /// `--trace-out` a non-trivial span trace) without needing a campaign.
-#[cfg(feature = "telemetry")]
 fn cmd_metrics_run(a: &Args) {
     use absort::analysis::faults::{build_network, NetworkSel};
     let n = a.n.unwrap_or(8);
@@ -1158,9 +1139,27 @@ fn cmd_metrics_run(a: &Args) {
     );
 }
 
+/// Prints the telemetry report to stderr and writes the run manifest (to
+/// `--metrics-out`, or a default path named after `name`) and the trace.
+fn write_metrics(a: &Args, name: &str) {
+    eprint!("{}", absort_telemetry::render_report());
+    let path = a
+        .metrics_out
+        .as_ref()
+        .map(std::path::PathBuf::from)
+        .unwrap_or_else(|| absort_telemetry::default_manifest_path(name));
+    match absort_telemetry::write_manifest(&path) {
+        Ok(()) => eprintln!("telemetry manifest: {}", path.display()),
+        Err(e) => {
+            eprintln!("error: cannot write manifest {}: {e}", path.display());
+            exit(1);
+        }
+    }
+    write_trace_out(a);
+}
+
 /// Writes the Chrome trace if `--trace-out` was given (event recording
 /// must have been switched on before the instrumented work ran).
-#[cfg(feature = "telemetry")]
 fn write_trace_out(a: &Args) {
     let Some(path) = &a.trace_out else { return };
     match absort_telemetry::write_trace(std::path::Path::new(path)) {
@@ -1229,7 +1228,6 @@ fn run_command(cmd: &str, rest: &Args) {
     }
 }
 
-#[cfg(feature = "telemetry")]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else { usage() };
@@ -1246,23 +1244,11 @@ fn main() {
         }
         if a.faults {
             cmd_faults(&a);
+            write_trace_out(&a);
         } else {
             cmd_metrics_run(&a);
-            eprint!("{}", absort_telemetry::render_report());
-            let path = a
-                .metrics_out
-                .as_ref()
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| absort_telemetry::default_manifest_path("metrics-run"));
-            match absort_telemetry::write_manifest(&path) {
-                Ok(()) => eprintln!("telemetry manifest: {}", path.display()),
-                Err(e) => {
-                    eprintln!("error: cannot write manifest {}: {e}", path.display());
-                    exit(1);
-                }
-            }
+            write_metrics(&a, "metrics-run");
         }
-        write_trace_out(&a);
         return;
     }
     let rest = parse_args(&argv[1..]);
@@ -1278,51 +1264,8 @@ fn main() {
         run_command(cmd, &rest);
     }
     if absort_telemetry::enabled() {
-        eprint!("{}", absort_telemetry::render_report());
-        let path = rest
-            .metrics_out
-            .as_ref()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| absort_telemetry::default_manifest_path(cmd));
-        match absort_telemetry::write_manifest(&path) {
-            Ok(()) => eprintln!("telemetry manifest: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write manifest {}: {e}", path.display());
-                exit(1);
-            }
-        }
-        write_trace_out(&rest);
+        write_metrics(&rest, cmd);
     }
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else { usage() };
-    if cmd.starts_with("--") {
-        // Flag-only invocation: the fault-campaign mode. The metrics-run
-        // mode exists to exercise instrumentation, so without the
-        // telemetry feature it has nothing to do.
-        let a = parse_args(&argv);
-        if !a.faults {
-            if a.metrics {
-                eprintln!(
-                    "error: this binary was built without the `telemetry` feature; a --metrics run records nothing"
-                );
-                exit(2);
-            }
-            usage();
-        }
-        cmd_faults(&a);
-        return;
-    }
-    let rest = parse_args(&argv[1..]);
-    if rest.metrics {
-        eprintln!(
-            "note: this binary was built without the `telemetry` feature; --metrics is ignored"
-        );
-    }
-    run_command(cmd, &rest);
 }
 
 #[cfg(test)]

@@ -352,7 +352,6 @@ pub fn run_clocked_fish(cfg: &CampaignConfig) -> NetworkReport {
 /// schedules round-robined through each faulty machine (see the module
 /// docs); `tenants = 1` matches [`run_clocked_fish`] bit-for-bit.
 pub fn run_clocked_fish_with(cfg: &CampaignConfig, tenants: usize) -> NetworkReport {
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span("faults/clocked");
     let h = harness(cfg);
     let comb = h.streamer.machine.comb();
@@ -471,13 +470,10 @@ pub fn run_clocked_fish_with(cfg: &CampaignConfig, tenants: usize) -> NetworkRep
     }
     kinds.push(cell);
 
-    #[cfg(feature = "telemetry")]
     absort_telemetry::counter_add_many(&[
         ("faults.clocked.cycles", total_cycles),
         ("pipeline.in_flight_vector_cycles", total_in_flight),
     ]);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (total_cycles, total_in_flight);
 
     // The cost columns price the checker: the bare (unhardened)
     // streamer core against the self-checking one actually swept.
@@ -530,7 +526,6 @@ pub fn run_clocked_fish_sets(
         set_size >= 2,
         "run_clocked_fish_sets needs set_size ≥ 2; use run_clocked_fish for singles"
     );
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span(&format!("faults/clocked/k{set_size}"));
     let h = harness(cfg);
     let comb = h.streamer.machine.comb();
@@ -576,14 +571,11 @@ pub fn run_clocked_fish_sets(
         total_cycles += tally(&mut cell, &o);
     }
 
-    #[cfg(feature = "telemetry")]
     absort_telemetry::counter_add_many(&[
         ("faults.clocked.cycles", total_cycles),
         ("faults.multi.sets", samples as u64),
         ("pipeline.in_flight_vector_cycles", total_in_flight),
     ]);
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (total_cycles, total_in_flight);
 
     let bare_cost = streaming_sorter(cfg.n, k, None).machine.comb().cost().total;
 

@@ -32,7 +32,9 @@
 //! base tape once into an [`absort_circuit::VariantTape`] and runs every
 //! component mutant and stuck-at variant as an in-place patch of it;
 //! bridges, transients and the interpreter engine run on the
-//! interpreting [`FaultyEvaluator`], the reference. Valid inputs are the network's
+//! interpreting [`FaultyEvaluator`], the reference. A transient runs
+//! only the `[u64; 4]` chunk that holds its vector: every other chunk is
+//! fault-free and scores clean. Valid inputs are the network's
 //! contract: all `2^n` vectors for the sorters, the k-sorted sequences
 //! (Definition 4) for the merger. Beyond `max_exhaustive` vectors the
 //! checker drops to a seeded random sample and the report's `tier` says
@@ -46,6 +48,7 @@
 //! and a unit-granular checkpoint file for resuming truncated runs.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -278,6 +281,9 @@ fn sample_input(sel: NetworkSel, n: usize, rng: &mut StdRng) -> Vec<bool> {
     }
 }
 
+/// Vectors per `[u64; 4]` pass of the sweeps.
+const WIDE: usize = 256;
+
 /// One workload, pre-packed for the sweep hot loop: `[u64; 4]` input
 /// chunks, and per 64-lane chunk the packed sorted oracle, the inputs'
 /// popcount planes and the valid-lane mask. Packing once here instead of
@@ -287,7 +293,7 @@ fn sample_input(sel: NetworkSel, n: usize, rng: &mut StdRng) -> Vec<bool> {
 struct Workload {
     vectors: Vec<Vec<bool>>,
     tier: &'static str,
-    /// The inputs packed as `[u64; 4]` wide chunks (256 vectors per
+    /// The inputs packed as `[u64; 4]` wide chunks ([`WIDE`] vectors per
     /// chunk; word `k` of wide chunk `wi` is 64-lane chunk `4·wi + k`).
     packed_wide: Vec<Vec<[u64; 4]>>,
     /// Packed oracle outputs, one entry per input chunk.
@@ -313,7 +319,7 @@ fn workload(sel: NetworkSel, cfg: &CampaignConfig) -> Workload {
     };
     let oracle: Vec<Vec<bool>> = vectors.iter().map(|v| lang::sorted_oracle(v)).collect();
     let packed_wide = vectors
-        .chunks(256)
+        .chunks(WIDE)
         .map(|c| pack_lanes_wide::<4>(c, cfg.n))
         .collect();
     let packed_oracle = oracle.chunks(64).map(|c| pack_lanes(c, cfg.n)).collect();
@@ -376,7 +382,6 @@ fn lap(t0: Option<Instant>, total: &mut u64) -> Option<Instant> {
 /// `faults.mutant_score_ns` histogram, and the sweeps' engine passes and
 /// scoring into `faults.eval_ns` and `faults.check_ns`. With telemetry
 /// off it never reads the clock.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 struct Sweep<'w> {
     w: &'w Workload,
     /// Output index of the error rail; the data outputs come before it.
@@ -388,7 +393,6 @@ struct Sweep<'w> {
     timing: bool,
     eval_ns: u64,
     check_ns: u64,
-    #[cfg(feature = "telemetry")]
     hist: absort_telemetry::Histogram,
 }
 
@@ -400,13 +404,9 @@ impl<'w> Sweep<'w> {
             rail,
             out: vec![[0u64; 4]; n_eval],
             words: vec![0u64; rail],
-            #[cfg(feature = "telemetry")]
             timing: absort_telemetry::enabled(),
-            #[cfg(not(feature = "telemetry"))]
-            timing: false,
             eval_ns: 0,
             check_ns: 0,
-            #[cfg(feature = "telemetry")]
             hist: absort_telemetry::Histogram::new(),
         }
     }
@@ -418,14 +418,12 @@ impl<'w> Sweep<'w> {
         let v = score(self);
         let mut ns = 0;
         if lap(t0, &mut ns).is_some() {
-            #[cfg(feature = "telemetry")]
             self.hist.record(ns);
         }
         v
     }
 
     /// Merges the unit's timings into the run's telemetry.
-    #[cfg(feature = "telemetry")]
     fn record(&self) {
         if self.timing {
             absort_telemetry::counter_add_many(&[
@@ -449,14 +447,24 @@ impl<'w> Sweep<'w> {
     /// sweep's.
     fn variant(
         &mut self,
+        eval_pass: impl FnMut(&[[u64; 4]], &mut [[u64; 4]]),
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        self.wide_chunks(0..self.w.packed_wide.len(), eval_pass, degradation)
+    }
+
+    /// [`Sweep::variant`] over the wide chunks `range` only.
+    fn wide_chunks(
+        &mut self,
+        range: Range<usize>,
         mut eval_pass: impl FnMut(&[[u64; 4]], &mut [[u64; 4]]),
         degradation: &mut Degradation,
     ) -> Verdict {
         let mut v = CLEAN;
         let w = self.w;
         let mut t = self.timing.then(Instant::now);
-        for (wi, packed) in w.packed_wide.iter().enumerate() {
-            eval_pass(packed, &mut self.out);
+        for wi in range {
+            eval_pass(&w.packed_wide[wi], &mut self.out);
             t = lap(t, &mut self.eval_ns);
             for ci in (wi * 4..w.masks.len()).take(4) {
                 self.check_chunk(ci, ci - wi * 4, degradation, &mut v);
@@ -524,6 +532,28 @@ impl<'w> Sweep<'w> {
         self.variant(|p, o| ev.run_into(p, o), degradation)
     }
 
+    /// Scores the transient flip of `circuit`'s wire `wire` on workload
+    /// vector `vector`. Only the wide chunk holding `vector` runs, with
+    /// the flip's vector index rebased into it. Every other chunk would
+    /// run the fault-free circuit on valid inputs, which matches the
+    /// oracle with a quiet rail (the argument [`MutantTape::Dead`] rests
+    /// on), so it scores clean.
+    fn transient(
+        &mut self,
+        circuit: &Circuit,
+        wire: Wire,
+        vector: usize,
+        degradation: &mut Degradation,
+    ) -> Verdict {
+        let fault = WireFault::TransientFlip {
+            wire,
+            vector: (vector % WIDE) as u64,
+        };
+        let mut ev: FaultyEvaluator<'_, [u64; 4]> = FaultyEvaluator::new(circuit, &[fault]);
+        let wi = vector / WIDE;
+        self.wide_chunks(wi..wi + 1, |p, o| ev.run_into(p, o), degradation)
+    }
+
     /// Diffs word `k` of the last pass (64-lane chunk `ci`) against the
     /// packed oracle and folds the differing lanes' zero-one verdict into
     /// `v`. The error rail's word is folded in regardless of the diff —
@@ -560,7 +590,6 @@ impl<'w> Sweep<'w> {
 /// Adds one unit's compiled-engine outcomes to the counters: component
 /// mutants to `faults.mutants.{patched,dead,recompiled}`, and variants
 /// with stuck-at wires to `faults.wire.{patched,dead,fallback}`.
-#[cfg(feature = "telemetry")]
 fn count_outcomes(mutants: &[u64; 3], wires: &[u64; 3]) {
     absort_telemetry::counter_add_many(&[
         ("faults.mutants.patched", mutants[0]),
@@ -593,7 +622,6 @@ fn tally(cell: &mut KindReport, v: Verdict) {
 /// a bare sweep produces while `flagged` adds the rail's concurrent
 /// verdict.
 pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span(&format!("faults/{}", sel.name()));
     let circuit = build_network(sel, cfg.n);
     circuit
@@ -691,33 +719,27 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     let cone = observable_wires(&circuit);
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7f1b);
     for _ in 0..cfg.transient_samples {
-        let wire = cone[rng.gen_range(0..cone.len())];
-        let vector = rng.gen_range(0..w.vectors.len()) as u64;
-        // The faulty evaluator counts `V::LANES` vectors per pass, so the
-        // wide walk keeps transient lane targeting exact as long as the
-        // wide chunks are fed in workload order.
-        let fault = hardened.fault(WireFault::TransientFlip { wire, vector });
-        let v = sweep.timed(|s| s.faulty(&hardened.circuit, &[fault], &mut cell.degradation));
+        let wire = hardened.wire(cone[rng.gen_range(0..cone.len())]);
+        let vector = rng.gen_range(0..w.vectors.len());
+        let v =
+            sweep.timed(|s| s.transient(&hardened.circuit, wire, vector, &mut cell.degradation));
         tally(&mut cell, v);
     }
     kinds.push(cell);
 
-    #[cfg(feature = "telemetry")]
-    {
-        sweep.record();
-        let injected: u64 = kinds.iter().map(|k| k.injected).sum();
-        let detected: u64 = kinds.iter().map(|k| k.detected).sum();
-        absort_telemetry::counter_add_many(&[
-            ("faults.sites", injected),
-            ("faults.detected", detected),
-            (
-                "faults.vectors_evaluated",
-                injected * w.vectors.len() as u64,
-            ),
-        ]);
-        if base.is_some() {
-            count_outcomes(&mutant_outcomes, &wire_outcomes);
-        }
+    sweep.record();
+    let injected: u64 = kinds.iter().map(|k| k.injected).sum();
+    let detected: u64 = kinds.iter().map(|k| k.detected).sum();
+    absort_telemetry::counter_add_many(&[
+        ("faults.sites", injected),
+        ("faults.detected", detected),
+        (
+            "faults.vectors_evaluated",
+            injected * w.vectors.len() as u64,
+        ),
+    ]);
+    if base.is_some() {
+        count_outcomes(&mutant_outcomes, &wire_outcomes);
     }
 
     NetworkReport {
@@ -813,7 +835,6 @@ pub fn run_network_sets(
         k >= 2,
         "run_network_sets needs k ≥ 2; use run_network for singles"
     );
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span(&format!("faults/{}/k{}", sel.name(), k));
     let circuit = build_network(sel, cfg.n);
     circuit
@@ -907,13 +928,10 @@ pub fn run_network_sets(
         tally(&mut cell, v);
     }
 
-    #[cfg(feature = "telemetry")]
-    {
-        sweep.record();
-        absort_telemetry::counter_add("faults.multi.sets", samples as u64);
-        if base.is_some() {
-            count_outcomes(&mutant_outcomes, &wire_outcomes);
-        }
+    sweep.record();
+    absort_telemetry::counter_add("faults.multi.sets", samples as u64);
+    if base.is_some() {
+        count_outcomes(&mutant_outcomes, &wire_outcomes);
     }
 
     NetworkReport {
@@ -1057,7 +1075,6 @@ pub fn run_campaign_with(
     cfg: &CampaignConfig,
     opts: &CampaignOptions,
 ) -> CampaignReport {
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span("faults");
     let fp = fingerprint(networks, cfg, opts);
     let mut units: Vec<Unit> = Vec::new();
@@ -1118,7 +1135,6 @@ pub fn run_campaign_with(
         fresh += 1;
         if let Some(path) = &opts.checkpoint {
             write_checkpoint(path, &fp, cfg.seed, &done);
-            #[cfg(feature = "telemetry")]
             absort_telemetry::counter_add("faults.checkpoint.writes", 1);
         }
     }
@@ -1195,6 +1211,44 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(run_network(NetworkSel::Prefix, &cfg).tier, "sampled");
+    }
+
+    /// A transient scored on the one wide chunk that holds its vector
+    /// equals the same flip swept over the whole workload: in the first,
+    /// a middle and the partial last chunk, and at chunk edges.
+    #[test]
+    fn transient_on_its_chunk_matches_the_full_sweep() {
+        let cfg = CampaignConfig {
+            n: 16,
+            max_exhaustive: 3 * WIDE + 40,
+            ..Default::default()
+        };
+        let circuit = build_network(NetworkSel::Prefix, cfg.n);
+        let hardened = harden(&circuit, &cfg.harden);
+        let w = workload(NetworkSel::Prefix, &cfg);
+        assert_eq!(w.packed_wide.len(), 4);
+        let mut sweep = Sweep::new(&w, hardened.circuit.n_outputs(), hardened.rail_index());
+        let cone = observable_wires(&circuit);
+        let mut differed = 0;
+        for vector in [0, WIDE - 1, WIDE, 2 * WIDE + 77, w.vectors.len() - 1] {
+            for &wire in cone.iter().step_by(cone.len() / 8) {
+                let wire = hardened.wire(wire);
+                let (mut one, mut all) = (Degradation::default(), Degradation::default());
+                let a = sweep.transient(&hardened.circuit, wire, vector, &mut one);
+                let flip = WireFault::TransientFlip {
+                    wire,
+                    vector: vector as u64,
+                };
+                let b = sweep.faulty(&hardened.circuit, &[flip], &mut all);
+                assert_eq!(
+                    (a.detected, a.differed, a.flagged, one),
+                    (b.detected, b.differed, b.flagged, all),
+                    "{wire:?} v{vector}"
+                );
+                differed += usize::from(a.differed);
+            }
+        }
+        assert!(differed > 0);
     }
 
     /// Spaces past `u64` indices draw bit by bit or block by block.

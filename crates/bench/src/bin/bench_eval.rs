@@ -12,8 +12,7 @@
 //! min/median/max of the key measurements so downstream comparisons
 //! (`bench_compare`) can tell a regression from run-to-run noise. A
 //! separate untimed telemetry pass records per-vector latency
-//! histograms and emits their p50/p99 alongside the wall-clock columns
-//! (zero when the `telemetry` feature is compiled out).
+//! histograms and emits their p50/p99 alongside the wall-clock columns.
 //!
 //! Usage:
 //!   cargo run --release -p absort-bench --bin bench_eval -- \
@@ -28,9 +27,9 @@ use std::time::Instant;
 use absort_analysis::faults::{run_campaign, CampaignConfig, NetworkSel};
 use absort_bench::bench_bits;
 use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
-#[cfg(feature = "telemetry")]
-use absort_circuit::{Circuit, CompiledCircuit};
-use absort_circuit::{CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel};
+use absort_circuit::{
+    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Engine, Evaluator, OptLevel,
+};
 use absort_core::muxmerge;
 
 const WORKLOAD: usize = 256;
@@ -108,7 +107,6 @@ fn ratio(slow: f64, fast: f64) -> String {
 /// registry is reset before and after so the histogram pass never
 /// contaminates the wall-clock numbers (telemetry stays off while
 /// timing).
-#[cfg(feature = "telemetry")]
 fn vector_latency_quantiles(
     circuit: &Circuit,
     compiled: &CompiledCircuit,
@@ -238,10 +236,7 @@ fn size_row(n: usize, reps: usize) -> String {
     let interp_par4_s = min_of(reps, 1, || circuit.eval_batch_parallel(&vectors, 4));
 
     // Histogram-backed per-vector latency percentiles (untimed pass).
-    #[cfg(feature = "telemetry")]
     let [ivp50, ivp99, cvp50, cvp99] = vector_latency_quantiles(&circuit, &compiled, &groups, n);
-    #[cfg(not(feature = "telemetry"))]
-    let [ivp50, ivp99, cvp50, cvp99] = [0u64; 4];
 
     // Per-opt-level rows: how much tape each pass tier actually buys,
     // and what it costs at compile time and in the wide walk.

@@ -550,7 +550,6 @@ fn sanity() {
 
 /// Runs one experiment phase inside a telemetry span named after it.
 fn run_phase(name: &str, f: fn()) {
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span(name);
     f();
 }
@@ -578,16 +577,9 @@ fn main() {
             _ => i += 1,
         }
     }
-    #[cfg(feature = "telemetry")]
-    {
-        absort_telemetry::init_from_env();
-        if metrics {
-            absort_telemetry::set_enabled(true);
-        }
-    }
-    #[cfg(not(feature = "telemetry"))]
+    absort_telemetry::init_from_env();
     if metrics {
-        eprintln!("note: repro was built without the `telemetry` feature; --metrics is ignored");
+        absort_telemetry::set_enabled(true);
     }
     let what = args.first().map(String::as_str).unwrap_or("all");
     run_phase("sanity", sanity);
@@ -634,7 +626,6 @@ fn main() {
                 .map(String::as_str)
                 .unwrap_or("results")
                 .to_string();
-            #[cfg(feature = "telemetry")]
             let _span = absort_telemetry::span("csv");
             write_csvs(&dir).expect("writing CSVs");
         }
@@ -646,7 +637,6 @@ fn main() {
             }
         },
     }
-    #[cfg(feature = "telemetry")]
     if absort_telemetry::enabled() {
         eprint!("{}", absort_telemetry::render_report());
         let path = metrics_out
@@ -661,7 +651,4 @@ fn main() {
             }
         }
     }
-    // Silence the unused-variable lint when telemetry is compiled out.
-    #[cfg(not(feature = "telemetry"))]
-    let _ = metrics_out;
 }

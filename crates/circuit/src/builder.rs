@@ -46,7 +46,6 @@ pub struct Builder {
     /// constructing each scope shows up in the profiler tree. Beyond the
     /// telemetry span-depth cap these are no-op guards, which keeps
     /// deeply recursive sorter constructions cheap to profile.
-    #[cfg(feature = "telemetry")]
     tel_spans: Vec<absort_telemetry::Span>,
 }
 
@@ -69,7 +68,6 @@ impl Builder {
             scope_stack: vec![ScopeId::ROOT],
             const0: None,
             const1: None,
-            #[cfg(feature = "telemetry")]
             tel_spans: Vec::new(),
         }
     }
@@ -123,7 +121,6 @@ impl Builder {
         let parent = self.cur_scope();
         let id = self.scopes.child(parent, name);
         self.scope_stack.push(id);
-        #[cfg(feature = "telemetry")]
         self.tel_spans.push(absort_telemetry::span(name));
     }
 
@@ -134,7 +131,6 @@ impl Builder {
             "pop_scope called with no scope open"
         );
         self.scope_stack.pop();
-        #[cfg(feature = "telemetry")]
         self.tel_spans.pop();
     }
 
@@ -320,7 +316,6 @@ impl Builder {
             "circuit finished with {} scope(s) still open",
             self.scope_stack.len() - 1
         );
-        #[cfg(feature = "telemetry")]
         absort_telemetry::counter_add_many(&[
             ("build.circuits", 1),
             ("build.components", self.comps.len() as u64),

@@ -750,23 +750,19 @@ impl CompiledCircuit {
     /// pass manager re-checks IR-vs-interpreter equivalence after every
     /// stage.
     pub fn compile_with(c: &Circuit, opts: &CompileOptions) -> CompiledCircuit {
-        #[cfg(feature = "telemetry")]
         let _span = absort_telemetry::span("compile/lower");
 
         let mut ir = {
-            #[cfg(feature = "telemetry")]
             let _span = absort_telemetry::span("compile/ir");
             crate::ir::lower(c)
         };
         let stats = PassManager::new(*opts).run(c, &mut ir);
         let mut cc = {
-            #[cfg(feature = "telemetry")]
             let _span = absort_telemetry::span("compile/regalloc");
             crate::regalloc::allocate(&ir)
         };
         cc.pass_stats = stats;
 
-        #[cfg(feature = "telemetry")]
         absort_telemetry::counter_add_many(&[
             ("compile.circuits", 1),
             ("compile.tape_ops", cc.tape.len() as u64),
@@ -1178,16 +1174,12 @@ pub struct CompiledEvaluator<'c, V: Lane> {
 /// every variant of a [`VariantTape`].
 struct Slots<V: Lane> {
     w: Vec<V>,
-    #[cfg(feature = "telemetry")]
     tel: absort_telemetry::LocalRecorder,
-    #[cfg(feature = "telemetry")]
     tel_passes: u64,
     /// Tape ops per pass (patches keep the tape's length).
-    #[cfg(feature = "telemetry")]
     tel_ops: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl<V: Lane> Drop for Slots<V> {
     fn drop(&mut self) {
         if self.tel_passes != 0 {
@@ -1206,11 +1198,8 @@ impl<V: Lane> Slots<V> {
         w[cc.n_slots() + 1] = V::ONES;
         Slots {
             w,
-            #[cfg(feature = "telemetry")]
             tel: absort_telemetry::LocalRecorder::new(),
-            #[cfg(feature = "telemetry")]
             tel_passes: 0,
-            #[cfg(feature = "telemetry")]
             tel_ops: cc.tape.len() as u64,
         }
     }
@@ -1220,7 +1209,6 @@ impl<V: Lane> Slots<V> {
     fn run(&mut self, cc: &CompiledCircuit, prog: &Program<V>, inputs: &[V], out: &mut [V]) {
         // One bool test when telemetry is off; when on, the pass is
         // timed and folded into the per-vector latency histogram below.
-        #[cfg(feature = "telemetry")]
         let t0 = self.tel.is_active().then(std::time::Instant::now);
 
         // Threaded-code dispatch: the tape was decoded once (operands
@@ -1230,14 +1218,11 @@ impl<V: Lane> Slots<V> {
 
         // The histogram sample is the pass wall-clock divided by lane
         // width: per-*vector* latency, comparable across lane types.
-        #[cfg(feature = "telemetry")]
-        {
-            self.tel_passes += 1;
-            if let Some(t0) = t0 {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.tel
-                    .record_ns("eval.compiled.vector_ns", ns / u64::from(V::LANES));
-            }
+        self.tel_passes += 1;
+        if let Some(t0) = t0 {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.tel
+                .record_ns("eval.compiled.vector_ns", ns / u64::from(V::LANES));
         }
     }
 

@@ -127,17 +127,14 @@ pub struct Evaluator<'c, V: Lane> {
     /// when the evaluator drops, so worker threads of the batch engine
     /// never contend on a lock mid-sweep. Inert unless telemetry was
     /// enabled when the evaluator was created.
-    #[cfg(feature = "telemetry")]
     tel: absort_telemetry::LocalRecorder,
     /// Pass count for this evaluator's lifetime. A plain increment per
     /// `run_into` keeps the hot loop free of calls; component and lane
     /// totals are derived from it on drop (the circuit is fixed per
     /// evaluator, so per-pass counts are constants).
-    #[cfg(feature = "telemetry")]
     tel_passes: u64,
 }
 
-#[cfg(feature = "telemetry")]
 impl<V: Lane> Drop for Evaluator<'_, V> {
     fn drop(&mut self) {
         if self.tel_passes != 0 {
@@ -157,9 +154,7 @@ impl<'c, V: Lane> Evaluator<'c, V> {
         Evaluator {
             circuit,
             wires: vec![V::ZERO; circuit.n_wires()],
-            #[cfg(feature = "telemetry")]
             tel: absort_telemetry::LocalRecorder::new(),
-            #[cfg(feature = "telemetry")]
             tel_passes: 0,
         }
     }
@@ -212,7 +207,6 @@ impl<'c, V: Lane> Evaluator<'c, V> {
 
         // One bool test when telemetry is off; when on, the pass is
         // timed and folded into the per-vector latency histogram below.
-        #[cfg(feature = "telemetry")]
         let t0 = self.tel.is_active().then(std::time::Instant::now);
 
         let w = &mut self.wires;
@@ -292,14 +286,11 @@ impl<'c, V: Lane> Evaluator<'c, V> {
         // when the evaluator drops. The histogram sample is the pass
         // wall-clock divided by lane width: per-*vector* latency, so
         // scalar and packed runs land on one comparable scale.
-        #[cfg(feature = "telemetry")]
-        {
-            self.tel_passes += 1;
-            if let Some(t0) = t0 {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.tel
-                    .record_ns("eval.interp.vector_ns", ns / u64::from(V::LANES));
-            }
+        self.tel_passes += 1;
+        if let Some(t0) = t0 {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.tel
+                .record_ns("eval.interp.vector_ns", ns / u64::from(V::LANES));
         }
     }
 }
@@ -468,7 +459,6 @@ pub(crate) fn try_eval_batch_parallel(
     vectors: &[Vec<bool>],
     threads: usize,
 ) -> Result<Vec<Vec<bool>>, EvalError> {
-    #[cfg(feature = "telemetry")]
     let _span = absort_telemetry::span("eval/batch");
     let n_inputs = circuit.n_inputs();
     for (v, vec) in vectors.iter().enumerate() {
@@ -533,7 +523,6 @@ pub(crate) fn try_eval_batch_parallel(
 
         // Retry each poisoned stride once, on a fresh worker of its own
         // so a second panic is also contained.
-        #[cfg(feature = "telemetry")]
         if !poisoned.is_empty() {
             absort_telemetry::counter_add("eval.chunk_retries", poisoned.len() as u64);
         }

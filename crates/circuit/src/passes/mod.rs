@@ -308,7 +308,6 @@ impl PassManager {
     pub fn run(&self, circuit: &Circuit, ir: &mut CompileIr) -> Vec<PassStats> {
         let verify = self.opts.verify || cfg!(debug_assertions);
         let mut stats = Vec::new();
-        #[cfg(feature = "telemetry")]
         absort_telemetry::counter_add(
             "compile.pass.enabled",
             self.opts.passes.passes().len() as u64,
@@ -320,7 +319,6 @@ impl PassManager {
             self.run_one(p, circuit, ir, verify, &mut stats);
         }
         {
-            #[cfg(feature = "telemetry")]
             let _span = absort_telemetry::span("compile/schedule");
             schedule::schedule(ir);
         }
@@ -339,30 +337,25 @@ impl PassManager {
         stats: &mut Vec<PassStats>,
     ) {
         let pass = pass_impl(p);
-        #[cfg(feature = "telemetry")]
         let _span = absort_telemetry::span(&format!("compile/pass/{}", pass.name()));
-        #[cfg(feature = "telemetry")]
         let t0 = absort_telemetry::enabled().then(std::time::Instant::now);
         let ops_before = ir.ops.len();
         pass.run(ir);
         let ops_after = ir.ops.len();
-        #[cfg(feature = "telemetry")]
-        {
-            // Compilation is cold-path: record straight into the global
-            // histogram (one sample per pass run, all passes pooled —
-            // the per-pass split lives in the `compile/pass/*` spans).
-            if let Some(t0) = t0 {
-                let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                absort_telemetry::hist_record("compile.pass_ns", ns);
-            }
-            absort_telemetry::counter_add_many(&[
-                ("compile.pass.runs", 1),
-                (
-                    &format!("compile.pass.{}.removed", pass.name()),
-                    (ops_before - ops_after) as u64,
-                ),
-            ]);
+        // Compilation is cold-path: record straight into the global
+        // histogram (one sample per pass run, all passes pooled —
+        // the per-pass split lives in the `compile/pass/*` spans).
+        if let Some(t0) = t0 {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            absort_telemetry::hist_record("compile.pass_ns", ns);
         }
+        absort_telemetry::counter_add_many(&[
+            ("compile.pass.runs", 1),
+            (
+                &format!("compile.pass.{}.removed", pass.name()),
+                (ops_before - ops_after) as u64,
+            ),
+        ]);
         if verify {
             self.check(circuit, ir, pass.name());
         }

@@ -129,12 +129,10 @@ impl<'c> Pipelined<'c> {
     pub fn simulate<V: Lane>(&self, inputs: &[Vec<V>]) -> (Vec<Vec<V>>, u64) {
         let c = self.circuit;
         let n_stages = self.stages();
-        #[cfg(feature = "telemetry")]
         let _span = absort_telemetry::span("pipeline/simulate");
         // Occupancy integral: Σ over cycles of vectors in flight at the
         // end of the cycle; divided by `pipeline.cycles` this gives the
         // mean pipeline occupancy of the run.
-        #[cfg(feature = "telemetry")]
         let mut occupancy = 0u64;
         // In-flight contexts: wire buffers per vector, plus its stage.
         struct InFlight<V> {
@@ -205,17 +203,11 @@ impl<'c> Pipelined<'c> {
                 }
                 admitted += 1;
             }
-            #[cfg(feature = "telemetry")]
-            {
-                occupancy += flying.len() as u64;
-            }
+            occupancy += flying.len() as u64;
         }
-        #[cfg(feature = "telemetry")]
-        {
-            absort_telemetry::counter_add("pipeline.cycles", cycles);
-            absort_telemetry::counter_add("pipeline.vectors", inputs.len() as u64);
-            absort_telemetry::counter_add("pipeline.in_flight_vector_cycles", occupancy);
-        }
+        absort_telemetry::counter_add("pipeline.cycles", cycles);
+        absort_telemetry::counter_add("pipeline.vectors", inputs.len() as u64);
+        absort_telemetry::counter_add("pipeline.in_flight_vector_cycles", occupancy);
         (
             outputs.into_iter().map(|o| o.expect("retired")).collect(),
             cycles,

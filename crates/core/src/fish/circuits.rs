@@ -22,7 +22,6 @@ use absort_circuit::{assert_pow2, Builder, Circuit, Wire};
 /// subsequence's own middle bit. The upper `m/2` outputs collect the
 /// clean halves, the lower `m/2` the rest (Theorem 4).
 pub fn build_kswap(m: usize, k: usize) -> Circuit {
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(m);
@@ -64,7 +63,6 @@ pub fn build_combinational_kmerger(m: usize, k: usize) -> Circuit {
     assert_pow2(m, "k-way merger width");
     assert_pow2(k, "k-way merger group count");
     assert!(k >= 2 && k <= m / k, "need 2 <= k <= m/k");
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(m);

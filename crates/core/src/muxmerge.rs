@@ -58,7 +58,6 @@ pub const OUT_SWAP: [QuarterPerm; 4] = [
 /// `4n`, depth `2 lg n − 1` ≈ paper's `2 lg n`.
 pub fn build_merger(n: usize) -> Circuit {
     assert_pow2(n, "mux-merger");
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(n);
@@ -80,7 +79,6 @@ pub fn build_merger(n: usize) -> Circuit {
 /// ```
 pub fn build(n: usize) -> Circuit {
     assert_pow2(n, "mux-merger sorter");
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(n);

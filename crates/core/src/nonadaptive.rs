@@ -23,7 +23,6 @@ use absort_circuit::{assert_pow2, Builder, Circuit, Wire};
 /// as Batcher's bitonic sorter); depth `lg n (lg n + 1)/2`.
 pub fn build(n: usize) -> Circuit {
     assert_pow2(n, "nonadaptive fig4b sorter");
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(n);

@@ -58,7 +58,6 @@ pub fn build(n: usize) -> Circuit {
 /// measuring the built circuits.
 pub fn build_with_adder(n: usize, adder: AdderKind) -> Circuit {
     assert_pow2(n, "prefix sorter");
-    #[cfg(feature = "telemetry")]
     let _tel = absort_telemetry::span("build");
     let mut b = Builder::new();
     let ins = b.input_bus(n);

@@ -332,7 +332,6 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 counters.conns_accepted.fetch_add(1, Ordering::SeqCst);
-                #[cfg(feature = "telemetry")]
                 absort_telemetry::counter_add("serve.conns_accepted", 1);
                 match spawn_connection(stream, &cfg, &drain, &counters, &job_tx) {
                     Ok((r, w)) => {
@@ -612,17 +611,14 @@ fn handle_frame(
     job_tx: &Sender<Job>,
     reply_tx: &Sender<Vec<u8>>,
 ) -> bool {
-    #[cfg(feature = "telemetry")]
     let t_decode = stage_clock();
     let decoded = proto::decode_request(body, cfg.max_n);
-    #[cfg(feature = "telemetry")]
     stage_record("serve.stage.decode_us", t_decode);
     let req = match decoded {
         Ok(req) => req,
         Err(e) => {
             // Body-level damage: typed reply, connection survives.
             counters.malformed.fetch_add(1, Ordering::SeqCst);
-            #[cfg(feature = "telemetry")]
             absort_telemetry::counter_add("serve.malformed", 1);
             let reply = Reply::error(
                 Status::Malformed,
@@ -696,14 +692,12 @@ fn handle_frame(
     match job_tx.try_send(job) {
         Ok(()) => {
             counters.requests.fetch_add(1, Ordering::SeqCst);
-            #[cfg(feature = "telemetry")]
             absort_telemetry::counter_add("serve.requests", 1);
             true
         }
         Err(TrySendError::Full(job)) => {
             // Bounded queue: shed, don't buffer.
             counters.shed.fetch_add(1, Ordering::SeqCst);
-            #[cfg(feature = "telemetry")]
             absort_telemetry::counter_add("serve.shed", 1);
             offer_reply(
                 &job.reply_tx,
@@ -767,31 +761,24 @@ fn worker_loop(
 
 fn reply_and_count(job: &Job, reply: &Reply, counters: &Counters) {
     offer_reply(&job.reply_tx, reply, counters);
-    #[cfg(feature = "telemetry")]
-    {
-        let us = job.received.elapsed().as_micros() as u64;
-        absort_telemetry::hist_record("serve.request_us", us);
-        absort_telemetry::counter_add(
-            match reply.status {
-                Status::Ok => "serve.replies_ok",
-                _ => "serve.replies_err",
-            },
-            1,
-        );
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = &job.received;
+    let us = job.received.elapsed().as_micros() as u64;
+    absort_telemetry::hist_record("serve.request_us", us);
+    absort_telemetry::counter_add(
+        match reply.status {
+            Status::Ok => "serve.replies_ok",
+            _ => "serve.replies_err",
+        },
+        1,
+    );
 }
 
 /// Reads the clock for a stage histogram, only while telemetry records.
-#[cfg(feature = "telemetry")]
 fn stage_clock() -> Option<Instant> {
     absort_telemetry::enabled().then(Instant::now)
 }
 
 /// Records the µs since `t0` (if the clock was read) into the stage
 /// histogram `name`.
-#[cfg(feature = "telemetry")]
 fn stage_record(name: &str, t0: Option<Instant>) {
     if let Some(t0) = t0 {
         absort_telemetry::hist_record(name, t0.elapsed().as_micros() as u64);
@@ -804,7 +791,6 @@ fn expired(job: &Job, now: Instant) -> bool {
 
 fn reply_deadline(job: &Job, counters: &Counters) {
     counters.deadline_missed.fetch_add(1, Ordering::SeqCst);
-    #[cfg(feature = "telemetry")]
     absort_telemetry::counter_add("serve.deadline_missed", 1);
     reply_and_count(
         job,
@@ -828,7 +814,6 @@ fn process_batch(
     let now = Instant::now();
     let mut groups: HashMap<CacheKey, Vec<Job>> = HashMap::new();
     for job in batch {
-        #[cfg(feature = "telemetry")]
         absort_telemetry::hist_record(
             "serve.stage.queue_us",
             now.saturating_duration_since(job.received).as_micros() as u64,
@@ -902,7 +887,6 @@ fn serve_sort_group(
     }
 
     counters.batches.fetch_add(1, Ordering::SeqCst);
-    #[cfg(feature = "telemetry")]
     absort_telemetry::hist_record("serve.batch_lanes", admitted.len() as u64);
 
     let chaos_armed = admitted
@@ -910,7 +894,6 @@ fn serve_sort_group(
         .any(|j| j.req.kind == RequestKind::ChaosPanic);
 
     // Rung 1: the wide batched path.
-    #[cfg(feature = "telemetry")]
     let t_eval = stage_clock();
     let wide = panic::catch_unwind(AssertUnwindSafe(|| {
         if chaos_armed {
@@ -918,13 +901,11 @@ fn serve_sort_group(
         }
         sort_wide(&compiled, &admitted)
     }));
-    #[cfg(feature = "telemetry")]
     stage_record("serve.stage.eval_us", t_eval);
 
     let was_panic = wide.is_err();
     match wide {
         Ok(Ok(outputs)) => {
-            #[cfg(feature = "telemetry")]
             let t_write = stage_clock();
             for (job, out) in admitted.iter().zip(outputs) {
                 counters.replies_ok.fetch_add(1, Ordering::SeqCst);
@@ -939,7 +920,6 @@ fn serve_sort_group(
                     counters,
                 );
             }
-            #[cfg(feature = "telemetry")]
             stage_record("serve.stage.write_us", t_write);
         }
         Ok(Err(_)) | Err(_) => {
@@ -949,7 +929,6 @@ fn serve_sort_group(
             // its batch-mates down with it.
             if was_panic {
                 counters.panics_isolated.fetch_add(1, Ordering::SeqCst);
-                #[cfg(feature = "telemetry")]
                 absort_telemetry::counter_add("serve.panics_isolated", 1);
             }
             // The cache keeps no netlist. The rung builds it inside a

@@ -4,8 +4,6 @@
 //! Telemetry state is process-global, so this test has a binary of its
 //! own.
 
-#![cfg(feature = "telemetry")]
-
 use std::time::Duration;
 
 use absort_serve::proto::{NetKind, Request};

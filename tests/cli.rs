@@ -272,7 +272,7 @@ fn harden_duplicate_prices_the_trade_in_the_summary() {
     // The report's cost columns reflect the doubled core.
     let text = std::fs::read_to_string(&path).expect("report file written");
     let doc = absort_telemetry::json::parse(&text).expect("valid JSON");
-    let report = doc.get("faults").unwrap_or(&doc);
+    let report = doc.get("faults").expect("manifest carries the report");
     let net = &report
         .get("networks")
         .and_then(absort_telemetry::json::Value::as_arr)
@@ -433,9 +433,8 @@ fn faults_campaign_writes_report() {
 
     let text = std::fs::read_to_string(&path).expect("report file written");
     let doc = absort_telemetry::json::parse(&text).expect("report is valid JSON");
-    // Telemetry builds nest the report as a manifest section; plain
-    // builds write it at top level. Accept either shape.
-    let report = doc.get("faults").unwrap_or(&doc);
+    // The report rides in the run manifest as its `faults` section.
+    let report = doc.get("faults").expect("manifest carries the report");
     assert_eq!(
         report
             .get("schema")
@@ -498,7 +497,7 @@ fn faults_multi_and_clocked_flags_extend_the_campaign() {
 
     let text = std::fs::read_to_string(&path).expect("report file written");
     let doc = absort_telemetry::json::parse(&text).expect("report is valid JSON");
-    let report = doc.get("faults").unwrap_or(&doc);
+    let report = doc.get("faults").expect("manifest carries the report");
     let networks = report
         .get("networks")
         .and_then(absort_telemetry::json::Value::as_arr)
@@ -596,7 +595,7 @@ fn faults_timeout_truncates_and_resume_finishes() {
 
     let text = std::fs::read_to_string(&full).unwrap();
     let doc = absort_telemetry::json::parse(&text).unwrap();
-    let report = doc.get("faults").unwrap_or(&doc);
+    let report = doc.get("faults").expect("manifest carries the report");
     assert_eq!(
         report
             .get("truncated")

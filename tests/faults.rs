@@ -627,8 +627,9 @@ fn stuck_at_patches_match_the_faulty_evaluator() {
 /// The campaign counts its compiled-engine outcomes in the run manifest:
 /// at n = 8 every component mutant and every stuck-at site of the four
 /// networks is patched in place or dead. The manifest also splits the
-/// sweeps' time into engine evaluation and scoring.
-#[cfg(feature = "telemetry")]
+/// sweeps' time into engine evaluation and scoring. Its report is the
+/// one this process computes with telemetry off, so switching telemetry
+/// on at run time changes no report cell.
 #[test]
 fn default_campaign_manifest_counts_mutant_outcomes() {
     let dir = std::env::temp_dir().join(format!("absort-mutants-{}", std::process::id()));
@@ -671,6 +672,16 @@ fn default_campaign_manifest_counts_mutant_outcomes() {
     );
     assert!(counter("faults.eval_ns") > 0);
     assert!(counter("faults.check_ns") > 0);
+
+    assert!(!absort_telemetry::enabled(), "telemetry is off in-process");
+    assert_eq!(
+        doc.get("faults")
+            .expect("manifest carries the report")
+            .to_pretty(),
+        run_campaign(&NetworkSel::ALL, &small_cfg(8))
+            .to_json()
+            .to_pretty()
+    );
 }
 
 /// The n = 8 campaign with single faults and 2-fault sets, pinned byte for

@@ -20,14 +20,6 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// True when the binary under test was compiled without the `telemetry`
-/// feature — it then acknowledges and ignores `--metrics`, so the
-/// manifest assertions below don't apply (the no-op path is still
-/// exercised: the run must succeed and write nothing).
-fn telemetry_compiled_out(out: &Output) -> bool {
-    String::from_utf8_lossy(&out.stderr).contains("built without the `telemetry` feature")
-}
-
 #[test]
 fn inspect_writes_valid_manifest() {
     let dir = temp_dir("inspect");
@@ -50,11 +42,6 @@ fn inspect_writes_valid_manifest() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    if telemetry_compiled_out(&out) {
-        assert!(!manifest_path.exists(), "no manifest when compiled out");
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
 
     // The stderr report is the human half of the exporter pair.
     let err = String::from_utf8_lossy(&out.stderr);
@@ -137,14 +124,6 @@ fn metrics_flag_defaults_to_results_dir() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    if telemetry_compiled_out(&out) {
-        assert!(
-            !dir.join("results").exists(),
-            "no manifest when compiled out"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
     let metrics_dir = dir.join("results").join("metrics");
     let entries: Vec<_> = std::fs::read_dir(&metrics_dir)
         .expect("results/metrics created")
@@ -228,14 +207,6 @@ fn metrics_run_emits_trace_and_histograms() {
         ],
         &dir,
     );
-    if telemetry_compiled_out(&out) {
-        // Without the feature the metrics-run mode records nothing and
-        // says so rather than silently writing an empty trace.
-        assert_eq!(out.status.code(), Some(2));
-        assert!(!trace_path.exists());
-        std::fs::remove_dir_all(&dir).ok();
-        return;
-    }
     assert!(
         out.status.success(),
         "{}",
