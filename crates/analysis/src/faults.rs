@@ -377,11 +377,12 @@ fn lap(t0: Option<Instant>, total: &mut u64) -> Option<Instant> {
 }
 
 /// Scores the faulty variants of one unit against its workload, reusing
-/// the output buffers across variants. While telemetry records, it also
-/// times them: each variant's set-up and sweep into the
-/// `faults.mutant_score_ns` histogram, and the sweeps' engine passes and
-/// scoring into `faults.eval_ns` and `faults.check_ns`. With telemetry
-/// off it never reads the clock.
+/// the output buffers across variants, and counts the workload vectors
+/// its sweeps evaluate. While telemetry records, it also times them:
+/// each variant's set-up and sweep into the `faults.mutant_score_ns`
+/// histogram, and the sweeps' engine passes and scoring into
+/// `faults.eval_ns` and `faults.check_ns`. With telemetry off it never
+/// reads the clock.
 struct Sweep<'w> {
     w: &'w Workload,
     /// Output index of the error rail; the data outputs come before it.
@@ -390,6 +391,9 @@ struct Sweep<'w> {
     out: Vec<[u64; 4]>,
     /// One 64-lane chunk's data output words, gathered for scoring.
     words: Vec<u64>,
+    /// Workload vectors evaluated: a dead variant runs none, a transient
+    /// one wide chunk's.
+    vectors: u64,
     timing: bool,
     eval_ns: u64,
     check_ns: u64,
@@ -404,6 +408,7 @@ impl<'w> Sweep<'w> {
             rail,
             out: vec![[0u64; 4]; n_eval],
             words: vec![0u64; rail],
+            vectors: 0,
             timing: absort_telemetry::enabled(),
             eval_ns: 0,
             check_ns: 0,
@@ -423,8 +428,10 @@ impl<'w> Sweep<'w> {
         v
     }
 
-    /// Merges the unit's timings into the run's telemetry.
+    /// Merges the unit's vector count and timings into the run's
+    /// telemetry.
     fn record(&self) {
+        absort_telemetry::counter_add("faults.vectors_evaluated", self.vectors);
         if self.timing {
             absort_telemetry::counter_add_many(&[
                 ("faults.eval_ns", self.eval_ns),
@@ -467,6 +474,7 @@ impl<'w> Sweep<'w> {
             eval_pass(&w.packed_wide[wi], &mut self.out);
             t = lap(t, &mut self.eval_ns);
             for ci in (wi * 4..w.masks.len()).take(4) {
+                self.vectors += u64::from(w.masks[ci].count_ones());
                 self.check_chunk(ci, ci - wi * 4, degradation, &mut v);
             }
             t = lap(t, &mut self.check_ns);
@@ -733,10 +741,6 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
     absort_telemetry::counter_add_many(&[
         ("faults.sites", injected),
         ("faults.detected", detected),
-        (
-            "faults.vectors_evaluated",
-            injected * w.vectors.len() as u64,
-        ),
     ]);
     if base.is_some() {
         count_outcomes(&mutant_outcomes, &wire_outcomes);

@@ -18,9 +18,10 @@
 //!
 //! `--chaos-probe` replaces the load test with a liveness audit:
 //! corrupt frames, a bad protocol version, an oversized length prefix,
-//! and a forced worker panic are thrown at the daemon, which must
-//! answer each with a typed rejection (or a correct result, for the
-//! panic's solo retry) and keep serving.
+//! a forced worker panic, and valid sorts coalesced with a malformed
+//! body and an oversized prefix in one write are thrown at the daemon,
+//! which must answer each with a typed rejection (or a correct result,
+//! for the sorts and the panic's solo retry) and keep serving.
 //!
 //! With no `--addr`, an in-process server is spawned on a free port
 //! (with chaos hooks armed when probing); `--addr` targets an external
@@ -32,8 +33,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use absort_bench::bench_bits;
+use absort_serve::proto::encode_request;
 use absort_serve::{
-    sorted_oracle, Client, NetKind, ReplyPayload, Request, ServeConfig, Server, Status,
+    sorted_oracle, Client, ClientError, NetKind, ReplyPayload, Request, ServeConfig, Server, Status,
 };
 
 const BACKOFF_BASE_MS: u64 = 1;
@@ -289,7 +291,7 @@ fn run_chaos_probe(opts: &Opts, addr: &str) -> Result<(), String> {
         let mut f = Vec::new();
         let body_start = 4;
         let req = Request::sort(opts.network, 9, &bits);
-        f.extend_from_slice(&absort_serve::proto::encode_request(&req));
+        f.extend_from_slice(&encode_request(&req));
         f[body_start + 1] = 0xFF; // version byte
         f
     };
@@ -338,6 +340,65 @@ fn run_chaos_probe(opts: &Opts, addr: &str) -> Result<(), String> {
         }
     }
     alive(&mut fresh, "after panic")?;
+
+    // Probe 5: coalesced frames. Valid sorts, a malformed body and an
+    // oversized prefix arrive in one write: the daemon's reader must
+    // answer the sorts correctly, reject the body with a typed Malformed
+    // naming its id, and reject the prefix with a typed Malformed before
+    // it closes the connection.
+    let mut c = Client::connect_retry(addr, Duration::from_secs(5))
+        .map_err(|e| format!("coalesced: connect: {e}"))?;
+    c.stream()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .map_err(|e| format!("coalesced: {e}"))?;
+    const FIRST_ID: u64 = 100;
+    const BAD_ID: u64 = 99;
+    let inputs: Vec<Vec<bool>> = (0..8).map(|i| bench_bits(n, FIRST_ID + i)).collect();
+    let mut bytes = Vec::new();
+    for (id, bits) in (FIRST_ID..).zip(&inputs) {
+        bytes.extend(encode_request(&Request::sort(opts.network, id, bits)));
+    }
+    let mut bad = encode_request(&Request::sort(opts.network, BAD_ID, &inputs[0]));
+    bad[5] = 0xFF; // version byte
+    bytes.extend(bad);
+    bytes.extend(u32::MAX.to_le_bytes());
+    c.send_raw(&bytes).map_err(|e| format!("coalesced: {e}"))?;
+    let mut answered = vec![false; inputs.len()];
+    let (mut bad_body, mut bad_prefix) = (false, false);
+    loop {
+        let reply = match c.recv() {
+            Ok(reply) => reply,
+            Err(ClientError::Closed) => break,
+            Err(e) => return Err(format!("coalesced: no close after the replies: {e}")),
+        };
+        let slot = reply.req_id.checked_sub(FIRST_ID).map(|i| i as usize);
+        match (reply.status, &reply.payload) {
+            (Status::Ok, ReplyPayload::Bits(out))
+                if slot.is_some_and(|i| i < inputs.len() && *out == sorted_oracle(&inputs[i])) =>
+            {
+                answered[slot.unwrap_or_default()] = true;
+            }
+            (Status::Malformed, _) if reply.req_id == BAD_ID => bad_body = true,
+            (Status::Malformed, _) if reply.req_id == 0 => bad_prefix = true,
+            _ => {
+                return Err(format!(
+                    "coalesced: unexpected {} reply for req_id {}",
+                    reply.status.name(),
+                    reply.req_id
+                ))
+            }
+        }
+    }
+    if !(answered.iter().all(|&a| a) && bad_body && bad_prefix) {
+        return Err(format!(
+            "coalesced: sorts answered {answered:?}, malformed body rejected {bad_body}, \
+             oversized prefix rejected {bad_prefix}"
+        ));
+    }
+    eprintln!(
+        "probe ok: coalesced frames -> sorts answered, malformed body and oversized prefix rejected"
+    );
+    alive(&mut fresh, "after coalesced frames")?;
     eprintln!("probe ok: daemon serving normally after all probes");
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Minimal blocking client for the serve protocol — used by the
 //! `bench_serve` load generator, the chaos harness, and tests.
 
-use std::io::{self, Write as _};
+use std::io::{self, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -36,9 +36,14 @@ impl From<io::Error> for ClientError {
     }
 }
 
-/// A blocking connection to an `absort serve` daemon.
+/// Bytes one socket read may deliver to the client's buffer: a burst of
+/// replies fits in one.
+const READ_BUF: usize = 64 << 10;
+
+/// A blocking connection to an `absort serve` daemon. Replies are read
+/// through a buffer, so one `read()` can deliver many of them.
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -46,7 +51,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client { stream })
+        Ok(Client {
+            reader: BufReader::with_capacity(READ_BUF, stream),
+        })
     }
 
     /// Connects with retry until `timeout` elapses — for CI and tests
@@ -65,24 +72,25 @@ impl Client {
         }
     }
 
-    /// The underlying stream (tests use this to inject raw bytes).
+    /// The underlying socket, for timeouts and raw injection. Reading
+    /// from it directly skips replies already in the client's buffer.
     pub fn stream(&mut self) -> &mut TcpStream {
-        &mut self.stream
+        self.reader.get_mut()
     }
 
     /// Sends a request without waiting for the reply (pipelining).
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        self.stream.write_all(&proto::encode_request(req))
+        self.stream().write_all(&proto::encode_request(req))
     }
 
     /// Sends raw bytes verbatim (chaos tests inject corruption here).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.stream.write_all(bytes)
+        self.stream().write_all(bytes)
     }
 
     /// Receives the next reply frame.
     pub fn recv(&mut self) -> Result<Reply, ClientError> {
-        match proto::read_frame(&mut self.stream)? {
+        match proto::read_frame(&mut self.reader)? {
             None => Err(ClientError::Closed),
             Some(body) => proto::decode_reply(&body).map_err(ClientError::Frame),
         }

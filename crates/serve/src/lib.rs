@@ -13,8 +13,10 @@
 //! * [`cache`] — LRU of compiled circuits with single-flight compilation;
 //!   each entry holds its tape decoded once, at fill, into a shared
 //!   64-lane program;
-//! * [`server`] — acceptor + thread-per-core workers, request coalescing
-//!   into batches run as one `u64` pass per 64 requests of a key,
+//! * [`server`] — acceptor + per-connection reader and writer threads,
+//!   each moving whole socket buffers of frames, thread-per-core
+//!   workers, request coalescing into batches run as one `u64` pass per
+//!   64 requests of a key on lanes transposed from the packed payloads,
 //!   bounded queues with load shedding, panic isolation with
 //!   batched→scalar degradation (the scalar rung rebuilds the netlist),
 //!   and SIGTERM graceful drain;

@@ -455,10 +455,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn get_u16(b: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes([b[at], b[at + 1]])
-}
-
 fn get_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
@@ -520,9 +516,24 @@ pub fn salvage_req_id(body: &[u8]) -> u64 {
     }
 }
 
-/// Decodes a request body. `max_n` is the server's configured width
+/// A request's validated header: everything [`parse_request`] reads
+/// before the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    pub(crate) kind: RequestKind,
+    pub(crate) network: NetKind,
+    pub(crate) req_id: u64,
+    pub(crate) deadline_ms: u32,
+    pub(crate) n: u32,
+}
+
+/// Parses and validates a request body without copying its payload.
+/// Returns the header and the borrowed payload: ⌈n/8⌉ packed bits,
+/// LSB-first, for a sort or chaos-panic (pad bits of a sub-byte payload
+/// are not checked); `n` `u16` LE destinations, each below `n`, for a
+/// permute; nothing for a ping. `max_n` is the server's configured width
 /// ceiling (see [`DEFAULT_MAX_N`]).
-pub fn decode_request(body: &[u8], max_n: u32) -> Result<Request, FrameError> {
+pub(crate) fn parse_request(body: &[u8], max_n: u32) -> Result<(Header, &[u8]), FrameError> {
     if body.len() < REQUEST_HEADER {
         return Err(FrameError::Truncated {
             needed: REQUEST_HEADER,
@@ -540,9 +551,14 @@ pub fn decode_request(body: &[u8], max_n: u32) -> Result<Request, FrameError> {
     }
     let kind = RequestKind::parse(body[2]).ok_or(FrameError::BadKind { got: body[2] })?;
     let network = NetKind::from_code(body[3]).ok_or(FrameError::BadNetwork { got: body[3] })?;
-    let req_id = get_u64(body, 4);
-    let deadline_ms = get_u32(body, 12);
-    let n = get_u32(body, 16);
+    let head = Header {
+        kind,
+        network,
+        req_id: get_u64(body, 4),
+        deadline_ms: get_u32(body, 12),
+        n: get_u32(body, 16),
+    };
+    let n = head.n;
     let payload = &body[REQUEST_HEADER..];
 
     if kind == RequestKind::Ping {
@@ -555,15 +571,7 @@ pub fn decode_request(body: &[u8], max_n: u32) -> Result<Request, FrameError> {
                 got: payload.len(),
             });
         }
-        return Ok(Request {
-            kind,
-            network,
-            req_id,
-            deadline_ms,
-            n: 0,
-            bits: Vec::new(),
-            perm: Vec::new(),
-        });
+        return Ok((head, payload));
     }
 
     if n == 0 {
@@ -576,44 +584,54 @@ pub fn decode_request(body: &[u8], max_n: u32) -> Result<Request, FrameError> {
         return Err(FrameError::NNotPow2 { n });
     }
 
-    let (bits, perm) = match kind {
-        RequestKind::Sort | RequestKind::ChaosPanic => {
-            let expected = (n as usize).div_ceil(8);
-            if payload.len() != expected {
-                return Err(FrameError::PayloadLen {
-                    expected,
-                    got: payload.len(),
-                });
-            }
-            (unpack_bits(payload, n as usize), Vec::new())
-        }
-        RequestKind::Permute => {
-            let expected = n as usize * 2;
-            if payload.len() != expected {
-                return Err(FrameError::PayloadLen {
-                    expected,
-                    got: payload.len(),
-                });
-            }
-            let mut perm = Vec::with_capacity(n as usize);
-            for i in 0..n as usize {
-                let dest = get_u16(payload, i * 2);
-                if u32::from(dest) >= n {
-                    return Err(FrameError::BadDestination { index: i, dest, n });
-                }
-                perm.push(dest);
-            }
-            (Vec::new(), perm)
-        }
-        RequestKind::Ping => unreachable!("ping handled above"),
+    let expected = match kind {
+        RequestKind::Permute => n as usize * 2,
+        _ => (n as usize).div_ceil(8),
     };
+    if payload.len() != expected {
+        return Err(FrameError::PayloadLen {
+            expected,
+            got: payload.len(),
+        });
+    }
+    if kind == RequestKind::Permute {
+        if let Some((index, dest)) = u16_entries(payload)
+            .enumerate()
+            .find(|&(_, dest)| u32::from(dest) >= n)
+        {
+            return Err(FrameError::BadDestination { index, dest, n });
+        }
+    }
+    Ok((head, payload))
+}
 
+/// The entries of a payload of `u16` LE values: a permute request's
+/// destinations, a permute reply's sources.
+pub(crate) fn u16_entries(payload: &[u8]) -> impl Iterator<Item = u16> + '_ {
+    payload
+        .chunks_exact(2)
+        .map(|d| u16::from_le_bytes([d[0], d[1]]))
+}
+
+/// Decodes a request body: the daemon's payload-borrowing parser, with a
+/// sort payload unpacked into `bits` and a permute payload into `perm`.
+/// `max_n` is the server's configured width ceiling (see
+/// [`DEFAULT_MAX_N`]).
+pub fn decode_request(body: &[u8], max_n: u32) -> Result<Request, FrameError> {
+    let (head, payload) = parse_request(body, max_n)?;
+    let (bits, perm) = match head.kind {
+        RequestKind::Sort | RequestKind::ChaosPanic => {
+            (unpack_bits(payload, head.n as usize), Vec::new())
+        }
+        RequestKind::Permute => (Vec::new(), u16_entries(payload).collect()),
+        RequestKind::Ping => (Vec::new(), Vec::new()),
+    };
     Ok(Request {
-        kind,
-        network,
-        req_id,
-        deadline_ms,
-        n,
+        kind: head.kind,
+        network: head.network,
+        req_id: head.req_id,
+        deadline_ms: head.deadline_ms,
+        n: head.n,
         bits,
         perm,
     })
@@ -626,30 +644,39 @@ const TAG_MESSAGE: u8 = 3;
 
 /// Encodes a reply as a complete frame (length prefix included).
 pub fn encode_reply(rep: &Reply) -> Vec<u8> {
-    let mut body = Vec::with_capacity(REPLY_HEADER + 8);
-    body.push(MAGIC_REPLY);
-    body.push(VERSION);
-    body.push(rep.status.code());
-    put_u64(&mut body, rep.req_id);
-    put_u32(&mut body, rep.n);
+    let (status, req_id, n) = (rep.status, rep.req_id, rep.n);
     match &rep.payload {
-        ReplyPayload::Empty => body.push(TAG_EMPTY),
-        ReplyPayload::Bits(bits) => {
-            body.push(TAG_BITS);
-            body.extend(pack_bits(bits));
-        }
+        ReplyPayload::Empty => reply_frame(status, req_id, n, TAG_EMPTY, &[]),
+        ReplyPayload::Bits(bits) => bits_reply(status, req_id, n, &pack_bits(bits)),
         ReplyPayload::Perm(out) => {
-            body.push(TAG_PERM);
-            for &s in out {
-                body.extend_from_slice(&s.to_le_bytes());
-            }
+            let bytes: Vec<u8> = out.iter().flat_map(|s| s.to_le_bytes()).collect();
+            reply_frame(status, req_id, n, TAG_PERM, &bytes)
         }
-        ReplyPayload::Message(msg) => {
-            body.push(TAG_MESSAGE);
-            body.extend_from_slice(msg.as_bytes());
-        }
+        ReplyPayload::Message(msg) => reply_frame(status, req_id, n, TAG_MESSAGE, msg.as_bytes()),
     }
-    frame(body)
+}
+
+/// Frames a reply whose payload is sort bits already packed LSB-first,
+/// as [`pack_bits`] lays them out: the daemon's sort replies and
+/// [`encode_reply`]'s both go through it.
+pub(crate) fn bits_reply(status: Status, req_id: u64, n: u32, packed: &[u8]) -> Vec<u8> {
+    reply_frame(status, req_id, n, TAG_BITS, packed)
+}
+
+/// Frames a reply in one allocation: length prefix, header, payload tag
+/// and payload.
+fn reply_frame(status: Status, req_id: u64, n: u32, tag: u8, payload: &[u8]) -> Vec<u8> {
+    let len = REPLY_HEADER + 1 + payload.len();
+    let mut out = Vec::with_capacity(4 + len);
+    put_u32(&mut out, len as u32);
+    out.push(MAGIC_REPLY);
+    out.push(VERSION);
+    out.push(status.code());
+    put_u64(&mut out, req_id);
+    put_u32(&mut out, n);
+    out.push(tag);
+    out.extend_from_slice(payload);
+    out
 }
 
 /// Decodes a reply body.
@@ -702,7 +729,7 @@ pub fn decode_reply(body: &[u8]) -> Result<Reply, FrameError> {
                     got: payload.len(),
                 });
             }
-            ReplyPayload::Perm((0..n as usize).map(|i| get_u16(payload, i * 2)).collect())
+            ReplyPayload::Perm(u16_entries(payload).collect())
         }
         TAG_MESSAGE => ReplyPayload::Message(String::from_utf8_lossy(payload).into_owned()),
         other => return Err(FrameError::BadPayloadTag { got: other }),

@@ -8,7 +8,9 @@
 //! 1. **Wide batched path** — requests coalesced across connections into
 //!    batches of up to [`WIDE_LANES`]. Each key's group runs the program
 //!    its cache entry decoded once, at fill: one `u64` pass per 64
-//!    requests, packed straight from the requests' bits.
+//!    requests, whose lane words are bit-matrix transposes of the
+//!    requests' packed payloads and whose outputs transpose straight
+//!    back into reply payloads.
 //! 2. **Scalar solo retry** — if a batch evaluation panics, each request
 //!    in the batch is retried alone through the interpreter's
 //!    `try_eval`, on the key's netlist rebuilt for the rung (the cache
@@ -29,7 +31,7 @@
 //! snapshot — all accepted requests are answered.
 
 use std::collections::HashMap;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +40,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use absort_circuit::compile::CompiledEvaluator;
-use absort_circuit::eval::{pack_lanes, unpack_lanes, EvalError};
+use absort_circuit::eval::EvalError;
 use absort_circuit::passes::{CompileOptions, OptLevel};
 use absort_core::sorter::SorterKind;
 use absort_networks::permuter::RadixPermuter;
@@ -46,7 +48,7 @@ use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 
 use crate::cache::{build_network, CacheKey, CircuitCache, Compiled};
 use crate::proto::{
-    self, FrameError, NetKind, Reply, ReplyPayload, Request, RequestKind, Status, MAX_FRAME,
+    self, FrameError, Header, NetKind, Reply, ReplyPayload, RequestKind, Status, MAX_FRAME,
 };
 
 /// How many requests one batch can carry: four 64-lane `u64` passes.
@@ -184,18 +186,23 @@ impl ServeStats {
     }
 }
 
-/// One admitted unit of work.
+/// One admitted unit of work: a validated request, its payload still
+/// as it came off the wire.
 struct Job {
-    req: Request,
+    head: Header,
+    /// Sort: ⌈n/8⌉ packed bits, LSB-first; permute: `n` `u16` LE
+    /// destinations.
+    payload: Vec<u8>,
     received: Instant,
     deadline: Option<Instant>,
     reply_tx: Sender<Vec<u8>>,
 }
 
-/// A sort job's input bits, so a group packs straight from its jobs.
-impl AsRef<[bool]> for Job {
-    fn as_ref(&self) -> &[bool] {
-        &self.req.bits
+/// A sort job's packed input bits, so a group transposes straight from
+/// its jobs.
+impl AsRef<[u8]> for Job {
+    fn as_ref(&self) -> &[u8] {
+        &self.payload
     }
 }
 
@@ -415,30 +422,38 @@ fn spawn_connection(
 // Writer: the only thread that touches the socket's write half.
 // ---------------------------------------------------------------------
 
+/// Blocks for one reply, then takes every reply already queued and writes
+/// them all with one `write_all`.
 fn writer_loop(mut stream: TcpStream, reply_rx: Receiver<Vec<u8>>, counters: Arc<Counters>) {
     let mut dead = false;
-    while let Ok(frame) = reply_rx.recv() {
-        if dead {
-            // Keep draining so reply senders never block on a corpse.
-            counters.write_drops.fetch_add(1, Ordering::SeqCst);
-            continue;
+    while let Ok(mut out) = reply_rx.recv() {
+        let mut frames = 1;
+        while let Ok(frame) = reply_rx.try_recv() {
+            out.extend_from_slice(&frame);
+            frames += 1;
         }
-        if stream.write_all(&frame).is_err() {
-            // Write timeout or a gone peer: this client stops receiving
-            // replies, and nobody else is affected.
-            counters.write_drops.fetch_add(1, Ordering::SeqCst);
+        // Once a write fails (write timeout or a gone peer), this client
+        // stops receiving replies, and nobody else is affected; the loop
+        // keeps draining so reply senders never block on a corpse.
+        if dead || stream.write_all(&out).is_err() {
+            counters.write_drops.fetch_add(frames, Ordering::SeqCst);
             dead = true;
         }
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Best-effort reply enqueue: a slow or dead client drops its own
-/// replies rather than blocking the sender.
-fn offer_reply(reply_tx: &Sender<Vec<u8>>, reply: &Reply, counters: &Counters) {
-    if reply_tx.try_send(proto::encode_reply(reply)).is_err() {
+/// Best-effort enqueue of an encoded reply frame: a slow or dead client
+/// drops its own replies rather than blocking the sender.
+fn offer_frame(reply_tx: &Sender<Vec<u8>>, frame: Vec<u8>, counters: &Counters) {
+    if reply_tx.try_send(frame).is_err() {
         counters.write_drops.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// [`offer_frame`] for a reply still to be encoded.
+fn offer_reply(reply_tx: &Sender<Vec<u8>>, reply: &Reply, counters: &Counters) {
+    offer_frame(reply_tx, proto::encode_reply(reply), counters);
 }
 
 // ---------------------------------------------------------------------
@@ -446,15 +461,14 @@ fn offer_reply(reply_tx: &Sender<Vec<u8>>, reply: &Reply, counters: &Counters) {
 // ---------------------------------------------------------------------
 
 enum ReadOutcome {
-    Frame(Vec<u8>),
+    /// New bytes arrived.
+    Data,
     /// Clean EOF at a frame boundary.
     Eof,
     /// Server is draining and the connection is between frames.
     Drain,
     /// Stalled mid-frame past the configured limit.
     SlowLoris,
-    /// Length prefix beyond [`MAX_FRAME`]: unrecoverable framing damage.
-    Oversized(u64),
     /// Stream ended mid-frame.
     TruncatedEof {
         needed: usize,
@@ -463,85 +477,127 @@ enum ReadOutcome {
     Io,
 }
 
-/// Reads one length-prefixed frame. Poll timeouts between frames check
-/// the drain flag; poll timeouts *inside* a frame accrue against the
-/// slow-loris budget.
-fn read_frame_live(stream: &mut TcpStream, cfg: &ServeConfig, drain: &AtomicBool) -> ReadOutcome {
-    use io::Read as _;
+/// Bytes a read asks for when no frame in progress needs more.
+const READ_CHUNK: usize = 64 << 10;
 
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    let mut frame_start: Option<Instant> = None;
-    loop {
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::TruncatedEof {
-                        needed: 4,
-                        got: filled,
-                    }
-                };
-            }
-            Ok(k) => {
-                filled += k;
-                frame_start.get_or_insert_with(Instant::now);
-                if filled == 4 {
-                    break;
+/// A connection's read buffer. `buf[start..end]` holds the bytes received
+/// but not yet handled; once every complete frame in it has been handled,
+/// that is at most one partial frame.
+struct FrameBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    /// When the read that delivered the first unhandled byte returned:
+    /// the slow-loris clock of the partial frame.
+    since: Instant,
+    /// When the last read returned.
+    last_read: Instant,
+}
+
+impl FrameBuf {
+    fn new() -> FrameBuf {
+        let now = Instant::now();
+        FrameBuf {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+            since: now,
+            last_read: now,
+        }
+    }
+
+    fn pending(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The body length the unhandled bytes' length prefix declares, once
+    /// all four of its bytes are here.
+    fn declared_len(&self) -> Option<usize> {
+        (self.pending() >= 4).then(|| {
+            let p = &self.buf[self.start..self.start + 4];
+            u32::from_le_bytes([p[0], p[1], p[2], p[3]]) as usize
+        })
+    }
+
+    /// Takes the next complete frame's body off the buffer: `Ok(None)`
+    /// when the unhandled bytes hold no complete frame, `Err(len)` when
+    /// their length prefix is beyond [`MAX_FRAME`].
+    fn next_frame(&mut self) -> Result<Option<&[u8]>, u64> {
+        let Some(len) = self.declared_len() else {
+            return Ok(None);
+        };
+        if len > MAX_FRAME {
+            return Err(len as u64);
+        }
+        if self.pending() < 4 + len {
+            return Ok(None);
+        }
+        let body = self.start + 4..self.start + 4 + len;
+        self.start = body.end;
+        // Whatever follows this frame came in the last read.
+        self.since = self.last_read;
+        Ok(Some(&self.buf[body]))
+    }
+
+    /// Reads more bytes after the unhandled ones. Poll timeouts between
+    /// frames check the drain flag; poll timeouts inside a frame accrue
+    /// against the slow-loris budget.
+    fn fill(
+        &mut self,
+        stream: &mut TcpStream,
+        cfg: &ServeConfig,
+        drain: &AtomicBool,
+    ) -> ReadOutcome {
+        // Move the partial frame to the front, with room for all of it.
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        let want = self.declared_len().map_or(0, |len| 4 + len);
+        if want > self.buf.len() {
+            self.buf.resize(want, 0);
+        }
+        loop {
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    let got = self.pending();
+                    return match self.declared_len() {
+                        _ if got == 0 => ReadOutcome::Eof,
+                        None => ReadOutcome::TruncatedEof { needed: 4, got },
+                        Some(len) => ReadOutcome::TruncatedEof {
+                            needed: 4 + len,
+                            got,
+                        },
+                    };
                 }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                match frame_start {
-                    None => {
+                Ok(k) => {
+                    self.last_read = Instant::now();
+                    if self.pending() == 0 {
+                        self.since = self.last_read;
+                    }
+                    self.end += k;
+                    return ReadOutcome::Data;
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.pending() == 0 {
                         if drain.load(Ordering::SeqCst) {
                             return ReadOutcome::Drain;
                         }
-                    }
-                    Some(start) => {
-                        if start.elapsed() > cfg.midframe_stall {
-                            return ReadOutcome::SlowLoris;
-                        }
+                    } else if self.since.elapsed() > cfg.midframe_stall {
+                        return ReadOutcome::SlowLoris;
                     }
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Io,
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Io,
         }
     }
-
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return ReadOutcome::Oversized(len as u64);
-    }
-    let start = frame_start.unwrap_or_else(Instant::now);
-    let mut body = vec![0u8; len];
-    let mut got = 0usize;
-    while got < len {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => {
-                return ReadOutcome::TruncatedEof {
-                    needed: 4 + len,
-                    got: 4 + got,
-                }
-            }
-            Ok(k) => got += k,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if start.elapsed() > cfg.midframe_stall {
-                    return ReadOutcome::SlowLoris;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Io,
-        }
-    }
-    ReadOutcome::Frame(body)
 }
 
+/// Reads a connection through one buffer, handing every complete frame it
+/// holds to [`handle_frame`] before reading again.
 fn reader_loop(
     mut stream: TcpStream,
     cfg: ServeConfig,
@@ -550,14 +606,34 @@ fn reader_loop(
     job_tx: Sender<Job>,
     reply_tx: Sender<Vec<u8>>,
 ) {
+    let mut conn = FrameBuf::new();
     let mut drain_seen: Option<Instant> = None;
-    loop {
-        match read_frame_live(&mut stream, &cfg, &drain) {
-            ReadOutcome::Frame(body) => {
-                if !handle_frame(&body, &cfg, &counters, &job_tx, &reply_tx) {
-                    break;
+    'conn: loop {
+        loop {
+            match conn.next_frame() {
+                Ok(Some(body)) => {
+                    if !handle_frame(body, &cfg, &counters, &job_tx, &reply_tx) {
+                        break 'conn;
+                    }
+                }
+                Ok(None) => break,
+                Err(len) => {
+                    counters.malformed.fetch_add(1, Ordering::SeqCst);
+                    let err = FrameError::Oversized {
+                        len,
+                        max: MAX_FRAME,
+                    };
+                    offer_reply(
+                        &reply_tx,
+                        &Reply::error(Status::Malformed, 0, 0, err.to_string()),
+                        &counters,
+                    );
+                    break 'conn; // no frame boundary left to resync on
                 }
             }
+        }
+        match conn.fill(&mut stream, &cfg, &drain) {
+            ReadOutcome::Data => {}
             ReadOutcome::Drain => {
                 // Grace window: frames the client sent before the drain
                 // may still be in flight — keep reading briefly so they
@@ -571,19 +647,6 @@ fn reader_loop(
             ReadOutcome::SlowLoris => {
                 counters.slow_loris_closed.fetch_add(1, Ordering::SeqCst);
                 break;
-            }
-            ReadOutcome::Oversized(len) => {
-                counters.malformed.fetch_add(1, Ordering::SeqCst);
-                let err = FrameError::Oversized {
-                    len,
-                    max: MAX_FRAME,
-                };
-                offer_reply(
-                    &reply_tx,
-                    &Reply::error(Status::Malformed, 0, 0, err.to_string()),
-                    &counters,
-                );
-                break; // no frame boundary left to resync on
             }
             ReadOutcome::TruncatedEof { needed, got } => {
                 counters.malformed.fetch_add(1, Ordering::SeqCst);
@@ -612,10 +675,10 @@ fn handle_frame(
     reply_tx: &Sender<Vec<u8>>,
 ) -> bool {
     let t_decode = stage_clock();
-    let decoded = proto::decode_request(body, cfg.max_n);
-    stage_record("serve.stage.decode_us", t_decode);
-    let req = match decoded {
-        Ok(req) => req,
+    let parsed = proto::parse_request(body, cfg.max_n);
+    stage_record("serve.stage.decode_ns", t_decode);
+    let (head, payload) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             // Body-level damage: typed reply, connection survives.
             counters.malformed.fetch_add(1, Ordering::SeqCst);
@@ -631,14 +694,14 @@ fn handle_frame(
         }
     };
 
-    match req.kind {
+    match head.kind {
         RequestKind::Ping => {
             counters.pings.fetch_add(1, Ordering::SeqCst);
             offer_reply(
                 reply_tx,
                 &Reply {
                     status: Status::Ok,
-                    req_id: req.req_id,
+                    req_id: head.req_id,
                     n: 0,
                     payload: ReplyPayload::Empty,
                 },
@@ -652,22 +715,22 @@ fn handle_frame(
                 reply_tx,
                 &Reply::error(
                     Status::Unsupported,
-                    req.req_id,
-                    req.n,
+                    head.req_id,
+                    head.n,
                     "chaos requests need a server started with --chaos",
                 ),
                 counters,
             );
             return true;
         }
-        RequestKind::Permute if req.network == NetKind::Nonadaptive => {
+        RequestKind::Permute if head.network == NetKind::Nonadaptive => {
             counters.unsupported.fetch_add(1, Ordering::SeqCst);
             offer_reply(
                 reply_tx,
                 &Reply::error(
                     Status::Unsupported,
-                    req.req_id,
-                    req.n,
+                    head.req_id,
+                    head.n,
                     "permute requires an adaptive sorter (prefix or mux-merger)",
                 ),
                 counters,
@@ -678,13 +741,14 @@ fn handle_frame(
     }
 
     let received = Instant::now();
-    let deadline = if req.deadline_ms > 0 {
-        Some(received + Duration::from_millis(u64::from(req.deadline_ms)))
+    let deadline = if head.deadline_ms > 0 {
+        Some(received + Duration::from_millis(u64::from(head.deadline_ms)))
     } else {
         None
     };
     let job = Job {
-        req,
+        head,
+        payload: payload.to_vec(),
         received,
         deadline,
         reply_tx: reply_tx.clone(),
@@ -699,34 +763,26 @@ fn handle_frame(
             // Bounded queue: shed, don't buffer.
             counters.shed.fetch_add(1, Ordering::SeqCst);
             absort_telemetry::counter_add("serve.shed", 1);
-            offer_reply(
-                &job.reply_tx,
-                &Reply {
-                    status: Status::Overloaded,
-                    req_id: job.req.req_id,
-                    n: job.req.n,
-                    payload: ReplyPayload::Empty,
-                },
-                counters,
-            );
+            offer_reply(&job.reply_tx, &overloaded(&job.head), counters);
             true
         }
         Err(TrySendError::Disconnected(job)) => {
             // Workers are gone (drain completed under us): tell the
             // client to go elsewhere and close.
             counters.shed.fetch_add(1, Ordering::SeqCst);
-            offer_reply(
-                &job.reply_tx,
-                &Reply {
-                    status: Status::Overloaded,
-                    req_id: job.req.req_id,
-                    n: job.req.n,
-                    payload: ReplyPayload::Empty,
-                },
-                counters,
-            );
+            offer_reply(&job.reply_tx, &overloaded(&job.head), counters);
             false
         }
+    }
+}
+
+/// The `Overloaded` reply to a shed request.
+fn overloaded(head: &Header) -> Reply {
+    Reply {
+        status: Status::Overloaded,
+        req_id: head.req_id,
+        n: head.n,
+        payload: ReplyPayload::Empty,
     }
 }
 
@@ -760,11 +816,19 @@ fn worker_loop(
 }
 
 fn reply_and_count(job: &Job, reply: &Reply, counters: &Counters) {
-    offer_reply(&job.reply_tx, reply, counters);
-    let us = job.received.elapsed().as_micros() as u64;
-    absort_telemetry::hist_record("serve.request_us", us);
+    send_and_count(job, reply.status, proto::encode_reply(reply), counters);
+}
+
+/// Enqueues a job's encoded reply and counts it; the request's latency
+/// is read off the clock only while telemetry records.
+fn send_and_count(job: &Job, status: Status, frame: Vec<u8>, counters: &Counters) {
+    offer_frame(&job.reply_tx, frame, counters);
+    if absort_telemetry::enabled() {
+        let us = job.received.elapsed().as_micros() as u64;
+        absort_telemetry::hist_record("serve.request_us", us);
+    }
     absort_telemetry::counter_add(
-        match reply.status {
+        match status {
             Status::Ok => "serve.replies_ok",
             _ => "serve.replies_err",
         },
@@ -777,11 +841,11 @@ fn stage_clock() -> Option<Instant> {
     absort_telemetry::enabled().then(Instant::now)
 }
 
-/// Records the µs since `t0` (if the clock was read) into the stage
+/// Records the ns since `t0` (if the clock was read) into the stage
 /// histogram `name`.
 fn stage_record(name: &str, t0: Option<Instant>) {
     if let Some(t0) = t0 {
-        absort_telemetry::hist_record(name, t0.elapsed().as_micros() as u64);
+        absort_telemetry::hist_record(name, t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -796,8 +860,8 @@ fn reply_deadline(job: &Job, counters: &Counters) {
         job,
         &Reply {
             status: Status::DeadlineExceeded,
-            req_id: job.req.req_id,
-            n: job.req.n,
+            req_id: job.head.req_id,
+            n: job.head.n,
             payload: ReplyPayload::Empty,
         },
         counters,
@@ -815,20 +879,20 @@ fn process_batch(
     let mut groups: HashMap<CacheKey, Vec<Job>> = HashMap::new();
     for job in batch {
         absort_telemetry::hist_record(
-            "serve.stage.queue_us",
-            now.saturating_duration_since(job.received).as_micros() as u64,
+            "serve.stage.queue_ns",
+            now.saturating_duration_since(job.received).as_nanos() as u64,
         );
         // Deadline check #1: at dequeue.
         if expired(&job, now) {
             reply_deadline(&job, counters);
             continue;
         }
-        match job.req.kind {
+        match job.head.kind {
             RequestKind::Permute => serve_permute(job, counters),
             RequestKind::Sort | RequestKind::ChaosPanic => {
                 let key = CacheKey {
-                    network: job.req.network,
-                    n: job.req.n,
+                    network: job.head.network,
+                    n: job.head.n,
                     opt,
                 };
                 groups.entry(key).or_default().push(job);
@@ -861,8 +925,8 @@ fn serve_sort_group(
                     job,
                     &Reply::error(
                         Status::Internal,
-                        job.req.req_id,
-                        job.req.n,
+                        job.head.req_id,
+                        job.head.n,
                         "circuit compilation failed",
                     ),
                     counters,
@@ -891,7 +955,7 @@ fn serve_sort_group(
 
     let chaos_armed = admitted
         .iter()
-        .any(|j| j.req.kind == RequestKind::ChaosPanic);
+        .any(|j| j.head.kind == RequestKind::ChaosPanic);
 
     // Rung 1: the wide batched path.
     let t_eval = stage_clock();
@@ -901,26 +965,19 @@ fn serve_sort_group(
         }
         sort_wide(&compiled, &admitted)
     }));
-    stage_record("serve.stage.eval_us", t_eval);
+    stage_record("serve.stage.eval_ns", t_eval);
 
     let was_panic = wide.is_err();
     match wide {
-        Ok(Ok(outputs)) => {
+        Ok(Ok(sorted)) => {
             let t_write = stage_clock();
-            for (job, out) in admitted.iter().zip(outputs) {
+            let width = sorted.len() / admitted.len();
+            for (job, out) in admitted.iter().zip(sorted.chunks_exact(width)) {
                 counters.replies_ok.fetch_add(1, Ordering::SeqCst);
-                reply_and_count(
-                    job,
-                    &Reply {
-                        status: Status::Ok,
-                        req_id: job.req.req_id,
-                        n: job.req.n,
-                        payload: ReplyPayload::Bits(out),
-                    },
-                    counters,
-                );
+                let frame = proto::bits_reply(Status::Ok, job.head.req_id, job.head.n, out);
+                send_and_count(job, Status::Ok, frame, counters);
             }
-            stage_record("serve.stage.write_us", t_write);
+            stage_record("serve.stage.write_ns", t_write);
         }
         Ok(Err(_)) | Err(_) => {
             // Rung 2: the batch failed as a unit — a panic (chaos or
@@ -940,7 +997,7 @@ fn serve_sort_group(
                 let solo = panic::catch_unwind(AssertUnwindSafe(|| {
                     circuit
                         .get_or_insert_with(|| build_network(key.network, key.n as usize))
-                        .try_eval(&job.req.bits)
+                        .try_eval(&proto::unpack_bits(&job.payload, key.n as usize))
                 }));
                 match solo {
                     Ok(Ok(out)) => {
@@ -949,8 +1006,8 @@ fn serve_sort_group(
                             job,
                             &Reply {
                                 status: Status::Ok,
-                                req_id: job.req.req_id,
-                                n: job.req.n,
+                                req_id: job.head.req_id,
+                                n: job.head.n,
                                 payload: ReplyPayload::Bits(out),
                             },
                             counters,
@@ -962,8 +1019,8 @@ fn serve_sort_group(
                             job,
                             &Reply::error(
                                 Status::Internal,
-                                job.req.req_id,
-                                job.req.n,
+                                job.head.req_id,
+                                job.head.n,
                                 format!("solo retry failed: {e:?}"),
                             ),
                             counters,
@@ -975,8 +1032,8 @@ fn serve_sort_group(
                             job,
                             &Reply::error(
                                 Status::Internal,
-                                job.req.req_id,
-                                job.req.n,
+                                job.head.req_id,
+                                job.head.n,
                                 "solo retry panicked",
                             ),
                             counters,
@@ -988,36 +1045,94 @@ fn serve_sort_group(
     }
 }
 
-/// Rung 1's evaluation: sorts `rows` (each as wide as the key) on the
-/// key's decoded program, one `u64` pass per 64 rows, packing each chunk
-/// straight from the borrowed rows. Outputs come back in row order.
-fn sort_wide(
-    compiled: &Compiled,
-    rows: &[impl AsRef<[bool]>],
-) -> Result<Vec<Vec<bool>>, EvalError> {
-    let n = compiled.tape.n_inputs();
-    let mut ev = CompiledEvaluator::with_decoded(&compiled.tape, &compiled.program)?;
-    let mut outputs = Vec::with_capacity(rows.len());
-    for chunk in rows.chunks(64) {
-        let out = ev.try_run(&pack_lanes(chunk, n))?;
-        outputs.extend(unpack_lanes(&out, chunk.len()));
+/// Rung 1's evaluation: sorts `rows`, each a sort payload as wide as the
+/// key (⌈n/8⌉ packed bits, LSB-first), on the key's decoded program, one
+/// `u64` pass per 64 rows. Each pass's lane words are transposed in from
+/// the rows' bytes and its output words transposed back out, 64×64 bits
+/// at a time. Returns the sorted payloads back to back, in row order.
+fn sort_wide(compiled: &Compiled, rows: &[impl AsRef<[u8]>]) -> Result<Vec<u8>, EvalError> {
+    let tape = &compiled.tape;
+    let mut ev = CompiledEvaluator::with_decoded(tape, &compiled.program)?;
+    let mut lanes = vec![0u64; tape.n_inputs()];
+    let mut words = vec![0u64; tape.n_outputs()];
+    let width = tape.n_outputs().div_ceil(8);
+    let mut sorted = vec![0u8; rows.len() * width];
+    for (chunk, out) in rows.chunks(64).zip(sorted.chunks_mut(64 * width)) {
+        rows_to_lanes(chunk, &mut lanes);
+        ev.try_run_into(&lanes, &mut words)?;
+        lanes_to_rows(&words, out);
     }
-    Ok(outputs)
+    Ok(sorted)
+}
+
+/// Fills lane words from up to 64 packed rows: bit `r` of `lanes[i]` is
+/// bit `i` of row `r`. Bits past `lanes.len()` (the pad bits of a
+/// sub-byte row) are ignored.
+fn rows_to_lanes(rows: &[impl AsRef<[u8]>], lanes: &mut [u64]) {
+    let mut m = [0u64; 64];
+    for (b, block) in lanes.chunks_mut(64).enumerate() {
+        for (word, row) in m.iter_mut().zip(rows) {
+            let row = row.as_ref();
+            let bytes = &row[8 * b..row.len().min(8 * b + 8)];
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            *word = u64::from_le_bytes(le);
+        }
+        m[rows.len()..].fill(0);
+        transpose64(&mut m);
+        block.copy_from_slice(&m[..block.len()]);
+    }
+}
+
+/// The inverse of [`rows_to_lanes`]: writes bit `r` of `words[i]` to bit
+/// `i` of packed row `r` of `out`, for as many rows of ⌈len/8⌉ bytes as
+/// `out` holds. Pad bits come out zero.
+fn lanes_to_rows(words: &[u64], out: &mut [u8]) {
+    let width = words.len().div_ceil(8);
+    let mut m = [0u64; 64];
+    for (b, block) in words.chunks(64).enumerate() {
+        m[..block.len()].copy_from_slice(block);
+        m[block.len()..].fill(0);
+        transpose64(&mut m);
+        for (row, word) in out.chunks_exact_mut(width).zip(m) {
+            let bytes = &mut row[8 * b..width.min(8 * b + 8)];
+            bytes.copy_from_slice(&word.to_le_bytes()[..bytes.len()]);
+        }
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `c` of `m[r]` trades
+/// places with bit `r` of `m[c]`. Each round swaps the off-diagonal
+/// blocks of every `2j × 2j` diagonal block (Hacker's Delight §7-3).
+fn transpose64(m: &mut [u64; 64]) {
+    for (j, mask) in [
+        (32, 0x0000_0000_FFFF_FFFF_u64),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+        (4, 0x0F0F_0F0F_0F0F_0F0F),
+        (2, 0x3333_3333_3333_3333),
+        (1, 0x5555_5555_5555_5555),
+    ] {
+        for base in (0..64).step_by(2 * j) {
+            for k in base..base + j {
+                let t = ((m[k] >> j) ^ m[k + j]) & mask;
+                m[k] ^= t << j;
+                m[k + j] ^= t;
+            }
+        }
+    }
 }
 
 fn serve_permute(job: Job, counters: &Counters) {
-    let kind = match job.req.network {
+    let kind = match job.head.network {
         NetKind::Prefix => SorterKind::Prefix,
         NetKind::MuxMerger => SorterKind::MuxMerger,
         NetKind::Nonadaptive => unreachable!("rejected at the reader"),
     };
-    let n = job.req.n as usize;
-    let packets: Vec<(usize, u16)> = job
-        .req
-        .perm
-        .iter()
+    let n = job.head.n as usize;
+    let packets: Vec<(usize, u16)> = proto::u16_entries(&job.payload)
         .enumerate()
-        .map(|(i, &d)| (d as usize, i as u16))
+        .map(|(i, d)| (d as usize, i as u16))
         .collect();
     let routed = panic::catch_unwind(AssertUnwindSafe(|| {
         RadixPermuter::new(kind, n).route(&packets)
@@ -1029,8 +1144,8 @@ fn serve_permute(job: Job, counters: &Counters) {
                 &job,
                 &Reply {
                     status: Status::Ok,
-                    req_id: job.req.req_id,
-                    n: job.req.n,
+                    req_id: job.head.req_id,
+                    n: job.head.n,
                     payload: ReplyPayload::Perm(out),
                 },
                 counters,
@@ -1044,8 +1159,8 @@ fn serve_permute(job: Job, counters: &Counters) {
                 &job,
                 &Reply::error(
                     Status::Malformed,
-                    job.req.req_id,
-                    job.req.n,
+                    job.head.req_id,
+                    job.head.n,
                     format!("invalid permutation: {e:?}"),
                 ),
                 counters,
@@ -1058,8 +1173,8 @@ fn serve_permute(job: Job, counters: &Counters) {
                 &job,
                 &Reply::error(
                     Status::Internal,
-                    job.req.req_id,
-                    job.req.n,
+                    job.head.req_id,
+                    job.head.n,
                     "permute routing panicked",
                 ),
                 counters,
@@ -1071,31 +1186,60 @@ fn serve_permute(job: Job, counters: &Counters) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{pack_bits, unpack_bits};
     use crate::sorted_oracle;
+    use absort_circuit::eval::pack_lanes;
     use rand::prelude::*;
 
-    /// Rung 1 on every served key, at group sizes on both sides of one
-    /// and of several 64-lane passes. The socket tests cannot force a
-    /// group size.
+    /// A random sort payload of width `n`, with every pad bit of a
+    /// sub-byte payload set: decode ignores them, so the transposes must.
+    fn random_payload(rng: &mut StdRng, n: usize) -> Vec<u8> {
+        let mut row: Vec<u8> = (0..n.div_ceil(8)).map(|_| rng.gen()).collect();
+        if n < 8 {
+            row[0] |= 0xFF << n;
+        }
+        row
+    }
+
+    /// Rung 1 on every network at sub-byte, byte, sub-word and multi-word
+    /// widths, at group sizes on both sides of one and of several 64-lane
+    /// passes; the socket tests cannot force a group size. The transpose
+    /// in is checked against packing unpacked bits one at a time, and
+    /// back out as its inverse.
     #[test]
     fn sort_wide_agrees_with_the_oracle_across_chunk_boundaries() {
         let opt = ServeConfig::default().opt;
-        let cache = CircuitCache::new(6);
+        let cache = CircuitCache::new(NetKind::ALL.len());
         let mut rng = StdRng::seed_from_u64(64);
-        for n in [64u32, 1024] {
+        for n in [2usize, 4, 8, 16, 64, 1024] {
+            let width = n.div_ceil(8);
             for network in NetKind::ALL {
-                let key = CacheKey { network, n, opt };
+                let key = CacheKey {
+                    network,
+                    n: n as u32,
+                    opt,
+                };
                 let compiled = cache.get_or_build(key, &CompileOptions::for_level(opt));
                 for count in [1usize, 63, 64, 65, 128, 256] {
-                    let rows: Vec<Vec<bool>> = (0..count)
-                        .map(|_| (0..n).map(|_| rng.gen()).collect())
-                        .collect();
-                    let outs = sort_wide(&compiled, &rows).unwrap();
-                    assert_eq!(outs.len(), count, "{network} n={n}");
-                    for (j, (row, out)) in rows.iter().zip(&outs).enumerate() {
+                    let rows: Vec<Vec<u8>> =
+                        (0..count).map(|_| random_payload(&mut rng, n)).collect();
+                    let bits: Vec<Vec<bool>> = rows.iter().map(|r| unpack_bits(r, n)).collect();
+                    for (chunk, chunk_bits) in rows.chunks(64).zip(bits.chunks(64)) {
+                        let mut lanes = vec![0u64; n];
+                        rows_to_lanes(chunk, &mut lanes);
+                        assert_eq!(lanes, pack_lanes(chunk_bits, n), "{network} n={n}");
+                        let mut back = vec![0u8; chunk.len() * width];
+                        lanes_to_rows(&lanes, &mut back);
+                        let unpadded: Vec<u8> =
+                            chunk_bits.iter().flat_map(|b| pack_bits(b)).collect();
+                        assert_eq!(back, unpadded, "{network} n={n}");
+                    }
+                    let sorted = sort_wide(&compiled, &rows).unwrap();
+                    assert_eq!(sorted.len(), count * width, "{network} n={n}");
+                    for (j, (row, out)) in bits.iter().zip(sorted.chunks_exact(width)).enumerate() {
                         assert_eq!(
                             out,
-                            &sorted_oracle(row),
+                            pack_bits(&sorted_oracle(row)),
                             "{network} n={n}: row {j} of {count}"
                         );
                     }

@@ -489,3 +489,192 @@ fn many_connections_interleave_without_corruption() {
     assert_eq!(stats.replies_ok, 8 * 60);
     assert_eq!(stats.internal_errors, 0);
 }
+
+/// Sort requests cycling over every key of `NetKind::ALL` × `widths`,
+/// `count` of them with ids from `first` (an id of 0 would collide with
+/// the unknown id of a framing rejection); returns the frames back to
+/// back and each request's id and input.
+fn sort_frames(
+    rng: &mut StdRng,
+    widths: &[usize],
+    first: u64,
+    count: usize,
+) -> (Vec<u8>, Vec<(u64, Vec<bool>)>) {
+    let keys: Vec<(NetKind, usize)> = widths
+        .iter()
+        .flat_map(|&n| NetKind::ALL.map(|net| (net, n)))
+        .collect();
+    let mut bytes = Vec::new();
+    let mut inputs = Vec::new();
+    for i in 0..count {
+        let (network, n) = keys[i % keys.len()];
+        let id = first + i as u64;
+        let bits = random_bits(rng, n);
+        bytes.extend(proto::encode_request(&Request::sort(network, id, &bits)));
+        inputs.push((id, bits));
+    }
+    (bytes, inputs)
+}
+
+/// Receives replies until the server closes the connection; fails if it
+/// stays open for 5 s.
+fn recv_until_close(client: &mut Client) -> Vec<absort_serve::Reply> {
+    client
+        .stream()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut replies = Vec::new();
+    loop {
+        match client.recv() {
+            Ok(rep) => replies.push(rep),
+            Err(absort_serve::ClientError::Closed) => return replies,
+            Err(e) => panic!("expected a close after {} replies, got {e}", replies.len()),
+        }
+    }
+}
+
+/// Checks that `replies` answer every input of `inputs` with its sorted
+/// bits, exactly once; returns the replies left over.
+fn take_sorted(
+    replies: Vec<absort_serve::Reply>,
+    inputs: &[(u64, Vec<bool>)],
+) -> Vec<absort_serve::Reply> {
+    let mut by_id: std::collections::HashMap<u64, &[bool]> =
+        inputs.iter().map(|(id, bits)| (*id, &bits[..])).collect();
+    let mut rest = Vec::new();
+    for rep in replies {
+        match by_id.remove(&rep.req_id) {
+            Some(bits) => assert_sorted(bits, &rep),
+            None => rest.push(rep),
+        }
+    }
+    assert!(by_id.is_empty(), "unanswered ids: {:?}", by_id.keys());
+    rest
+}
+
+/// A `Malformed` reply's diagnostic.
+fn malformed_message(rep: &absort_serve::Reply) -> &str {
+    assert_eq!(rep.status, Status::Malformed, "{rep:?}");
+    match &rep.payload {
+        ReplyPayload::Message(m) => m,
+        other => panic!("expected a message payload, got {other:?}"),
+    }
+}
+
+#[test]
+fn one_write_of_many_frames_is_served_frame_by_frame() {
+    let mut cfg = test_config();
+    cfg.workers = 1;
+    let server = Server::start(cfg).unwrap();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(51);
+
+    // 256 sorts over every served key, a malformed body in the middle.
+    let (head, mut inputs) = sort_frames(&mut rng, &[2, 8, 64, 1024], 0, 128);
+    let (tail, more) = sort_frames(&mut rng, &[2, 8, 64, 1024], 1000, 128);
+    inputs.extend(more);
+    let mut bad = proto::encode_request(&Request::sort(NetKind::Prefix, 777, &[true; 16]));
+    bad[5] = 0x42; // the version byte
+    let bytes = [head, bad, tail].concat();
+    client.send_raw(&bytes).unwrap();
+
+    let replies: Vec<_> = (0..inputs.len() + 1)
+        .map(|_| client.recv().unwrap())
+        .collect();
+    let rest = take_sorted(replies, &inputs);
+    assert_eq!(rest.len(), 1, "{rest:?}");
+    assert_eq!(rest[0].req_id, 777, "the salvaged id");
+    assert!(malformed_message(&rest[0]).contains("version"), "{rest:?}");
+
+    // The connection is still usable.
+    let bits = random_bits(&mut rng, 64);
+    let rep = client
+        .call(&Request::sort(NetKind::MuxMerger, 5000, &bits))
+        .unwrap();
+    assert_sorted(&bits, &rep);
+    let stats = server.join();
+    assert_eq!(stats.malformed, 1, "{stats:?}");
+    assert_eq!(stats.replies_ok, 257, "{stats:?}");
+}
+
+#[test]
+fn a_frame_dribbled_byte_by_byte_is_served() {
+    let server = Server::start(test_config()).unwrap();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(52);
+    let bits = random_bits(&mut rng, 64);
+    let frame = proto::encode_request(&Request::sort(NetKind::Prefix, 9, &bits));
+    // 32 bytes 2 ms apart: well inside the 250 ms stall budget.
+    for byte in &frame {
+        client.send_raw(std::slice::from_ref(byte)).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let rep = client.recv().unwrap();
+    assert_eq!(rep.req_id, 9);
+    assert_sorted(&bits, &rep);
+    let stats = server.join();
+    assert_eq!(stats.slow_loris_closed, 0, "{stats:?}");
+}
+
+#[test]
+fn frames_before_an_oversized_prefix_are_answered_before_the_close() {
+    let server = Server::start(test_config()).unwrap();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(53);
+    let (frames, inputs) = sort_frames(&mut rng, &[16, 64], 1, 12);
+    let oversized = (proto::MAX_FRAME as u32 + 1).to_le_bytes();
+    client
+        .send_raw(&[&frames[..], &oversized].concat())
+        .unwrap();
+
+    let rest = take_sorted(recv_until_close(&mut client), &inputs);
+    assert_eq!(rest.len(), 1, "{rest:?}");
+    assert!(
+        malformed_message(&rest[0]).contains("oversized"),
+        "{rest:?}"
+    );
+    let stats = server.join();
+    assert_eq!(stats.malformed, 1, "{stats:?}");
+}
+
+#[test]
+fn frames_before_a_truncated_frame_are_answered_before_the_close() {
+    let server = Server::start(test_config()).unwrap();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(54);
+    let (frames, inputs) = sort_frames(&mut rng, &[16, 64], 1, 12);
+    let cut = proto::encode_request(&Request::sort(NetKind::Prefix, 99, &[true; 64]));
+    client
+        .send_raw(&[&frames[..], &cut[..10]].concat())
+        .unwrap();
+    client.stream().shutdown(std::net::Shutdown::Write).unwrap();
+
+    let rest = take_sorted(recv_until_close(&mut client), &inputs);
+    assert_eq!(rest.len(), 1, "{rest:?}");
+    assert_eq!(
+        malformed_message(&rest[0]),
+        format!("truncated frame: needed {} bytes, got 10", cut.len())
+    );
+    let stats = server.join();
+    assert_eq!(stats.malformed, 1, "{stats:?}");
+}
+
+#[test]
+fn frames_before_a_stalled_partial_frame_are_answered_before_the_cut() {
+    let mut cfg = test_config();
+    cfg.midframe_stall = Duration::from_millis(100);
+    let server = Server::start(cfg).unwrap();
+    let mut client = connect(&server);
+    let mut rng = StdRng::seed_from_u64(55);
+    let (frames, inputs) = sort_frames(&mut rng, &[16, 64], 1, 12);
+    let stalled = proto::encode_request(&Request::sort(NetKind::Prefix, 99, &[true; 64]));
+    client
+        .send_raw(&[&frames[..], &stalled[..10]].concat())
+        .unwrap();
+
+    // The slow-loris cut sends nothing: every reply answers a sort.
+    let rest = take_sorted(recv_until_close(&mut client), &inputs);
+    assert!(rest.is_empty(), "{rest:?}");
+    let stats = server.join();
+    assert_eq!(stats.slow_loris_closed, 1, "{stats:?}");
+}

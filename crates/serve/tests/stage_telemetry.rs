@@ -45,10 +45,10 @@ fn every_stage_histogram_counts_its_unit() {
             .map_or(0, |(_, h)| h.count())
     };
     for name in [
-        "serve.stage.decode_us",
-        "serve.stage.queue_us",
-        "serve.stage.eval_us",
-        "serve.stage.write_us",
+        "serve.stage.decode_ns",
+        "serve.stage.queue_ns",
+        "serve.stage.eval_ns",
+        "serve.stage.write_ns",
         "serve.request_us",
         "serve.batch_lanes",
     ] {

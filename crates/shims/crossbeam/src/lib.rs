@@ -77,7 +77,7 @@ pub mod channel {
     //! receiver is gone.
 
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Shared<T> {
@@ -91,6 +91,35 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty` and senders blocked on
+        /// `not_full`: a condvar is notified only when someone waits on
+        /// it, so an uncontended send or receive makes no wake-up call.
+        recv_waiting: usize,
+        send_waiting: usize,
+    }
+
+    impl<T> Shared<T> {
+        /// Enqueues under the held lock, then wakes one blocked receiver.
+        fn push(&self, mut g: MutexGuard<'_, Inner<T>>, msg: T) {
+            g.queue.push_back(msg);
+            let wake = g.recv_waiting > 0;
+            drop(g);
+            if wake {
+                self.not_empty.notify_one();
+            }
+        }
+
+        /// Dequeues under the held lock from a queue the caller found
+        /// non-empty, then wakes one blocked sender.
+        fn pop(&self, mut g: MutexGuard<'_, Inner<T>>) -> T {
+            let msg = g.queue.pop_front().expect("caller checked the queue");
+            let wake = g.send_waiting > 0;
+            drop(g);
+            if wake {
+                self.not_full.notify_one();
+            }
+            msg
+        }
     }
 
     /// Error for [`Sender::try_send`]: the message is handed back so a
@@ -198,16 +227,14 @@ pub mod channel {
         /// Non-blocking send: enqueues, or reports `Full`/`Disconnected`
         /// immediately with the message handed back.
         pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut g = self.shared.inner.lock().expect("channel poisoned");
+            let g = self.shared.inner.lock().expect("channel poisoned");
             if g.receivers == 0 {
                 return Err(TrySendError::Disconnected(msg));
             }
             if g.queue.len() >= self.shared.capacity {
                 return Err(TrySendError::Full(msg));
             }
-            g.queue.push_back(msg);
-            drop(g);
-            self.shared.not_empty.notify_one();
+            self.shared.push(g, msg);
             Ok(())
         }
 
@@ -219,12 +246,12 @@ pub mod channel {
                     return Err(SendError(msg));
                 }
                 if g.queue.len() < self.shared.capacity {
-                    g.queue.push_back(msg);
-                    drop(g);
-                    self.shared.not_empty.notify_one();
+                    self.shared.push(g, msg);
                     return Ok(());
                 }
+                g.send_waiting += 1;
                 g = self.shared.not_full.wait(g).expect("channel poisoned");
+                g.send_waiting -= 1;
             }
         }
 
@@ -250,25 +277,23 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut g = self.shared.inner.lock().expect("channel poisoned");
             loop {
-                if let Some(msg) = g.queue.pop_front() {
-                    drop(g);
-                    self.shared.not_full.notify_one();
-                    return Ok(msg);
+                if !g.queue.is_empty() {
+                    return Ok(self.shared.pop(g));
                 }
                 if g.senders == 0 {
                     return Err(RecvError);
                 }
+                g.recv_waiting += 1;
                 g = self.shared.not_empty.wait(g).expect("channel poisoned");
+                g.recv_waiting -= 1;
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut g = self.shared.inner.lock().expect("channel poisoned");
-            if let Some(msg) = g.queue.pop_front() {
-                drop(g);
-                self.shared.not_full.notify_one();
-                return Ok(msg);
+            let g = self.shared.inner.lock().expect("channel poisoned");
+            if !g.queue.is_empty() {
+                return Ok(self.shared.pop(g));
             }
             if g.senders == 0 {
                 Err(TryRecvError::Disconnected)
@@ -283,10 +308,8 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut g = self.shared.inner.lock().expect("channel poisoned");
             loop {
-                if let Some(msg) = g.queue.pop_front() {
-                    drop(g);
-                    self.shared.not_full.notify_one();
-                    return Ok(msg);
+                if !g.queue.is_empty() {
+                    return Ok(self.shared.pop(g));
                 }
                 if g.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
@@ -298,12 +321,14 @@ pub mod channel {
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
+                g.recv_waiting += 1;
                 let (guard, res) = self
                     .shared
                     .not_empty
                     .wait_timeout(g, remaining)
                     .expect("channel poisoned");
                 g = guard;
+                g.recv_waiting -= 1;
                 if res.timed_out() && g.queue.is_empty() {
                     if g.senders == 0 {
                         return Err(RecvTimeoutError::Disconnected);
@@ -339,6 +364,8 @@ pub mod channel {
                 queue: VecDeque::with_capacity(capacity.clamp(1, 1024)),
                 senders: 1,
                 receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),

@@ -670,6 +670,10 @@ fn default_campaign_manifest_counts_mutant_outcomes() {
         ],
         [665, 0, 0]
     );
+    // The vectors the sweeps ran: 1,313 variants of the four networks'
+    // exhaustive workloads (256 vectors; fish's 25), less the 19 dead
+    // mutants, which run none.
+    assert_eq!(counter("faults.vectors_evaluated"), 246_256);
     assert!(counter("faults.eval_ns") > 0);
     assert!(counter("faults.check_ns") > 0);
 
