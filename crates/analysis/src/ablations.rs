@@ -140,6 +140,16 @@ mod tests {
         assert!(factor > 3.0, "combinational dispatch must cost several x");
     }
 
+    /// The combinational costs behind `results/e18_dispatch_ablation.csv`.
+    #[test]
+    fn e18_costs_are_pinned() {
+        let costs: Vec<_> = [(64, 4), (256, 8), (1024, 16)]
+            .into_iter()
+            .map(|(m, k)| dispatch_ablation(m, k))
+            .collect();
+        assert_eq!(costs, [(284, 68), (2187, 264), (16_847, 1040)]);
+    }
+
     #[test]
     fn render_all_contains_three_sections() {
         let s = render_all();

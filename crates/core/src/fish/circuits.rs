@@ -14,7 +14,6 @@
 //! depth 1 — eq. 9's `C_SWAP`/`D_SWAP` terms, verified in hardware).
 
 use crate::muxmerge;
-use absort_blocks::adder::{add, AdderKind};
 use absort_circuit::{assert_pow2, Builder, Circuit, Wire};
 
 /// Builds the m-input k-SWAP as a circuit: `k` two-way swappers, each on
@@ -86,73 +85,93 @@ fn kmerger_wires(b: &mut Builder, ins: &[Wire], k: usize) -> Vec<Wire> {
     b.scoped("final_merge", |b| muxmerge::merger_wires(b, &joined))
 }
 
+/// One bit of a rank word: a wire, or `None` for a bit known to be 0.
+/// Counts start at 0 and gain a bit only when a carry first reaches it.
+type Bit = Option<Wire>;
+
 /// Combinational clean sorter on `k` clean blocks: computes each block's
 /// destination rank (zeros before it, or total zeros + ones before it),
 /// then routes every line with a k-way indicator/OR select. Carries the
 /// data (no broadcast shortcut), so payload-level equivalence with the
 /// Model B dispatch holds line by line.
-#[allow(clippy::needless_range_loop)] // rank/indicator matrices are indexed in lockstep
+///
+/// Every gate it places is one the compiled tape keeps: the rank adders
+/// fold their known-zero bits as they are built ([`add_folded`]), and
+/// each block's rank is decoded once, sharing prefixes.
 fn clean_sorter_wires(b: &mut Builder, ins: &[Wire], k: usize) -> Vec<Wire> {
     let half = ins.len();
     let block = half / k;
     let kbits = k.trailing_zeros() as usize;
     let leading: Vec<Wire> = (0..k).map(|i| ins[i * block]).collect();
 
-    // Running counts: zeros_before[i], ones_before[i] as kbits-bit words
-    // (dest < k always fits). Built with 1-bit increments (adders of
-    // width kbits against a zero-extended bit).
-    let zero = b.constant(false);
-    let mut zeros_before: Vec<Vec<Wire>> = Vec::with_capacity(k + 1);
-    let mut ones_before: Vec<Vec<Wire>> = Vec::with_capacity(k);
-    zeros_before.push(vec![zero; kbits]);
-    ones_before.push(vec![zero; kbits]);
-    for i in 0..k {
-        let nb = b.not(leading[i]);
-        let mut inc_z = vec![zero; kbits];
-        inc_z[0] = nb;
-        let mut inc_o = vec![zero; kbits];
-        inc_o[0] = leading[i];
-        let z = add(b, AdderKind::Ripple, &zeros_before[i], &inc_z);
-        let o = add(b, AdderKind::Ripple, &ones_before[i], &inc_o);
-        zeros_before.push(z[..kbits].to_vec());
-        ones_before.push(o[..kbits].to_vec());
-    }
-    let zeros_total = zeros_before[k].clone();
-
-    // dest_i = b_i ? zeros_total + ones_before[i] : zeros_before[i]
-    let mut dest: Vec<Vec<Wire>> = Vec::with_capacity(k);
-    for i in 0..k {
-        let sum = add(b, AdderKind::Ripple, &zeros_total, &ones_before[i]);
-        let bits: Vec<Wire> = (0..kbits)
-            .map(|t| b.mux2(leading[i], zeros_before[i][t], sum[t]))
-            .collect();
-        dest.push(bits);
-    }
-
-    // indicator(i, j) = [dest_i == j]
-    let mut indicator = vec![vec![zero; k]; k];
-    for (i, d) in dest.iter().enumerate() {
-        for j in 0..k {
-            let mut acc: Option<Wire> = None;
-            for (t, &bit) in d.iter().enumerate() {
-                let want = (j >> t) & 1 == 1;
-                let term = if want { bit } else { b.not(bit) };
-                acc = Some(match acc {
-                    None => term,
-                    Some(a) => b.and(a, term),
-                });
-            }
-            indicator[i][j] = acc.expect("k >= 2 so kbits >= 1");
+    // Running counts zeros_before[i], ones_before[i] as kbits-bit words
+    // (dest < k always fits): each adds block i's leading bit, or its
+    // inverse, to the count before it. The last ones count is never
+    // read, so it is not built.
+    let mut zeros_before: Vec<Vec<Bit>> = vec![vec![None; kbits]];
+    let mut ones_before: Vec<Vec<Bit>> = vec![vec![None; kbits]];
+    for (i, &lead) in leading.iter().enumerate() {
+        let mut inc = vec![None; kbits];
+        inc[0] = Some(b.not(lead));
+        zeros_before.push(add_folded(b, &zeros_before[i], &inc));
+        if i + 1 < k {
+            inc[0] = Some(lead);
+            ones_before.push(add_folded(b, &ones_before[i], &inc));
         }
     }
+    let zeros_total = zeros_before.pop().expect("k >= 1 counts");
+
+    // dest_i = b_i ? zeros_total + ones_before[i] : zeros_before[i]
+    let dest: Vec<Vec<Wire>> = (0..k)
+        .map(|i| {
+            let sum = add_folded(b, &zeros_total, &ones_before[i]);
+            (0..kbits)
+                .map(|t| {
+                    let lo = zeros_before[i][t].unwrap_or_else(|| b.constant(false));
+                    b.mux2(leading[i], lo, sum[t].expect("zeros_total is all wires"))
+                })
+                .collect()
+        })
+        .collect();
+
+    // indicator[i][j] = [dest_i == j], decoded low bit first: prefix[t][p]
+    // = [dest_i mod 2^(t+1) == p] ANDs prefix[t-1][p mod 2^t] with bit t
+    // or its one inverter. Gates are placed in the order the indicators
+    // for j = 0, 1, … first need them.
+    let indicator: Vec<Vec<Wire>> = dest
+        .iter()
+        .map(|d| {
+            let mut inv = Vec::with_capacity(kbits);
+            let mut prefix: Vec<Vec<Wire>> =
+                (0..kbits).map(|t| Vec::with_capacity(2 << t)).collect();
+            for j in 0..k {
+                for t in (0..kbits).filter(|&t| j < 2 << t) {
+                    let term = if j >> t & 1 == 1 {
+                        d[t]
+                    } else {
+                        if j == 0 {
+                            inv.push(b.not(d[t]));
+                        }
+                        inv[t]
+                    };
+                    let w = match t {
+                        0 => term,
+                        _ => b.and(prefix[t - 1][j % (1 << t)], term),
+                    };
+                    prefix[t].push(w);
+                }
+            }
+            prefix.pop().expect("k >= 2 so kbits >= 1")
+        })
+        .collect();
 
     // output block j, line l = OR_i (indicator[i][j] AND ins[i*block + l])
     let mut out = Vec::with_capacity(half);
     for j in 0..k {
         for l in 0..block {
             let mut acc: Option<Wire> = None;
-            for i in 0..k {
-                let t = b.and(indicator[i][j], ins[i * block + l]);
+            for (i, ind) in indicator.iter().enumerate() {
+                let t = b.and(ind[j], ins[i * block + l]);
                 acc = Some(match acc {
                     None => t,
                     Some(a) => b.or(a, t),
@@ -162,6 +181,40 @@ fn clean_sorter_wires(b: &mut Builder, ins: &[Wire], k: usize) -> Vec<Wire> {
         }
     }
     out
+}
+
+/// Ripple-carry sum of two equal-width little-endian words, truncated to
+/// that width. Known-zero bits fold as the stages are built: a stage with
+/// one live input passes it through, one with two is a half adder, and
+/// only a stage with three is a full adder. No carry is built past the
+/// top bit.
+fn add_folded(b: &mut Builder, x: &[Bit], y: &[Bit]) -> Vec<Bit> {
+    let width = x.len();
+    let mut carry: Bit = None;
+    let mut sum = Vec::with_capacity(width);
+    for t in 0..width {
+        let carry_read = t + 1 < width;
+        let live: Vec<Wire> = [x[t], y[t], carry].into_iter().flatten().collect();
+        let (s, c) = match live[..] {
+            [] => (None, None),
+            [w] => (Some(w), None),
+            [p, q] => (Some(b.xor(p, q)), carry_read.then(|| b.and(p, q))),
+            [p, q, cin] => {
+                let half = b.xor(p, q);
+                let s = b.xor(half, cin);
+                let c = carry_read.then(|| {
+                    let generate = b.and(p, q);
+                    let propagate = b.and(half, cin);
+                    b.or(generate, propagate)
+                });
+                (Some(s), c)
+            }
+            _ => unreachable!("three inputs per stage"),
+        };
+        sum.push(s);
+        carry = c;
+    }
+    sum
 }
 
 /// The E18 ablation numbers at merger width `m`: the combinational
@@ -229,6 +282,35 @@ mod tests {
         }
     }
 
+    /// All 17^4 = 83,521 k-sorted inputs at (64, 4), through the compiled
+    /// O1 tape in `[u64; 4]` lanes, 256 inputs per pass.
+    #[test]
+    fn compiled_merger_sorts_all_k_sorted_at_64_4() {
+        use absort_circuit::{CompileOptions, CompiledEvaluator, OptLevel};
+        let (m, k) = (64usize, 4usize);
+        let cc = build_combinational_kmerger(m, k)
+            .compile_with(&CompileOptions::for_level(OptLevel::O1));
+        let mut eval = CompiledEvaluator::<[u64; 4]>::new(&cc);
+        let inputs = lang::all_k_sorted(m, k);
+        assert_eq!(inputs.len(), 17usize.pow(4));
+        for chunk in inputs.chunks(256) {
+            let mut packed = vec![[0u64; 4]; m];
+            for (lane, s) in chunk.iter().enumerate() {
+                for (w, &bit) in packed.iter_mut().zip(s) {
+                    w[lane / 64] |= u64::from(bit) << (lane % 64);
+                }
+            }
+            let out = eval.run(&packed);
+            for (lane, s) in chunk.iter().enumerate() {
+                let got: Vec<bool> = out
+                    .iter()
+                    .map(|w| w[lane / 64] >> (lane % 64) & 1 == 1)
+                    .collect();
+                assert_eq!(got, lang::sorted_oracle(s), "input {s:?}");
+            }
+        }
+    }
+
     #[test]
     fn combinational_merger_matches_model_b_dataflow() {
         use rand::prelude::*;
@@ -244,6 +326,14 @@ mod tests {
                 s.extend(std::iter::repeat_n(true, ones));
             }
             assert_eq!(c.eval(&s), kmerge::kmerge(&s, k));
+        }
+        // The widths whose rank words are 4 and 5 bits wide.
+        for (m, k) in [(512usize, 16usize), (1024, 32)] {
+            let c = build_combinational_kmerger(m, k);
+            for seed in 0..24 {
+                let s = lang::gen::k_sorted(seed, m, k);
+                assert_eq!(c.eval(&s), kmerge::kmerge(&s, k), "m={m} k={k} seed={seed}");
+            }
         }
     }
 

@@ -93,24 +93,24 @@ fn exhaustive_equivalence_at_small_n() {
 /// Decode fuses every lane type alike, and at least as far as the
 /// tape-level fuse pass it replaced: `dispatches()` is equal for `bool`,
 /// `u64` and `[u64; 4]` and at most the pins. A pin is that pass's fused
-/// tape length, or today's count where decode does better (prefix at
-/// both tiers, fish at O2). Decode may also fuse across depth levels,
-/// which the pass never did. An evaluator on a shared [`Decoded`]
-/// program dispatches exactly what `CompiledEvaluator::new`'s does.
+/// tape length, or today's count where decode does better (prefix and
+/// fish). Decode may also fuse across depth levels, which the pass never
+/// did. An evaluator on a shared [`Decoded`] program dispatches exactly
+/// what `CompiledEvaluator::new`'s does.
 #[test]
 fn decoded_dispatch_counts_are_pinned() {
-    // (network, n, fused tape length at O1, at O2)
-    let pins: [(&str, usize, usize, usize); 8] = [
-        ("prefix", 64, 664, 664),
-        ("mux-merger", 64, 146, 146),
-        ("nonadaptive", 64, 336, 336),
-        ("fish", 64, 1345, 942),
-        ("prefix", 1024, 17_124, 17_124),
-        ("mux-merger", 1024, 2538, 2538),
-        ("nonadaptive", 1024, 14_080, 14_080),
-        ("fish", 1024, 60_033, 40_781),
+    // (network, n, fused tape length at O1 and O2)
+    let pins: [(&str, usize, usize); 8] = [
+        ("prefix", 64, 664),
+        ("mux-merger", 64, 146),
+        ("nonadaptive", 64, 336),
+        ("fish", 64, 942),
+        ("prefix", 1024, 17_124),
+        ("mux-merger", 1024, 2538),
+        ("nonadaptive", 1024, 14_080),
+        ("fish", 1024, 40_781),
     ];
-    for (name, n, o1, o2) in pins {
+    for (name, n, pin) in pins {
         let circuit = match name {
             "prefix" => prefix::build(n),
             "mux-merger" => muxmerge::build(n),
@@ -118,7 +118,7 @@ fn decoded_dispatch_counts_are_pinned() {
             _ => fish::circuits::build_combinational_kmerger(n, fish_k(n)),
         };
         let mut counts = Vec::new();
-        for (level, pin) in [(OptLevel::O1, o1), (OptLevel::O2, o2)] {
+        for level in [OptLevel::O1, OptLevel::O2] {
             let cc = circuit.compile_with(&CompileOptions::for_level(level));
             let scalar = dispatches::<bool>(&cc, name, n);
             let wide = dispatches::<[u64; 4]>(&cc, name, n);
@@ -137,14 +137,12 @@ fn decoded_dispatch_counts_are_pinned() {
             );
             counts.push(wide);
         }
-        if name == "prefix" {
-            // CSE and const-prop find nothing to merge or fold in the
-            // bare prefix sorter, so O2 decodes exactly as O1 does.
-            assert_eq!(
-                counts[1], counts[0],
-                "prefix n={n}: O2 decodes apart from O1"
-            );
-        }
+        // CSE and const-prop find nothing to merge or fold in the bare
+        // networks, so O2 decodes exactly as O1 does.
+        assert_eq!(
+            counts[1], counts[0],
+            "{name} n={n}: O2 decodes apart from O1"
+        );
     }
 }
 

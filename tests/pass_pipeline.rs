@@ -28,7 +28,7 @@ use absort::networks::hardened::{harden, HardenOptions};
 
 /// The network catalog at width `n` (fish needs `k ≤ n/k`, so it joins
 /// from `n = 4` up), plus the hardened wrappers campaigns actually
-/// sweep — the circuits where CSE and const-prop genuinely fire.
+/// sweep — the circuits where CSE genuinely fires.
 fn catalog(n: usize) -> Vec<(String, Circuit)> {
     let mut v = bare(n);
     let hardened: Vec<(String, Circuit)> = v
@@ -156,8 +156,7 @@ fn schedule_order_is_the_stable_sort_by_level() {
 
 /// Optimization must shrink, never grow, the tape — and the default
 /// (O2) pipeline must show a measured reduction over O1 on the hardened
-/// catalog (CSE merges checker structure, const-prop folds the fish
-/// merger's constant padding).
+/// catalog (CSE merges checker structure).
 #[test]
 fn higher_opt_levels_never_grow_the_tape() {
     let mut o2_won_somewhere = false;
@@ -182,6 +181,33 @@ fn higher_opt_levels_never_grow_the_tape() {
         o2_won_somewhere,
         "CSE + const-prop must shrink some catalog tape beyond O1"
     );
+}
+
+/// The bare networks' builders place no logic that const-prop or CSE
+/// would remove: at every n = 4…1024 both passes find nothing, and the
+/// O2 tape is the O1 tape op for op, slot for slot.
+#[test]
+fn o2_finds_nothing_on_the_bare_networks() {
+    for lg in 2..=10 {
+        let n = 1 << lg;
+        for (name, circuit) in bare(n) {
+            let o1 = circuit.compile_with(&CompileOptions::for_level(OptLevel::O1));
+            let o2 = circuit.compile_with(&CompileOptions::for_level(OptLevel::O2));
+            for pass in [PassName::ConstProp, PassName::Cse] {
+                let stats = o2
+                    .pass_stats()
+                    .iter()
+                    .find(|s| s.name == pass.name())
+                    .unwrap_or_else(|| panic!("{name} n={n}: O2 ran no {pass}"));
+                assert_eq!(stats.removed(), 0, "{name} n={n}: {pass} removed ops");
+            }
+            assert!(o2.tape() == o1.tape(), "{name} n={n}: O2 tape differs");
+            assert_eq!(o2.perm_sets(), o1.perm_sets(), "{name} n={n}");
+            assert_eq!(o2.n_slots(), o1.n_slots(), "{name} n={n}");
+            assert_eq!(o2.input_slots(), o1.input_slots(), "{name} n={n}");
+            assert_eq!(o2.output_slots(), o1.output_slots(), "{name} n={n}");
+        }
+    }
 }
 
 /// A fault campaign's report must be bit-identical across opt levels:
