@@ -13,7 +13,7 @@
 //! ```
 
 use absort::circuit::{
-    dot, CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, PassSet,
+    dot, CompileOptions, CompiledEvaluator, Engine, Evaluator, OptLevel, OptLevelError,
 };
 use absort::core::{lang, muxmerge, nonadaptive, prefix, SorterKind};
 use absort::networks::concentrator::Concentrator;
@@ -79,15 +79,11 @@ fn usage() -> ! {
                                  sweep drivers (default: compiled — the\n\
                                  netlist is lowered once to a register-\n\
                                  allocated micro-op tape)\n\
-           --opt-level <0|1|2>   compiled-engine optimization tier\n\
-                                 (default 2: every pass; 1 matches the\n\
-                                 pre-pipeline compiler; 0 is bare lowering;\n\
-                                 --faults campaigns default to 1, where no\n\
-                                 mutant needs a per-mutant recompile)\n\
-           --passes <list>       explicit comma-separated pass list for the\n\
-                                 compiled engine, overriding --opt-level\n\
-                                 (const-prologue, const-prop, cse, dce;\n\
-                                 \"none\" disables all)\n\
+           --opt-level <0|1>     compiled-engine optimization tier for every\n\
+                                 command, campaigns and serve included\n\
+                                 (default 1: constant prologue and dead-code\n\
+                                 elimination; 0 is bare lowering; 2 was\n\
+                                 removed with constant propagation and CSE)\n\
            --harden-duplicate    add duplicate-and-compare to the fault\n\
                                  campaign's self-checking wrapper; the\n\
                                  summary prices the extra hardware next to\n\
@@ -146,9 +142,6 @@ fn enum_flag_error(flag: &str, got: Option<&String>, valid: &str) -> ! {
     usage();
 }
 
-/// Valid `--passes` tokens, quoted back at the user on a parse error.
-const VALID_PASSES: &str = "const-prologue, const-prop, cse, dce, none";
-
 fn parse_kind(s: &str) -> SorterKind {
     match s {
         "prefix" => SorterKind::Prefix,
@@ -166,10 +159,7 @@ struct Args {
     n: Option<usize>,
     m: Option<usize>,
     engine: Engine,
-    opt: CompileOptions,
-    /// `--opt-level` or `--passes` was given; otherwise fault
-    /// campaigns compile at the campaign default instead of `opt`.
-    opt_given: bool,
+    opt: OptLevel,
     harden_duplicate: bool,
     metrics: bool,
     metrics_out: Option<String>,
@@ -186,9 +176,6 @@ struct Args {
     checkpoint: Option<String>,
     resume: bool,
     faults_timeout_secs: Option<u64>,
-    /// `--opt-level`, if given; `serve` otherwise compiles at the
-    /// daemon's default tier.
-    opt_level: Option<OptLevel>,
     addr: Option<String>,
     workers: Option<usize>,
     queue: Option<usize>,
@@ -204,8 +191,7 @@ fn parse_args(argv: &[String]) -> Args {
         n: None,
         m: None,
         engine: Engine::default(),
-        opt: CompileOptions::default(),
-        opt_given: false,
+        opt: OptLevel::default(),
         harden_duplicate: false,
         metrics: false,
         metrics_out: None,
@@ -222,7 +208,6 @@ fn parse_args(argv: &[String]) -> Args {
         checkpoint: None,
         resume: false,
         faults_timeout_secs: None,
-        opt_level: None,
         addr: None,
         workers: None,
         queue: None,
@@ -255,23 +240,18 @@ fn parse_args(argv: &[String]) -> Args {
             }
             "--opt-level" => {
                 let v = it.next();
-                let level = v
-                    .and_then(|v| OptLevel::parse(v))
-                    .unwrap_or_else(|| enum_flag_error("--opt-level", v, "0, 1, 2"));
-                a.opt.passes = level.passes();
-                a.opt_level = Some(level);
-                a.opt_given = true;
-            }
-            "--passes" => {
-                let v = it.next();
-                let Some(v) = v else {
-                    enum_flag_error("--passes", None, VALID_PASSES)
+                a.opt = match v.map(|v| (v, OptLevel::parse(v))) {
+                    Some((_, Ok(level))) => level,
+                    Some((v, Err(OptLevelError::Removed))) => {
+                        eprintln!(
+                            "error: --opt-level {v:?} was removed with constant propagation \
+                             and CSE (valid: {})\n",
+                            OptLevel::VALID
+                        );
+                        usage()
+                    }
+                    _ => enum_flag_error("--opt-level", v, OptLevel::VALID),
                 };
-                match PassSet::parse_list(v) {
-                    Ok(set) => a.opt.passes = set,
-                    Err(tok) => enum_flag_error("--passes", Some(&tok), VALID_PASSES),
-                }
-                a.opt_given = true;
             }
             "--harden-duplicate" => a.harden_duplicate = true,
             "--metrics" => a.metrics = true,
@@ -562,8 +542,8 @@ fn cmd_inspect(a: &Args) {
     );
     println!("hardware profile:");
     print!("{}", c.scope_report(3));
-    let cc = c.compile_with(&a.opt);
-    println!("compiled tape (passes: {}):", a.opt.passes.fingerprint());
+    let cc = c.compile_with(&CompileOptions::for_level(a.opt));
+    println!("compiled tape (opt level {}):", a.opt);
     for s in cc.pass_stats() {
         println!(
             "  {:<14} {:>6} -> {:>6} ops  (-{})",
@@ -756,7 +736,7 @@ fn cmd_verify(a: &Args) {
         let c = build_circuit(&a.network, n);
         match a.engine {
             Engine::Compiled => {
-                let cc = c.compile_with(&a.opt);
+                let cc = c.compile_with(&CompileOptions::for_level(a.opt));
                 let mut ev: CompiledEvaluator<'_, u64> = CompiledEvaluator::new(&cc);
                 verify_sweep(n, |p, o| ev.run_into(p, o))
             }
@@ -797,7 +777,7 @@ fn cmd_emit(a: &Args) {
     } else {
         build_circuit(&a.network, n)
     };
-    let cc = c.compile_with(&a.opt);
+    let cc = c.compile_with(&CompileOptions::for_level(a.opt));
     let fn_name = a.fn_name.clone().unwrap_or_else(|| {
         format!(
             "sort_{}_{n}",
@@ -849,8 +829,7 @@ fn cmd_eval(a: &Args) {
 }
 
 /// The daemon's configuration: the serve flags over
-/// [`ServeConfig::default`], whose compiler tier holds unless
-/// `--opt-level` is given.
+/// [`ServeConfig::default`].
 fn serve_config(a: &Args) -> ServeConfig {
     let defaults = ServeConfig::default();
     ServeConfig {
@@ -865,7 +844,7 @@ fn serve_config(a: &Args) -> ServeConfig {
             .max_n
             .map_or(absort::serve::proto::DEFAULT_MAX_N, |n| n as u32),
         chaos: a.chaos,
-        opt: a.opt_level.unwrap_or(defaults.opt),
+        opt: a.opt,
         ..defaults
     }
 }
@@ -966,18 +945,16 @@ fn cmd_faults(a: &Args) {
             }
         }
     };
-    let mut cfg = fc::CampaignConfig {
+    let cfg = fc::CampaignConfig {
         n,
         engine: a.engine,
+        opt: CompileOptions::for_level(a.opt),
         harden: absort::networks::hardened::HardenOptions {
             duplicate: a.harden_duplicate,
             ..Default::default()
         },
         ..Default::default()
     };
-    if a.opt_given {
-        cfg.opt = a.opt;
-    }
     // --resume implies a checkpoint; default its path so "interrupt, then
     // rerun with --resume" works without repeating the flag pair.
     let checkpoint = a.checkpoint.clone().or_else(|| {
@@ -1099,7 +1076,7 @@ fn cmd_metrics_run(a: &Args) {
     record_circuit_section(&a.network, n, &circuit.stats());
     let cc = {
         let _s = absort_telemetry::span("compile");
-        circuit.compile_with(&a.opt)
+        circuit.compile_with(&CompileOptions::for_level(a.opt))
     };
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     let mut splitmix = move || {
@@ -1279,6 +1256,6 @@ mod tests {
     #[test]
     fn serve_follows_the_daemon_default_opt_level() {
         assert_eq!(serve_config(&args(&[])).opt, ServeConfig::default().opt);
-        assert_eq!(serve_config(&args(&["--opt-level", "2"])).opt, OptLevel::O2);
+        assert_eq!(serve_config(&args(&["--opt-level", "0"])).opt, OptLevel::O0);
     }
 }

@@ -56,8 +56,7 @@ use absort_circuit::eval::{pack_lanes, pack_lanes_wide};
 use absort_circuit::faulty::{observable_wires, permanent_fault_sites, FaultyEvaluator};
 use absort_circuit::mutate::{self, Fault};
 use absort_circuit::{
-    Circuit, CompileOptions, CompiledEvaluator, Engine, Evaluator, MutantTape, OptLevel,
-    VariantTape, Wire, WireFault,
+    Circuit, CompileOptions, Engine, Evaluator, MutantTape, VariantTape, Wire, WireFault,
 };
 use absort_core::{fish, lang, muxmerge, nonadaptive, prefix};
 use absort_faults::json;
@@ -131,13 +130,14 @@ pub struct CampaignConfig {
     /// express, OR-bridges and transients run on the interpreting
     /// [`FaultyEvaluator`], as does everything under [`Engine::Interp`].
     pub engine: Engine,
-    /// Compilation options for every tape the compiled engine builds
-    /// (base and per-mutant recompiles). The pass pipeline's provenance
-    /// contract guarantees report cells are bit-identical across opt
-    /// levels; only the sweep speed changes. The default is O1: it folds
-    /// and merges nothing, so every mutant is patched in place or dead,
-    /// none recompiles, and stuck-ats patch too. At O2 a tape with a
-    /// folded component sends every stuck-at to the [`FaultyEvaluator`].
+    /// Compilation options for the base tape the compiled engine builds
+    /// per network. The pass pipeline's provenance contract guarantees
+    /// report cells are bit-identical across opt levels; only the sweep
+    /// speed changes. No pass folds or merges a component, so a mutant
+    /// is patched in place or dead, and the rare variant the tape cannot
+    /// express (a stuck demultiplexer select) is scored on the
+    /// interpreter over the rewritten netlist, as under
+    /// [`Engine::Interp`].
     pub opt: CompileOptions,
     /// Which concurrent checks the self-checking wrapper carries. The
     /// default (monotonicity + conservation) matches the paper's cheap
@@ -154,7 +154,7 @@ impl Default for CampaignConfig {
             max_exhaustive: 1 << 12,
             transient_samples: 64,
             engine: Engine::Compiled,
-            opt: CompileOptions::for_level(OptLevel::O1),
+            opt: CompileOptions::default(),
             harden: HardenOptions::default(),
         }
     }
@@ -484,9 +484,9 @@ impl<'w> Sweep<'w> {
 
     /// Scores the variant that the component faults `comps` and the
     /// stuck-at wires `stuck` make of the compiled `base`: patched in
-    /// place, skipped as dead, or — where the tape has no faithful image
-    /// of some fault — scored by `fallback`. Tallies the outcome in
-    /// `outcomes` (patched, dead, fallback).
+    /// place, skipped as dead, or — where the tape has no in-place
+    /// encoding of some fault — scored by `fallback` on the interpreter.
+    /// Tallies the outcome in `outcomes` (patched, dead, fallback).
     fn patched(
         &mut self,
         base: &mut VariantTape<[u64; 4]>,
@@ -516,15 +516,9 @@ impl<'w> Sweep<'w> {
         }
     }
 
-    /// Scores the mutant netlist `mutant`, compiled with `opt`.
-    fn recompiled(
-        &mut self,
-        mutant: &Circuit,
-        opt: &CompileOptions,
-        degradation: &mut Degradation,
-    ) -> Verdict {
-        let cc = mutant.compile_with(opt);
-        let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
+    /// Scores the netlist `circuit` on the interpreter.
+    fn interpreted(&mut self, circuit: &Circuit, degradation: &mut Degradation) -> Verdict {
+        let mut ev: Evaluator<'_, [u64; 4]> = Evaluator::new(circuit);
         self.variant(|p, o| ev.run_into(p, o), degradation)
     }
 
@@ -596,13 +590,13 @@ impl<'w> Sweep<'w> {
 }
 
 /// Adds one unit's compiled-engine outcomes to the counters: component
-/// mutants to `faults.mutants.{patched,dead,recompiled}`, and variants
+/// mutants to `faults.mutants.{patched,dead,fallback}`, and variants
 /// with stuck-at wires to `faults.wire.{patched,dead,fallback}`.
 fn count_outcomes(mutants: &[u64; 3], wires: &[u64; 3]) {
     absort_telemetry::counter_add_many(&[
         ("faults.mutants.patched", mutants[0]),
         ("faults.mutants.dead", mutants[1]),
-        ("faults.mutants.recompiled", mutants[2]),
+        ("faults.mutants.fallback", mutants[2]),
         ("faults.wire.patched", wires[0]),
         ("faults.wire.dead", wires[1]),
         ("faults.wire.fallback", wires[2]),
@@ -665,20 +659,19 @@ pub fn run_network(sel: NetworkSel, cfg: &CampaignConfig) -> NetworkReport {
         };
         for ci in mutate::applicable(&circuit, fault) {
             let hci = hardened.component(ci);
+            let interpreted = |s: &mut Sweep, d: &mut Degradation| {
+                s.interpreted(&hardened_mutant(&hardened, hci, fault), d)
+            };
             let v = sweep.timed(|s| match &mut base {
                 Some(base) => s.patched(
                     base,
                     &[(hci, fault)],
                     &[],
-                    |s, d| s.recompiled(&hardened_mutant(&hardened, hci, fault), &cfg.opt, d),
+                    interpreted,
                     &mut mutant_outcomes,
                     &mut cell.degradation,
                 ),
-                None => {
-                    let hm = hardened_mutant(&hardened, hci, fault);
-                    let mut ev: Evaluator<'_, [u64; 4]> = Evaluator::new(&hm);
-                    s.variant(|p, o| ev.run_into(p, o), &mut cell.degradation)
-                }
+                None => interpreted(s, &mut cell.degradation),
             });
             tally(&mut cell, v);
         }
@@ -908,25 +901,25 @@ pub fn run_network_sets(
                 _ => None,
             })
             .collect();
+        // Component and stuck-at members patch together; a set with a
+        // bridge, or one the tape cannot express, runs on the faulty
+        // evaluator.
         let v = sweep.timed(|s| match (&mut base, stuck) {
-            (Some(base), Some(stuck)) if stuck.is_empty() => s.patched(
-                base,
-                &patches,
-                &[],
-                |s, d| s.recompiled(&apply_set(), &cfg.opt, d),
-                &mut mutant_outcomes,
-                &mut cell.degradation,
-            ),
-            // Component and stuck-at members patch together; a set with
-            // a bridge runs on the faulty evaluator.
-            (Some(base), Some(stuck)) => s.patched(
-                base,
-                &patches,
-                &stuck,
-                faulty,
-                &mut wire_outcomes,
-                &mut cell.degradation,
-            ),
+            (Some(base), Some(stuck)) => {
+                let outcomes = if stuck.is_empty() {
+                    &mut mutant_outcomes
+                } else {
+                    &mut wire_outcomes
+                };
+                s.patched(
+                    base,
+                    &patches,
+                    &stuck,
+                    faulty,
+                    outcomes,
+                    &mut cell.degradation,
+                )
+            }
             _ => faulty(s, &mut cell.degradation),
         });
         tally(&mut cell, v);
@@ -978,7 +971,7 @@ fn unit_key(u: Unit) -> (&'static str, u64) {
 fn fingerprint(networks: &[NetworkSel], cfg: &CampaignConfig, opts: &CampaignOptions) -> String {
     let nets: Vec<&str> = networks.iter().map(|s| s.name()).collect();
     // Hardening changes what circuit is swept (and the cost columns);
-    // the pass set provably does not change any report cell, but it is
+    // the opt level provably does not change any report cell, but it is
     // fingerprinted anyway so a resumed campaign replays the exact
     // configuration of the run that wrote the checkpoint.
     let harden = [
@@ -993,13 +986,13 @@ fn fingerprint(networks: &[NetworkSel], cfg: &CampaignConfig, opts: &CampaignOpt
     .collect::<Vec<_>>()
     .join("+");
     format!(
-        "absort-faults/v3|n={}|seed={:#x}|max_exhaustive={}|transients={}|engine={}|opt={}|harden={}|multi={}|sets={}|clocked={}|tenants={}|nets={}",
+        "absort-faults/v3|n={}|seed={:#x}|max_exhaustive={}|transients={}|engine={}|opt=O{}|harden={}|multi={}|sets={}|clocked={}|tenants={}|nets={}",
         cfg.n,
         cfg.seed,
         cfg.max_exhaustive,
         cfg.transient_samples,
         cfg.engine.name(),
-        cfg.opt.passes.fingerprint(),
+        cfg.opt.level,
         harden,
         opts.multi,
         opts.sets_per_k,

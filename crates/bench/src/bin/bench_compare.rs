@@ -20,10 +20,8 @@
 //!   below 1.0: the compiled engine must beat the interpreter.
 //! - **WARN** (exit 0, or exit 3 with `--strict`): `lanes_speedup`
 //!   dropping more than 10% below the baseline on any common size, the
-//!   fault-campaign `speedup` doing the same, a row's O2 wide walk
-//!   (`compiled_wide_ms`) running more than 10% above its O1 walk, or
-//!   a serve report's `throughput_rps` dropping more than 10% on a
-//!   comparable workload.
+//!   fault-campaign `speedup` doing the same, or a serve report's
+//!   `throughput_rps` dropping more than 10% on a comparable workload.
 //!
 //! Usage:
 //!   bench_compare <fresh.json> <baseline.json> [--strict] [--allow-missing-sizes]
@@ -56,7 +54,7 @@ const V3_REQUIRED_SIZE_METRICS: &[&str] = &["compile.pass.fuse.fused"];
 /// Opt-level tiers every fresh size row must carry in `opt_levels` once
 /// the fresh document declares v5 or newer, each with its `tape_len`
 /// and `compiled_wide_ms`.
-const V5_REQUIRED_TIERS: [i64; 3] = [0, 1, 2];
+const V5_REQUIRED_TIERS: [i64; 2] = [0, 1];
 
 /// Metrics that are only present on some rows (e.g. `emitted_scalar_ms`
 /// exists only where a committed golden exists): required on a fresh row
@@ -161,7 +159,6 @@ fn check_speedup(label: &str, fresh: f64, base: f64, out: &mut Outcome) {
 struct Tier {
     level: i64,
     tape_len: f64,
-    wide_ms: f64,
 }
 
 /// The row's `opt_levels` entries that carry a level, a tape length and
@@ -173,10 +170,10 @@ fn opt_tiers(row: &Value) -> Vec<Tier> {
         .into_iter()
         .flatten()
         .filter_map(|t| {
+            t.get("compiled_wide_ms").and_then(Value::as_f64)?;
             Some(Tier {
                 level: t.get("level").and_then(Value::as_i64)?,
                 tape_len: t.get("tape_len").and_then(Value::as_f64)?,
-                wide_ms: t.get("compiled_wide_ms").and_then(Value::as_f64)?,
             })
         })
         .collect();
@@ -185,9 +182,7 @@ fn opt_tiers(row: &Value) -> Vec<Tier> {
 }
 
 /// The per-tier gate. Tape length is deterministic, so a tier whose tape
-/// is longer than the tier below it fails hard; wall clock is noisy, so
-/// an O2 wide walk more than [`SPEEDUP_DROP_THRESHOLD`] above O1's only
-/// warns.
+/// is longer than the tier below it fails hard.
 fn check_tiers(n: i64, tiers: &[Tier], out: &mut Outcome) {
     for pair in tiers.windows(2) {
         let (lo, hi) = (&pair[0], &pair[1]);
@@ -200,15 +195,6 @@ fn check_tiers(n: i64, tiers: &[Tier], out: &mut Outcome) {
             out.notes.push(format!(
                 "n={n} O{} -> O{} tape: {} -> {} ops (ok)",
                 lo.level, hi.level, lo.tape_len, hi.tape_len
-            ));
-        }
-    }
-    let wide = |level| tiers.iter().find(|t| t.level == level).map(|t| t.wide_ms);
-    if let (Some(o1), Some(o2)) = (wide(1), wide(2)) {
-        if o1 > 0.0 && (o2 - o1) / o1 > SPEEDUP_DROP_THRESHOLD {
-            out.warnings.push(format!(
-                "n={n}: O2 wide walk {o2:.3} ms is more than {:.0}% above O1's {o1:.3} ms",
-                SPEEDUP_DROP_THRESHOLD * 100.0
             ));
         }
     }
@@ -686,21 +672,19 @@ mod tests {
         );
     }
 
-    /// A v5 row: the v3 extras plus the three opt-level tiers.
-    /// `(n, [O0, O1, O2] tape lengths, O2 wide ms)`; the O0 and O1 wide
-    /// walks are pinned at 1.0 ms, so the O2 time sets the ratio.
-    fn doc_v5(rows: &[(i64, [i64; 3], f64)]) -> Value {
+    /// A v5 row: the v3 extras plus the two opt-level tiers.
+    /// `(n, [O0, O1] tape lengths)`; both wide walks read 1.0 ms.
+    fn doc_v5(rows: &[(i64, [i64; 2])]) -> Value {
         let sizes: Vec<String> = rows
             .iter()
-            .map(|(n, tapes, o2_ms)| {
+            .map(|(n, tapes)| {
                 let tiers: Vec<String> = tapes
                     .iter()
-                    .zip([1.0, 1.0, *o2_ms])
                     .enumerate()
-                    .map(|(level, (tape, ms))| {
+                    .map(|(level, tape)| {
                         format!(
                             "{{\"level\": {level}, \"tape_len\": {tape}, \
-                             \"compiled_wide_ms\": {ms}}}"
+                             \"compiled_wide_ms\": 1.0}}"
                         )
                     })
                     .collect();
@@ -734,9 +718,9 @@ mod tests {
         let out = compare_docs(&missing, &base, &Options::default());
         let text = out.failures.join("\n");
         assert!(text.contains("tier O0"), "{text}");
-        assert!(text.contains("tier O2"), "{text}");
+        assert!(text.contains("tier O1"), "{text}");
 
-        let present = doc_v5(&[(64, [800, 700, 700], 1.0)]);
+        let present = doc_v5(&[(64, [800, 700])]);
         let out = compare_docs(&present, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
         assert!(out.notes.iter().any(|n| n.contains("schema upgraded")));
@@ -744,39 +728,22 @@ mod tests {
 
     #[test]
     fn v5_tier_tape_growth_fails() {
-        // The injected-regression bite: an O2 tape longer than O1's must
+        // The injected-regression bite: an O1 tape longer than O0's must
         // fail hard even when every column is present.
-        let base = doc_v5(&[(64, [800, 700, 700], 1.0)]);
-        let grown = doc_v5(&[(64, [800, 700, 710], 1.0)]);
+        let base = doc_v5(&[(64, [800, 700])]);
+        let grown = doc_v5(&[(64, [800, 810])]);
         let out = compare_docs(&grown, &base, &Options::default());
         assert!(
             out.failures
                 .iter()
-                .any(|f| f.contains("opt-level regression") && f.contains("O2")),
+                .any(|f| f.contains("opt-level regression") && f.contains("O1")),
             "{:?}",
             out.failures
         );
         // Equality is fine: a network the higher tier cannot improve.
-        let equal = doc_v5(&[(64, [700, 700, 700], 1.0)]);
+        let equal = doc_v5(&[(64, [700, 700])]);
         let out = compare_docs(&equal, &base, &Options::default());
         assert!(out.failures.is_empty(), "{:?}", out.failures);
-    }
-
-    #[test]
-    fn v5_o2_latency_blowup_warns_but_does_not_fail() {
-        let base = doc_v5(&[(64, [800, 700, 700], 1.0)]);
-        let slow = doc_v5(&[(64, [800, 700, 700], 1.5)]);
-        let out = compare_docs(&slow, &base, &Options::default());
-        assert!(out.failures.is_empty(), "{:?}", out.failures);
-        assert!(
-            out.warnings.iter().any(|w| w.contains("O2 wide walk")),
-            "{:?}",
-            out.warnings
-        );
-
-        let close = doc_v5(&[(64, [800, 700, 700], 1.05)]);
-        let out = compare_docs(&close, &base, &Options::default());
-        assert!(out.warnings.is_empty(), "5% above O1 must not warn");
     }
 
     fn serve_doc(schema: &str, mode: &str, n: i64, rps: f64, completed: i64) -> Value {

@@ -244,6 +244,12 @@ fn size_row(n: usize, reps: usize) -> String {
         .into_iter()
         .map(|level| {
             let opts = CompileOptions::for_level(level);
+            let passes: Vec<&str> = level.passes().iter().map(|p| p.name()).collect();
+            let passes = if passes.is_empty() {
+                "-".to_owned()
+            } else {
+                passes.join("+")
+            };
             let level_compile_s = min_of(reps, 20, || circuit.compile_with(&opts));
             let cc = circuit.compile_with(&opts);
             let mut ev: CompiledEvaluator<'_, [u64; 4]> = CompiledEvaluator::new(&cc);
@@ -258,7 +264,7 @@ fn size_row(n: usize, reps: usize) -> String {
                 cc.n_slots(),
                 ms(level_compile_s),
                 ms(level_wide_s),
-                opts.passes.fingerprint(),
+                passes,
             );
             format!(
                 concat!(
@@ -272,7 +278,7 @@ fn size_row(n: usize, reps: usize) -> String {
                     "        }}"
                 ),
                 level = level,
-                passes = opts.passes.fingerprint(),
+                passes = passes,
                 compile = ms(level_compile_s),
                 tape_len = cc.tape_len(),
                 n_slots = cc.n_slots(),

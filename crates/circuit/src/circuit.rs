@@ -274,7 +274,7 @@ impl Circuit {
         crate::compile::CompiledCircuit::compile(self)
     }
 
-    /// [`Circuit::compile`] with an explicit pass set (see
+    /// [`Circuit::compile`] at an explicit opt level (see
     /// [`crate::passes`] for the pipeline and
     /// `CompileOptions::for_level` for the `--opt-level` tiers).
     pub fn compile_with(

@@ -12,12 +12,14 @@
 //!
 //! [`CompiledCircuit::compile`] runs the staged pipeline
 //! `Circuit → CompileIr → PassManager → regalloc → CompiledCircuit`:
-//! lowering lives in [`crate::ir`], every transform (constant prologue,
-//! constant propagation, CSE, DCE) is a named pass in
-//! [`crate::passes`], and slot allocation plus tape emission live in
-//! [`crate::regalloc`]. [`CompiledCircuit::compile_with`] exposes the
-//! pass set (`--opt-level` / `--passes` on the CLI); per-pass op counts
-//! land in [`CompiledCircuit::pass_stats`]. The tape properties:
+//! lowering lives in [`crate::ir`], both transforms (constant prologue,
+//! DCE) are named passes in [`crate::passes`], and slot allocation plus
+//! tape emission live in [`crate::regalloc`].
+//! [`CompiledCircuit::compile_with`] takes the opt level (`--opt-level`
+//! on the CLI); per-pass op counts land in
+//! [`CompiledCircuit::pass_stats`]. No pass folds or merges a
+//! component, so every live component is exactly one tape op. The tape
+//! properties:
 //!
 //! * **fused micro-ops** — every primitive becomes a single opcode with
 //!   `u32` slot operands (`Nand`/`Nor`/`Xnor` are single ops, not
@@ -384,11 +386,9 @@ pub struct CompiledCircuit {
     /// `(start, end)` tape index ranges, one per non-empty depth level
     /// (the prologue is not part of any level).
     pub(crate) level_ranges: Vec<(u32, u32)>,
-    /// Tape position of each source component, or a fate sentinel:
-    /// [`COMP_DEAD`] when the component was eliminated as dead code
-    /// (mutants of it are output-equivalent to the base circuit),
-    /// [`COMP_FOLDED`] when an optimization folded or merged it away so
-    /// no faithful tape image exists (mutants need a recompile). Lets
+    /// Tape position of each source component, or [`COMP_DEAD`] when the
+    /// component was eliminated as dead code (mutants of it are
+    /// output-equivalent to the base circuit). Lets
     /// [`CompiledCircuit::mutant_tape`] patch single-component faults in
     /// place instead of re-lowering the whole netlist per mutant.
     pub(crate) comp_pos: Vec<u32>,
@@ -404,9 +404,6 @@ pub struct CompiledCircuit {
 /// [`CompiledCircuit::comp_pos`] sentinel: component eliminated as dead
 /// code — a mutant of it cannot change any output.
 pub(crate) const COMP_DEAD: u32 = u32::MAX;
-/// [`CompiledCircuit::comp_pos`] sentinel: component folded, rewritten,
-/// or CSE-merged — in-place patching is unsound, recompile instead.
-pub(crate) const COMP_FOLDED: u32 = u32::MAX - 1;
 
 /// Outcome of [`CompiledCircuit::mutant_tape`] and [`VariantTape::patch`];
 /// `G` is the guard holding the patches ([`PatchGuard`] on a bare tape,
@@ -420,10 +417,11 @@ pub enum MutantTape<G> {
     /// variant is output-equivalent to the base circuit: no evaluation
     /// needed.
     Dead,
-    /// Some fault has no in-place encoding; any patches already applied
-    /// were rolled back. Callers fall back to compiling the rewritten
-    /// netlist, or to the interpreting `FaultyEvaluator` for a variant
-    /// with stuck-at wires.
+    /// Some fault has no in-place encoding (a stuck demultiplexer
+    /// select, or a stuck-at on a wire that shares its slot with another
+    /// wire); any patches already applied were rolled back. Callers
+    /// evaluate the rewritten netlist instead: a fault campaign runs the
+    /// interpreting `FaultyEvaluator` over it.
     Unsupported,
 }
 
@@ -523,16 +521,13 @@ struct WireReaders {
 
 impl WireReaders {
     /// Maps `circuit`'s wires onto the operands of `cc`, compiled from it,
-    /// by one scan of its components' tape positions. `None` when some
-    /// component is folded: CSE can make one slot carry several wires.
-    fn new(circuit: &Circuit, cc: &CompiledCircuit) -> Option<WireReaders> {
+    /// by one scan of its components' tape positions.
+    fn new(circuit: &Circuit, cc: &CompiledCircuit) -> WireReaders {
         let mut shared = vec![false; circuit.n_wires()];
         let mut reads: Vec<(u32, u32, u32)> = Vec::new();
         for (placed, &pos) in circuit.components().iter().zip(&cc.comp_pos) {
-            match pos {
-                COMP_DEAD => continue,
-                COMP_FOLDED => return None,
-                _ => {}
+            if pos == COMP_DEAD {
+                continue;
             }
             let mut slots = [0u32; 6];
             let mut k = 0;
@@ -562,12 +557,12 @@ impl WireReaders {
             let mut consts = circuit.const_wires().iter();
             consts.find(|&&(_, c)| c == v).map(|&(w, _)| w)
         };
-        Some(WireReaders {
+        WireReaders {
             reads,
             shared,
             outputs: circuit.output_wires().to_vec(),
             ties: [tie(false), tie(true)],
-        })
+        }
     }
 
     /// `fault` as `mutate::apply_set` wires it next to the stuck-at faults
@@ -596,9 +591,7 @@ impl WireReaders {
 pub struct VariantTape<V: Lane> {
     cc: CompiledCircuit,
     prog: Program<V>,
-    /// `None` when the tape has a folded component: stuck-ats are then
-    /// unsupported.
-    readers: Option<WireReaders>,
+    readers: WireReaders,
     slots: Slots<V>,
 }
 
@@ -633,9 +626,8 @@ impl<V: Lane> VariantTape<V> {
     /// instructions covering the patched ops.
     ///
     /// [`MutantTape::Unsupported`] when a component has no in-place
-    /// encoding (see [`CompiledCircuit::mutant_tape`]), when a stuck wire
-    /// shares its slot with another wire at some reader, or when the tape
-    /// has a folded component and `stuck` is not empty.
+    /// encoding (see [`CompiledCircuit::mutant_tape`]), or when a stuck
+    /// wire shares its slot with another wire at some reader.
     pub fn patch(
         &mut self,
         comps: &[(usize, Fault)],
@@ -676,22 +668,15 @@ impl<V: Lane> VariantTape<V> {
         recs: &mut Vec<PatchRecord>,
     ) -> bool {
         for &(ci, fault) in comps {
-            let fault = self
-                .readers
-                .as_ref()
-                .map_or(fault, |r| r.retie(fault, stuck));
-            match self.cc.patch_one(ci, fault) {
+            match self.cc.patch_one(ci, self.readers.retie(fault, stuck)) {
                 PatchStep::Applied(rec) => recs.push(rec),
                 PatchStep::Dead => {}
                 PatchStep::Unsupported => return false,
             }
         }
-        let Some(readers) = &self.readers else {
-            return stuck.is_empty();
-        };
         stuck
             .iter()
-            .all(|&(wire, value)| self.cc.patch_stuck(readers, wire, value, recs))
+            .all(|&(wire, value)| self.cc.patch_stuck(&self.readers, wire, value, recs))
     }
 }
 
@@ -738,15 +723,15 @@ impl<V: Lane> Drop for VariantGuard<'_, V> {
 
 impl CompiledCircuit {
     /// Compiles a circuit at the default optimization level
-    /// ([`crate::passes::OptLevel::O2`] — every pass enabled). One-time
-    /// cost, linear in the netlist.
+    /// ([`crate::passes::OptLevel::O1`]: constant prologue and DCE).
+    /// One-time cost, linear in the netlist.
     pub fn compile(c: &Circuit) -> CompiledCircuit {
         CompiledCircuit::compile_with(c, &CompileOptions::default())
     }
 
     /// Compiles a circuit through the staged pipeline
-    /// `lower → passes → schedule → regalloc` with an explicit pass
-    /// set. In debug builds (or with [`CompileOptions::verify`]) the
+    /// `lower → passes → schedule → regalloc` at an explicit opt
+    /// level. In debug builds (or with [`CompileOptions::verify`]) the
     /// pass manager re-checks IR-vs-interpreter equivalence after every
     /// stage.
     pub fn compile_with(c: &Circuit, opts: &CompileOptions) -> CompiledCircuit {
@@ -771,7 +756,7 @@ impl CompiledCircuit {
             ("compile.slots_saved", cc.slots_saved()),
             (
                 "compile.dead_ops",
-                cc.comp_pos.iter().filter(|&&p| p >= COMP_FOLDED).count() as u64,
+                cc.comp_pos.iter().filter(|&&p| p == COMP_DEAD).count() as u64,
             ),
         ]);
 
@@ -878,11 +863,6 @@ impl CompiledCircuit {
             // Dead code: no output observes the component, so the mutant
             // is output-equivalent to the base circuit.
             Some(COMP_DEAD) => return PatchStep::Dead,
-            // Folded, rewritten or CSE-merged: the tape holds no
-            // faithful image of the component, so patching would apply
-            // the wrong fault semantics (or fault several components at
-            // once). Callers recompile the rewritten netlist instead.
-            Some(COMP_FOLDED) => return PatchStep::Unsupported,
             Some(p) => p as usize,
             None => return PatchStep::Unsupported,
         };
@@ -964,9 +944,9 @@ impl CompiledCircuit {
                     pidx: intern_perms(&mut self.perm_sets, q),
                 }
             }
-            // Remaining pairs (e.g. a stuck demultiplexer select, which
-            // would need a constant-zero source): fall back to lowering
-            // the rewritten netlist.
+            // Remaining pairs (a stuck demultiplexer select, which would
+            // need a constant-zero source): callers fall back to the
+            // rewritten netlist.
             _ => return PatchStep::Unsupported,
         };
         self.tape[pos] = patched;
@@ -1853,18 +1833,12 @@ mod tests {
     /// Every mutant expressible as an in-place tape patch must evaluate
     /// exactly like the fully re-lowered mutant netlist, on every lane
     /// type, and the patch guard must restore the base tape bit for bit
-    /// on drop.
-    ///
-    /// Pinned to opt-level 1: the pre-pipeline transforms, where every
-    /// component is either live or dead — so `InvertBehaviour` is
-    /// always patchable. (At O2, constant propagation folds e.g. the
-    /// `Xnor(x, const 1)` in `kitchen_sink`, making that site
-    /// `Unsupported`; `mutant_tape_contract_at_o2` covers that.)
+    /// on drop. Every component is live or dead, so `InvertBehaviour` is
+    /// always patchable.
     #[test]
     fn mutant_tape_matches_recompiled_mutants() {
-        let o1 = CompileOptions::for_level(crate::passes::OptLevel::O1);
         for c in [kitchen_sink(), switch_chain()] {
-            let mut base = c.compile_with(&o1);
+            let mut base = c.compile();
             let baseline_tape = base.tape.clone();
             let baseline_perms = base.perm_sets.clone();
             let inputs: Vec<u64> = {
@@ -1914,68 +1888,21 @@ mod tests {
             assert!(patched_seen > 0, "no patched mutants exercised");
         }
         // The three switches really are one decoded chain.
-        let cc = switch_chain().compile_with(&o1);
+        let cc = switch_chain().compile();
         assert_eq!(cc.tape_len(), 3);
         assert_eq!(CompiledEvaluator::<bool>::new(&cc).dispatches(), 1);
         assert_eq!(CompiledEvaluator::<[u64; 4]>::new(&cc).dispatches(), 1);
     }
 
-    /// The provenance contract at the default level (O2, every pass
-    /// on): each single-fault mutant is either patched in place and
-    /// matches the recompiled mutant on every lane type, reported dead
-    /// and genuinely output-equivalent to the base, or reported
-    /// unsupported (folded / CSE-merged sites included) — never
-    /// silently wrong. Also checks that O2 really folds something in
-    /// `kitchen_sink` (the `Xnor(x, const 1)`), so the fallback path is
-    /// exercised.
-    #[test]
-    fn mutant_tape_contract_at_o2() {
-        for (c, expect_folded) in [(kitchen_sink(), true), (switch_chain(), false)] {
-            let mut base = c.compile();
-            let baseline_tape = base.tape.clone();
-            let inputs: Vec<u64> = (0..c.n_inputs())
-                .map(|i| 0x0F1E_2D3C_4B5A_6978u64.rotate_left(11 * i as u32))
-                .collect();
-            let base_out = run_every_lane_type(&base, &inputs);
-            let mut unsupported = 0usize;
-            for fault in Fault::ALL {
-                for (ci, mutant) in crate::mutate::mutants(&c, fault) {
-                    let reference = run_every_lane_type(&mutant.compile(), &inputs);
-                    match base.mutant_tape(ci, fault) {
-                        MutantTape::Patched(patched) => {
-                            assert_eq!(
-                                run_every_lane_type(&patched, &inputs),
-                                reference,
-                                "{fault:?} at component {ci}"
-                            );
-                        }
-                        MutantTape::Dead => {
-                            assert_eq!(base_out, reference, "dead {fault:?} at {ci} differs");
-                        }
-                        // Folded sites and stuck demux selects: callers
-                        // fall back to the recompiled netlist, which is
-                        // `reference` itself — nothing further to check
-                        // beyond counting that the path is exercised.
-                        MutantTape::Unsupported => unsupported += 1,
-                    }
-                    assert_eq!(base.tape, baseline_tape, "tape not restored");
-                }
-            }
-            if expect_folded {
-                assert!(unsupported > 0, "O2 folding should force fallbacks");
-            }
-        }
-    }
-
-    /// Pass stats: the default pipeline reports every optional pass in
-    /// canonical order, and CSE + const-prop shrink `kitchen_sink`'s
-    /// IR (it contains a constant-fed XNOR).
+    /// Pass stats: the default pipeline (O1) reports both optional passes
+    /// in run order, and each shrinks `kitchen_sink`'s IR (it has
+    /// constant wires and a dead gate).
     #[test]
     fn pass_stats_report_reductions() {
         let c = kitchen_sink();
         let cc = c.compile();
         let names: Vec<&str> = cc.pass_stats().iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["const-prologue", "const-prop", "cse", "dce"]);
+        assert_eq!(names, vec!["const-prologue", "dce"]);
         let removed_by = |n: &str| {
             cc.pass_stats()
                 .iter()
@@ -1983,7 +1910,7 @@ mod tests {
                 .map(PassStats::removed)
                 .unwrap()
         };
-        assert!(removed_by("const-prop") > 0, "Xnor(x, 1) should fold");
+        assert!(removed_by("const-prologue") > 0, "duplicate constants");
         assert!(removed_by("dce") > 0, "dead AND + unused consts");
         // O0 reports no pass stats and still evaluates correctly.
         let o0 = c.compile_with(&CompileOptions::for_level(crate::passes::OptLevel::O0));
@@ -2000,9 +1927,8 @@ mod tests {
     /// inside one decoded chain of `switch_chain`.
     #[test]
     fn variant_fault_sets_match_recompiled_fault_sets() {
-        let o1 = CompileOptions::for_level(crate::passes::OptLevel::O1);
         for c in [kitchen_sink(), switch_chain()] {
-            let mut base = VariantTape::<[u64; 4]>::compile(&c, &o1);
+            let mut base = VariantTape::<[u64; 4]>::compile(&c, &CompileOptions::default());
             let (baseline_tape, baseline_perms) = (base.cc.tape.clone(), base.cc.perm_sets.clone());
             let inputs: Vec<u64> = (0..c.n_inputs())
                 .map(|i| 0xA5A5_5A5A_0F0F_F0F0u64.rotate_left(7 * i as u32))
@@ -2116,7 +2042,7 @@ mod tests {
                                 MutantTape::Unsupported => true,
                             };
                             if unsupported {
-                                let shared = vt.readers.as_ref().unwrap().shared[wire.index()];
+                                let shared = vt.readers.shared[wire.index()];
                                 shared_seen += usize::from(shared);
                                 assert!(
                                     shared || matches!(vt.patch(set, &[]), MutantTape::Unsupported),

@@ -13,11 +13,10 @@
 //!
 //! Provenance is first-class: every op lowered from a netlist component
 //! carries that component's index in [`IrOp::comp`], and the fate array
-//! says whether the component is still patchable in place
-//! ([`CompFate::Live`]), was proven unobservable ([`CompFate::Dead`]),
-//! or was folded/merged away so fault campaigns must fall back to a
-//! per-mutant recompile ([`CompFate::Folded`]). See `DESIGN.md` for the
-//! soundness argument.
+//! says whether the component is still one op, patchable in place
+//! ([`CompFate::Live`]), or was proven unobservable and removed
+//! ([`CompFate::Dead`]). No pass folds or merges a component, so there
+//! is no third fate. See `DESIGN.md` for the soundness argument.
 
 use crate::circuit::Circuit;
 use crate::component::{Component, GateOp, Perm4};
@@ -213,10 +212,6 @@ pub enum CompFate {
     /// Removed because no output observes it (dead code). A mutant of
     /// this component is output-equivalent to the base circuit.
     Dead,
-    /// Folded, rewritten, or merged by an optimization: the tape holds
-    /// no faithful image of the component, so fault campaigns must
-    /// recompile the rewritten netlist for mutants at this site.
-    Folded,
 }
 
 /// The IR for one circuit as it flows through the pass pipeline.
@@ -230,20 +225,16 @@ pub struct CompileIr {
     pub n_inputs: u32,
     /// Designated output values, in output order.
     pub outputs: Vec<ValId>,
-    /// Canonical constant-`false` value (always defined by an op).
-    pub const_false: ValId,
-    /// Canonical constant-`true` value (always defined by an op).
-    pub const_true: ValId,
     /// Fate of each source component, indexed by component.
     pub comp_fate: Vec<CompFate>,
     /// Wire count of the source circuit (for slot-savings reporting).
     pub source_wires: u32,
 }
 
-/// Lowers a netlist into the IR: two canonical constant ops first (so
-/// constant-propagation always has a `false`/`true` value to alias to;
-/// DCE drops them when unused), then the circuit's constant wires, then
-/// every component in builder (topological) order.
+/// Lowers a netlist into the IR: two canonical constant ops first (the
+/// constant prologue merges every constant wire onto them; DCE drops
+/// them when unused), then the circuit's constant wires, then every
+/// component in builder (topological) order.
 pub fn lower(c: &Circuit) -> CompileIr {
     let n_inputs = c.n_inputs() as u32;
     let mut next_val = n_inputs;
@@ -270,10 +261,10 @@ pub fn lower(c: &Circuit) -> CompileIr {
         });
     };
 
-    let const_false = fresh(1);
-    push_const(&mut ops, false, const_false);
-    let const_true = fresh(1);
-    push_const(&mut ops, true, const_true);
+    for v in [false, true] {
+        let def = fresh(1);
+        push_const(&mut ops, v, def);
+    }
 
     for &(w, v) in c.const_wires() {
         let def = fresh(1);
@@ -335,8 +326,6 @@ pub fn lower(c: &Circuit) -> CompileIr {
         n_vals: next_val,
         n_inputs,
         outputs,
-        const_false,
-        const_true,
         comp_fate: vec![CompFate::Live; comps.len()],
         source_wires: c.n_wires() as u32,
     }
@@ -347,15 +336,6 @@ impl CompileIr {
     #[inline]
     pub fn source_components(&self) -> usize {
         self.comp_fate.len()
-    }
-
-    /// Marks a component folded (never downgrades `Folded`; upgrading
-    /// `Dead` to `Folded` is impossible because folding passes run
-    /// before DCE). No-op for [`NO_COMP`].
-    pub fn fold_comp(&mut self, comp: u32) {
-        if comp != NO_COMP {
-            self.comp_fate[comp as usize] = CompFate::Folded;
-        }
     }
 
     /// Drops every op whose `keep` flag is false, preserving order.

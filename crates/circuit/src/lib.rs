@@ -66,7 +66,7 @@ pub use cost::{CostReport, KindCounts};
 pub use eval::{EvalError, Evaluator};
 pub use faulty::{FaultyEvaluator, WireFault};
 pub use lane::Lane;
-pub use passes::{CompileOptions, OptLevel, PassManager, PassName, PassSet, PassStats};
+pub use passes::{CompileOptions, OptLevel, OptLevelError, PassManager, PassName, PassStats};
 pub use profile::TapeProfile;
 pub use scope::{ScopeId, ScopeTree};
 pub use stats::Stats;

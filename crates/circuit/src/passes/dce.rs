@@ -3,10 +3,7 @@
 //! One backward scan marks the output cone; everything else is deleted.
 //! A component removed here is marked [`crate::ir::CompFate::Dead`] —
 //! a fault in it is output-equivalent to the base circuit, so fault
-//! campaigns skip evaluating it entirely. Components already folded by
-//! an earlier pass keep their [`crate::ir::CompFate::Folded`] fate (a
-//! folded component is *not* unobservable in the source netlist; see
-//! `DESIGN.md`).
+//! campaigns skip evaluating it entirely.
 
 use crate::ir::{CompFate, CompileIr, NO_COMP};
 use crate::passes::Pass;
@@ -31,7 +28,7 @@ impl Pass for Dce {
                 op.kind.for_each_use(|v| used[v as usize] = true);
             } else {
                 keep[i] = false;
-                if op.comp != NO_COMP && ir.comp_fate[op.comp as usize] == CompFate::Live {
+                if op.comp != NO_COMP {
                     ir.comp_fate[op.comp as usize] = CompFate::Dead;
                 }
             }

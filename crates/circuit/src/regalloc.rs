@@ -8,7 +8,7 @@
 //! reads all of its sources before writing. Definitions nothing reads
 //! (an unused demux branch, an ignored input) share one scratch slot.
 
-use crate::compile::{CompiledCircuit, MicroOp, COMP_DEAD, COMP_FOLDED};
+use crate::compile::{CompiledCircuit, MicroOp, COMP_DEAD};
 use crate::component::{GateOp, Perm4};
 use crate::ir::{CompFate, CompileIr, IrKind, NO_COMP};
 
@@ -83,14 +83,7 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
     let mut cur_level = 0u32;
     let mut prologue_len = 0u32;
     let mut dying: Vec<u32> = Vec::new();
-    let mut comp_pos: Vec<u32> = ir
-        .comp_fate
-        .iter()
-        .map(|fate| match fate {
-            CompFate::Folded => COMP_FOLDED,
-            CompFate::Live | CompFate::Dead => COMP_DEAD,
-        })
-        .collect();
+    let mut comp_pos = vec![COMP_DEAD; ir.source_components()];
 
     for (pos, op) in ir.ops.iter().enumerate() {
         // Free the slots of operands that die at this op *before*
@@ -128,7 +121,7 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
             };
         }
 
-        if op.comp != NO_COMP && ir.comp_fate[op.comp as usize] == CompFate::Live {
+        if op.comp != NO_COMP {
             comp_pos[op.comp as usize] = tape.len() as u32;
         }
 
@@ -195,8 +188,8 @@ pub fn allocate(ir: &CompileIr) -> CompiledCircuit {
         ir.comp_fate
             .iter()
             .enumerate()
-            .all(|(ci, f)| *f != CompFate::Live || comp_pos[ci] < COMP_FOLDED),
-        "live component without a tape op"
+            .all(|(ci, f)| (*f == CompFate::Live) == (comp_pos[ci] != COMP_DEAD)),
+        "a live component without a tape op, or a dead one with one"
     );
 
     let output_slots: Vec<u32> = ir.outputs.iter().map(|&o| slot_of[o as usize]).collect();

@@ -198,7 +198,7 @@ mod tests {
         CacheKey {
             network: NetKind::MuxMerger,
             n,
-            opt: OptLevel::O2,
+            opt: OptLevel::default(),
         }
     }
 

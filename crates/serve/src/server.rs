@@ -88,9 +88,8 @@ pub struct ServeConfig {
     pub drain_grace: Duration,
     /// Honor `ChaosPanic` requests (forced worker panic mid-batch).
     pub chaos: bool,
-    /// Compiler tier for cached tapes (default O1: for every served key
-    /// O2 yields the same tape, so CSE and const-prop would only slow
-    /// each cache fill).
+    /// Compiler tier for cached tapes (default O1, the default of every
+    /// compile; `absort serve --opt-level 0` selects bare lowering).
     pub opt: OptLevel,
 }
 

@@ -124,87 +124,45 @@ fn engine_parse_is_case_insensitive() {
     }
 }
 
+fn verify_prefix8(extra: &[&str]) -> Output {
+    let mut args = vec!["verify", "--network", "prefix", "--n", "8"];
+    args.extend_from_slice(extra);
+    run(&args)
+}
+
+/// `--opt-level` takes `0` and `1` (either spelling) and picks the passes
+/// a compile runs; there is no separate `--passes` list any more.
 #[test]
 fn opt_level_and_passes_steer_verify() {
-    for level in ["0", "1", "2", "O2", "o1"] {
-        let out = run(&[
-            "verify",
-            "--network",
-            "prefix",
-            "--n",
-            "8",
-            "--opt-level",
-            level,
-        ]);
+    for level in ["0", "1", "O1", "o1"] {
+        let out = verify_prefix8(&["--opt-level", level]);
         assert!(out.status.success(), "--opt-level {level}");
         assert!(stdout(&out).contains("verified: all 256 inputs"));
     }
-    for passes in ["none", "cse,dce", "CSE, Const-Prop"] {
-        let out = run(&[
-            "verify",
-            "--network",
-            "prefix",
-            "--n",
-            "8",
-            "--passes",
-            passes,
-        ]);
-        assert!(out.status.success(), "--passes {passes}");
-        assert!(stdout(&out).contains("verified: all 256 inputs"));
-    }
+    let out = verify_prefix8(&["--passes", "cse"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --passes"), "{err}");
 }
 
+/// The removed tier 2 is a typed usage error naming the removal, not an
+/// alias for O1; any other bad level gets the `0, 1` menu.
 #[test]
 fn opt_level_and_passes_reject_unknown_values_with_menus() {
-    let out = run(&[
-        "verify",
-        "--network",
-        "prefix",
-        "--n",
-        "8",
-        "--opt-level",
-        "9",
-    ]);
+    for level in ["2", "O2", "o2"] {
+        let out = verify_prefix8(&["--opt-level", level]);
+        assert_eq!(out.status.code(), Some(2), "--opt-level {level}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("was removed") && err.contains("(valid: 0, 1)"),
+            "{err}"
+        );
+    }
+    let out = verify_prefix8(&["--opt-level", "9"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--opt-level") && err.contains("0, 1, 2"),
-        "{err}"
-    );
-
-    let out = run(&[
-        "verify",
-        "--network",
-        "prefix",
-        "--n",
-        "8",
-        "--passes",
-        "cse,warp",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("--passes") && err.contains("\"warp\""),
-        "{err}"
-    );
-    assert!(err.contains("const-prop"), "{err}");
-
-    // The retired rewrite pass is an unknown token, answered with the
-    // four-pass menu.
-    let out = run(&[
-        "verify",
-        "--network",
-        "prefix",
-        "--n",
-        "8",
-        "--passes",
-        "rewrite",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("\"rewrite\"")
-            && err.contains("(valid: const-prologue, const-prop, cse, dce, none)"),
+        err.contains("invalid value \"9\" for --opt-level (valid: 0, 1)"),
         "{err}"
     );
 }
@@ -216,16 +174,15 @@ fn inspect_reports_pass_stats() {
     let s = stdout(&out);
     assert!(s.contains("compiled tape"), "{s}");
     assert!(s.contains("decoded: "), "{s}");
-    for pass in ["const-prologue", "const-prop", "cse", "dce"] {
-        assert!(
-            s.lines().any(|l| l.trim_start().starts_with(pass)),
-            "missing {pass} row: {s}"
-        );
-    }
-    assert!(
-        !s.lines().any(|l| l.trim_start().starts_with("rewrite")),
-        "the rewrite pass is gone, yet inspect reports it: {s}"
-    );
+    // One `name before -> after ops (-removed)` row per pass run.
+    let pass_rows = |s: &str| -> Vec<String> {
+        s.lines()
+            .filter(|l| l.contains(" ops  (-"))
+            .filter_map(|l| l.split_whitespace().next().map(str::to_owned))
+            .collect()
+    };
+    assert_eq!(pass_rows(&s), ["const-prologue", "dce"], "{s}");
+    assert!(s.contains("compiled tape (opt level 1)"), "{s}");
     assert!(s.contains("slots"), "{s}");
 
     // O0 compiles without any optional pass rows.
@@ -240,8 +197,8 @@ fn inspect_reports_pass_stats() {
     ]);
     assert!(o0.status.success());
     let s = stdout(&o0);
-    assert!(s.contains("passes: -"), "{s}");
-    assert!(!s.contains("cse"), "{s}");
+    assert!(s.contains("compiled tape (opt level 0)"), "{s}");
+    assert!(pass_rows(&s).is_empty(), "{s}");
 }
 
 #[test]

@@ -13,16 +13,15 @@
 //!   compiled walks;
 //! * the decoded dispatch count — decode fuses switch chains and op
 //!   pairs identically for every lane type, at least as far as the
-//!   tape-level fuse pass it replaced did;
+//!   tape-level fuse pass it replaced did — and the exact tape shape
+//!   (ops, slots, levels) of each network at n = 64 and 1024;
 //! * shared programs — an evaluator built on a [`Decoded`] program (the
 //!   serving path) is the evaluator `CompiledEvaluator::new` builds.
 
 use absort::analysis::faults::fish_k;
 use absort::circuit::compile::Decoded;
 use absort::circuit::eval::{pack_lanes_wide, unpack_lanes_wide};
-use absort::circuit::{
-    Circuit, CompileOptions, CompiledCircuit, CompiledEvaluator, Evaluator, Lane, OptLevel,
-};
+use absort::circuit::{Circuit, CompiledCircuit, CompiledEvaluator, Evaluator, Lane};
 use absort::core::{fish, muxmerge, nonadaptive, prefix};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -97,51 +96,47 @@ fn exhaustive_equivalence_at_small_n() {
 /// fish). Decode may also fuse across depth levels, which the pass never
 /// did. An evaluator on a shared [`Decoded`] program dispatches exactly
 /// what `CompiledEvaluator::new`'s does.
+///
+/// The default tape's shape is pinned exactly: ops, slots and depth
+/// levels. No pass folds or merges logic, so a builder that places
+/// redundant logic grows these numbers.
 #[test]
 fn decoded_dispatch_counts_are_pinned() {
-    // (network, n, fused tape length at O1 and O2)
-    let pins: [(&str, usize, usize); 8] = [
-        ("prefix", 64, 664),
-        ("mux-merger", 64, 146),
-        ("nonadaptive", 64, 336),
-        ("fish", 64, 942),
-        ("prefix", 1024, 17_124),
-        ("mux-merger", 1024, 2538),
-        ("nonadaptive", 1024, 14_080),
-        ("fish", 1024, 40_781),
+    // (network, n, fused tape length, tape ops, slots, levels)
+    let pins: [(&str, usize, usize, usize, usize, usize); 8] = [
+        ("prefix", 64, 664, 1328, 129, 54),
+        ("mux-merger", 64, 146, 321, 96, 36),
+        ("nonadaptive", 64, 336, 672, 64, 21),
+        ("fish", 64, 942, 1824, 393, 53),
+        ("prefix", 1024, 17_124, 34_247, 2049, 148),
+        ("mux-merger", 1024, 2538, 9217, 1536, 100),
+        ("nonadaptive", 1024, 14_080, 28_160, 1024, 55),
+        ("fish", 1024, 40_781, 82_377, 27_194, 153),
     ];
-    for (name, n, pin) in pins {
+    for (name, n, pin, ops, slots, levels) in pins {
         let circuit = match name {
             "prefix" => prefix::build(n),
             "mux-merger" => muxmerge::build(n),
             "nonadaptive" => nonadaptive::build(n),
             _ => fish::circuits::build_combinational_kmerger(n, fish_k(n)),
         };
-        let mut counts = Vec::new();
-        for level in [OptLevel::O1, OptLevel::O2] {
-            let cc = circuit.compile_with(&CompileOptions::for_level(level));
-            let scalar = dispatches::<bool>(&cc, name, n);
-            let wide = dispatches::<[u64; 4]>(&cc, name, n);
-            assert_eq!(
-                scalar, wide,
-                "{name} n={n} O{level}: lane types decode apart"
-            );
-            assert_eq!(
-                dispatches::<u64>(&cc, name, n),
-                wide,
-                "{name} n={n} O{level}: lane types decode apart"
-            );
-            assert!(
-                wide <= pin,
-                "{name} n={n} O{level}: {wide} dispatches, pinned at {pin}"
-            );
-            counts.push(wide);
-        }
-        // CSE and const-prop find nothing to merge or fold in the bare
-        // networks, so O2 decodes exactly as O1 does.
+        let cc = circuit.compile();
         assert_eq!(
-            counts[1], counts[0],
-            "{name} n={n}: O2 decodes apart from O1"
+            (cc.tape_len(), cc.n_slots(), cc.n_levels()),
+            (ops, slots, levels),
+            "{name} n={n}: (tape ops, slots, levels)"
+        );
+        let scalar = dispatches::<bool>(&cc, name, n);
+        let wide = dispatches::<[u64; 4]>(&cc, name, n);
+        assert_eq!(scalar, wide, "{name} n={n}: lane types decode apart");
+        assert_eq!(
+            dispatches::<u64>(&cc, name, n),
+            wide,
+            "{name} n={n}: lane types decode apart"
+        );
+        assert!(
+            wide <= pin,
+            "{name} n={n}: {wide} dispatches, pinned at {pin}"
         );
     }
 }

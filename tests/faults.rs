@@ -534,29 +534,32 @@ fn every_campaign_mutant_validates_bare_and_hardened() {
     }
 }
 
-/// Campaign tapes compile at O1, which folds and merges nothing, so
-/// every applicable mutant of every hardened campaign tape is patched in
-/// place or dead: no campaign falls back to a per-mutant recompile.
+/// Campaign tapes compile at O1 (the default) or O0, and neither folds
+/// nor merges anything, so every applicable mutant of every hardened
+/// campaign tape is patched in place or dead: no campaign mutant falls
+/// back to the interpreter.
 #[test]
 fn o1_campaign_tapes_patch_or_kill_every_mutant() {
-    let opt = CampaignConfig::default().opt;
-    for n in [4, 8, 16] {
-        for sel in NetworkSel::ALL {
-            let circuit = build_network(sel, n);
-            for h in hardenings() {
-                let hardened = harden(&circuit, &h);
-                let mut tape = hardened.circuit.compile_with(&opt);
-                for fault in Fault::ALL {
-                    for ci in mutate::applicable(&circuit, fault) {
-                        assert!(
-                            !matches!(
-                                tape.mutant_tape(hardened.component(ci), fault),
-                                MutantTape::Unsupported
-                            ),
-                            "{} n={n} duplicate={}: {fault:?} at {ci} needs a recompile",
-                            sel.name(),
-                            h.duplicate
-                        );
+    for level in OptLevel::ALL {
+        let opt = CompileOptions::for_level(level);
+        for n in [4, 8, 16] {
+            for sel in NetworkSel::ALL {
+                let circuit = build_network(sel, n);
+                for h in hardenings() {
+                    let hardened = harden(&circuit, &h);
+                    let mut tape = hardened.circuit.compile_with(&opt);
+                    for fault in Fault::ALL {
+                        for ci in mutate::applicable(&circuit, fault) {
+                            assert!(
+                                !matches!(
+                                    tape.mutant_tape(hardened.component(ci), fault),
+                                    MutantTape::Unsupported
+                                ),
+                                "{} n={n} O{level} duplicate={}: {fault:?} at {ci} falls back",
+                                sel.name(),
+                                h.duplicate
+                            );
+                        }
                     }
                 }
             }
@@ -566,11 +569,10 @@ fn o1_campaign_tapes_patch_or_kill_every_mutant() {
 
 /// Every stuck-at-0 and -1 on every observable wire of the four campaign networks
 /// at n = 4 and 8, bare and inside both self-checking wrappers, patched
-/// into the base tape at O0, O1 and O2: on all 2^n inputs the patched
+/// into the base tape at O0 and O1: on all 2^n inputs the patched
 /// program computes what [`FaultyEvaluator`] computes, and what a fresh
-/// decode of the patched tape computes, in as many dispatches. Only a
-/// tape with a folded component (O2) may send a stuck-at back to the
-/// faulty evaluator.
+/// decode of the patched tape computes, in as many dispatches. No
+/// stuck-at on these networks is sent back to the faulty evaluator.
 #[test]
 fn stuck_at_patches_match_the_faulty_evaluator() {
     for n in [4, 8] {
@@ -609,15 +611,11 @@ fn stuck_at_patches_match_the_faulty_evaluator() {
                                     patched += 1;
                                 }
                                 MutantTape::Dead => assert_eq!(want, base_out, "{what}"),
-                                MutantTape::Unsupported => {
-                                    assert_eq!(level, OptLevel::O2, "{what}");
-                                }
+                                MutantTape::Unsupported => panic!("{what}: unsupported"),
                             }
                         }
                     }
-                    if level != OptLevel::O2 {
-                        assert!(patched > 0, "{} n={n} {wrap} {level:?}", sel.name());
-                    }
+                    assert!(patched > 0, "{} n={n} {wrap} {level:?}", sel.name());
                 }
             }
         }
@@ -658,7 +656,7 @@ fn default_campaign_manifest_counts_mutant_outcomes() {
         [
             counter("faults.mutants.patched"),
             counter("faults.mutants.dead"),
-            counter("faults.mutants.recompiled"),
+            counter("faults.mutants.fallback"),
         ],
         [254, 5, 0]
     );

@@ -316,8 +316,6 @@ fn metrics_run_emits_trace_and_histograms() {
         [
             "compile/ir",
             "compile/pass/const-prologue",
-            "compile/pass/const-prop",
-            "compile/pass/cse",
             "compile/pass/dce",
             "compile/regalloc",
             "compile/schedule",
